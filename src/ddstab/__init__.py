@@ -2,16 +2,16 @@
 
 __version__ = "0.1.0"
 
-from .data import (ConsistentSet, DataMatrices, LtiSystem, TrajectoryData,
-                   build_data_matrices, consistent_set, load_trajectory,
-                   reachable_part, recover_input_matrix, sample_consistent)
+from .data import (Branch, ConsistentSet, DataMatrices, LtiSystem, TrajectoryData,
+                   build_data_matrices, check_image_inclusion, check_input_rank,
+                   consistent_set, load_trajectory, reachable_part,
+                   recover_input_matrix, sample_consistent)
 from .errors import DataFormatError, PreconditionError, SolverFailure
 from .experiments import (ContinuousSystem, MonteCarloConfig, MonteCarloResult,
                           ThreeTankParams, run_monte_carlo, simulate,
                           three_tank_model, zoh_discretize)
-from .informativity import (Branch, InformativityReport, check_identification,
-                            check_image_inclusion, check_input_rank,
-                            check_controllability_prior, check_plain_stabilization,
+from .informativity import (InformativityReport, check_controllability_prior,
+                            check_identification, check_plain_stabilization,
                             check_stabilizability_prior, necessary_conditions_report)
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      is_controllable, is_schur, is_stabilizable,
@@ -19,7 +19,8 @@ from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      spectral_radius, subspace_contained)
 from .synthesis import (FeedbackGain, GainProvenance, LmiFeasibilityProblem,
                         LmiSolution, SolveStatus, gain_from_plain, sdp_solve,
-                        solve_plain_lmi, solve_stab_lmi, synthesize_stab)
+                        solve_plain_lmi, solve_stab_lmi, synthesize,
+                        synthesize_stab)
 from .verification import (LyapunovCertificate, VerificationReport,
                            common_lyapunov, decomposition_check,
                            genericity_probe, structural_nullity, verify_gain)

@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import (build_data_matrices, consistent_set, load_trajectory,
-                   trajectory_to_csv, trajectory_to_json)
+from .data import (Branch, DataMatrices, build_data_matrices, consistent_set,
+                   load_trajectory, trajectory_to_csv, trajectory_to_json)
 from .errors import DataFormatError, PreconditionError, SolverFailure
 from .experiments import (MonteCarloConfig, demo_example1, demo_example2,
                           demo_three_tank, run_monte_carlo, three_tank_model,
@@ -30,8 +30,7 @@ from .informativity import check_stabilizability_prior
 from .linalg import NumericalConfig, row_compress
 from .sdp import get_backend
 from .synthesis import (FeedbackGain, GainProvenance, LmiFeasibilityProblem,
-                        SolveStatus, gain_from_plain, problem_to_json,
-                        solve_plain_lmi, synthesize_stab)
+                        problem_to_json, synthesize)
 from .verification import decomposition_check, structural_nullity, verify_gain
 
 EXIT_OK = 0
@@ -124,32 +123,31 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _gain_payload(gain: FeedbackGain, sol=None, comp=None, branch=None) -> dict:
-    payload = {
+def _gain_payload(gain: FeedbackGain, sol, comp, branch: Branch) -> dict:
+    return {
         "K": gain.K.tolist(),
         "provenance": gain.provenance.value,
         "k2": None if gain.k2 is None else gain.k2.tolist(),
         "k2_policy": gain.k2_policy,
+        "theta": sol.theta.tolist(),
+        "slack": sol.slack,
+        "branch": branch.value,
+        "row_compression": {"S": comp.S.tolist(), "r": comp.r},
     }
-    if sol is not None:
-        payload["theta"] = None if sol.theta is None else sol.theta.tolist()
-        payload["slack"] = sol.slack
-    if branch is not None:
-        payload["branch"] = branch
-    if comp is not None:
-        payload["row_compression"] = {"S": comp.S.tolist(), "r": comp.r}
-    return payload
 
 
-def _gain_from_file(path: str) -> FeedbackGain:
+def _gain_from_file(path: str, D: DataMatrices) -> FeedbackGain:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        K = np.array(payload["K"], dtype=float)
+        K = np.atleast_2d(np.array(payload["K"], dtype=float))
         provenance = GainProvenance(payload.get("provenance", "plain"))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise DataFormatError(f"gain file {path}: {exc}") from exc
-    return FeedbackGain(K=np.atleast_2d(K), provenance=provenance)
+    if K.shape != (D.m, D.n):
+        raise DataFormatError(f"gain file {path}: K has shape {K.shape}, the data "
+                              f"need ({D.m}, {D.n})")
+    return FeedbackGain(K=K, provenance=provenance)
 
 
 def cmd_informativity(args) -> int:
@@ -172,32 +170,24 @@ def cmd_synthesize(args) -> int:
     traj = load_trajectory(args.data)
     D = build_data_matrices(traj)
     comp = row_compress(D.x_minus, D.x_plus, numcfg)
+    branch = Branch.of(D, comp)
     if args.dump_problem:
+        full = branch is Branch.FULL_RANK
         problem = LmiFeasibilityProblem(
-            diag_coeff=D.x_minus if comp.r == D.n else comp.x_hat_minus,
-            offdiag_coeff=D.x_plus if comp.r == D.n else comp.x_hat_plus)
+            diag_coeff=D.x_minus if full else comp.x_hat_minus,
+            offdiag_coeff=D.x_plus if full else comp.x_hat_plus)
         _write(settings["out"], "problem.json", problem_to_json(problem))
-    if comp.r == D.n:
-        sol = solve_plain_lmi(D, numcfg, backend)
-        if sol.status is SolveStatus.SOLVER_FAILURE:
-            raise SolverFailure("plain LMI solve broke down")
-        if not sol.feasible:
-            _write(settings["out"], "gain.json",
-                   _dump_json({"informative": False, "branch": "full_rank"}))
-            print("not informative for stabilization (full-rank branch)")
-            return EXIT_NEGATIVE
-        gain = gain_from_plain(D, sol, numcfg)
-        payload = _gain_payload(gain, sol, comp, branch="full_rank")
-    else:
-        try:
-            gain, sol, comp = synthesize_stab(D, numcfg, backend=backend, comp=comp)
-        except PreconditionError:
-            _write(settings["out"], "gain.json",
-                   _dump_json({"informative": False, "branch": "rank_deficient"}))
-            print("not informative for stabilization under the stabilizability prior")
-            return EXIT_NEGATIVE
-        payload = _gain_payload(gain, sol, comp, branch="rank_deficient")
-    path = _write(settings["out"], "gain.json", _dump_json(payload))
+    try:
+        gain, sol, comp = synthesize(D, numcfg, backend, comp)
+    except PreconditionError:
+        _write(settings["out"], "gain.json",
+               _dump_json({"informative": False, "branch": branch.value}))
+        print("not informative for stabilization (full-rank branch)"
+              if branch is Branch.FULL_RANK else
+              "not informative for stabilization under the stabilizability prior")
+        return EXIT_NEGATIVE
+    path = _write(settings["out"], "gain.json",
+                  _dump_json(_gain_payload(gain, sol, comp, branch)))
     print(f"wrote {path}")
     print(f"K = {gain.K.tolist()}")
     return EXIT_OK
@@ -208,7 +198,7 @@ def cmd_verify(args) -> int:
     numcfg = settings["numcfg"]
     traj = load_trajectory(args.data)
     D = build_data_matrices(traj)
-    gain = _gain_from_file(args.gain)
+    gain = _gain_from_file(args.gain, D)
     cs = consistent_set(D, numcfg)
     report = verify_gain(cs, gain, n_samples=settings["samples"],
                          scales=settings["scales"], seed=settings["seed"], cfg=numcfg)
@@ -266,21 +256,6 @@ def cmd_montecarlo(args) -> int:
     return EXIT_OK
 
 
-def _demo_example1_bundle(settings) -> None:
-    bundle = demo_example1(settings["numcfg"], seed=settings["seed"],
-                           n_samples=settings["samples"])
-    out = settings["out"]
-    if settings["fmt"] == "csv":
-        _write(out, "data.csv", trajectory_to_csv(bundle["trajectory"]))
-    else:
-        _write(out, "data.json", trajectory_to_json(bundle["trajectory"]))
-    _write(out, "informativity.json", _dump_json(bundle["informativity"].to_dict()))
-    _write(out, "gain.json", _dump_json(_gain_payload(
-        bundle["gain"], bundle["solution"], bundle["compression"],
-        branch="rank_deficient")))
-    _write(out, "verification.json", _dump_json(bundle["verification"].to_dict()))
-
-
 def _demo_example2_bundle(settings) -> None:
     bundle = demo_example2(cfg=settings["numcfg"])
     lines = ["a,b1,b2,controllable"]
@@ -292,10 +267,23 @@ def _demo_example2_bundle(settings) -> None:
          "grid_points": len(bundle["grid"])}))
 
 
-def _demo_three_tank_bundle(settings) -> None:
-    bundle = demo_three_tank(settings["numcfg"], seed=settings["seed"],
-                             n_samples=settings["samples"])
+def _demo_synthesis_bundle(settings, demo) -> None:
+    """Trajectory, report, gain and verification of a synthesis demo, plus the
+    model and closed-loop spectrum when the demo simulates a known system."""
+    bundle = demo(settings["numcfg"], seed=settings["seed"],
+                  n_samples=settings["samples"])
     out = settings["out"]
+    if settings["fmt"] == "csv":
+        _write(out, "data.csv", trajectory_to_csv(bundle["trajectory"]))
+    else:
+        _write(out, "data.json", trajectory_to_json(bundle["trajectory"]))
+    report = bundle["informativity"]
+    _write(out, "informativity.json", _dump_json(report.to_dict()))
+    _write(out, "gain.json", _dump_json(_gain_payload(
+        bundle["gain"], bundle["solution"], bundle["compression"], report.branch)))
+    _write(out, "verification.json", _dump_json(bundle["verification"].to_dict()))
+    if "system" not in bundle:
+        return
     _write(out, "model.json", _dump_json({
         "A_continuous": bundle["continuous"].A.tolist(),
         "B_continuous": bundle["continuous"].B.tolist(),
@@ -303,15 +291,6 @@ def _demo_three_tank_bundle(settings) -> None:
         "A": bundle["system"].A.tolist(),
         "B": bundle["system"].B.tolist(),
     }))
-    if settings["fmt"] == "csv":
-        _write(out, "data.csv", trajectory_to_csv(bundle["trajectory"]))
-    else:
-        _write(out, "data.json", trajectory_to_json(bundle["trajectory"]))
-    _write(out, "informativity.json", _dump_json(bundle["informativity"].to_dict()))
-    _write(out, "gain.json", _dump_json(_gain_payload(
-        bundle["gain"], bundle["solution"], bundle["compression"],
-        branch="rank_deficient")))
-    _write(out, "verification.json", _dump_json(bundle["verification"].to_dict()))
     eigs = bundle["closed_loop_eigenvalues"]
     _write(out, "spectrum.json", _dump_json({
         "closed_loop_eigenvalues_real": np.real(eigs).tolist(),
@@ -322,12 +301,11 @@ def _demo_three_tank_bundle(settings) -> None:
 
 def cmd_demo(args) -> int:
     settings = _settings(args)
-    bundles = {
-        "example1": _demo_example1_bundle,
-        "example2": _demo_example2_bundle,
-        "three-tank": _demo_three_tank_bundle,
-    }
-    bundles[args.name](settings)
+    if args.name == "example2":
+        _demo_example2_bundle(settings)
+    else:
+        _demo_synthesis_bundle(settings, {"example1": demo_example1,
+                                          "three-tank": demo_three_tank}[args.name])
     print(f"wrote demo bundle to {settings['out']}")
     return EXIT_OK
 

@@ -9,6 +9,7 @@ homogeneous directions.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import json
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DataFormatError, PreconditionError
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
-                     is_stabilizable, numerical_rank, pinv)
+                     is_stabilizable, numerical_rank, pinv, subspace_contained)
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,46 @@ def consistency_residual(D: DataMatrices, system: LtiSystem) -> float:
     """||X_plus - A X_minus - B U_minus|| / max(1, ||X_plus||), spectral norms."""
     resid = D.x_plus - system.A @ D.x_minus - system.B @ D.u_minus
     return float(np.linalg.norm(resid, 2) / max(1.0, np.linalg.norm(D.x_plus, 2)))
+
+
+class Branch(enum.Enum):
+    FULL_RANK = "full_rank"
+    RANK_DEFICIENT = "rank_deficient"
+
+    @classmethod
+    def of(cls, D: DataMatrices, comp: RowCompression) -> "Branch":
+        """Full rank iff X_minus has rank n; only then does the plain LMI decide."""
+        return cls.FULL_RANK if comp.r == D.n else cls.RANK_DEFICIENT
+
+
+def check_image_inclusion(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
+    """col(X_plus) inside col(X_minus)."""
+    return subspace_contained(D.x_plus, D.x_minus, cfg)
+
+
+def check_input_rank(D: DataMatrices, comp: RowCompression,
+                     cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
+    """rank [X_minus; U_minus] = r + m.
+
+    The stacked image always sits inside col(X_minus) x R^m, so equality of
+    the two sets is just this dimension count. Only meaningful on
+    rank-deficient state data.
+    """
+    if comp.r >= D.n:
+        raise PreconditionError("input-rank condition applies only when rank X_minus < n")
+    return numerical_rank(D.stacked(), cfg) == comp.r + D.m
+
+
+def require_prior_conditions(D: DataMatrices, comp: RowCompression,
+                             cfg: NumericalConfig = DEFAULT_CONFIG) -> None:
+    """Raise PreconditionError when rank-deficient data fail either condition;
+    under the stabilizability prior they are informative iff both hold."""
+    if Branch.of(D, comp) is Branch.FULL_RANK:
+        return
+    if not check_image_inclusion(D, cfg):
+        raise PreconditionError("image inclusion condition fails for this data")
+    if not check_input_rank(D, comp, cfg):
+        raise PreconditionError("input-rank condition fails for this data")
 
 
 def reachable_part(D: DataMatrices, comp: RowCompression,

@@ -12,7 +12,7 @@ from .errors import SolverFailure
 from .informativity import check_identification, check_stabilizability_prior
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, is_controllable,
                      matrix_exponential, spectral_radius)
-from .synthesis import synthesize_stab
+from .synthesis import synthesize
 from .verification import verify_gain
 
 
@@ -143,13 +143,14 @@ def _evaluate_scenario(mc: MonteCarloConfig, index: int,
     for T in mc.t_list:
         window = TrajectoryData(inputs=traj.inputs[:T], states=traj.states[:T + 1])
         D = build_data_matrices(window)
-        ident = check_identification(D, cfg)
         try:
             report = check_stabilizability_prior(D, cfg)
+            ident = report.identification
             plain = report.stabilization
             prior = report.stabilization_stabilizability_prior
         except SolverFailure:
             failures += 1
+            ident = check_identification(D, cfg)
             plain = prior = False
         verdicts.append(ScenarioVerdict(scenario=index, T=T, identification=ident,
                                         stabilization=plain,
@@ -198,14 +199,12 @@ def example1_trajectory() -> TrajectoryData:
         states=np.array([[1.0, 0.0], [2.0, 0.0], [4.0, 0.0], [3.0, 0.0]]))
 
 
-def demo_example1(cfg: NumericalConfig = DEFAULT_CONFIG, seed: int = 0,
-                  n_samples: int = 200, backend=None) -> dict:
-    """Dataset where no gain covers every consistent system, yet one covers
-    all stabilizable ones."""
-    traj = example1_trajectory()
+def _synthesis_demo(traj: TrajectoryData, cfg: NumericalConfig, seed: int,
+                    n_samples: int, backend) -> dict:
+    """Report, gain and sampled verification for one trajectory."""
     D = build_data_matrices(traj)
     report = check_stabilizability_prior(D, cfg, backend)
-    gain, sol, comp = synthesize_stab(D, cfg, backend=backend)
+    gain, sol, comp = synthesize(D, cfg, backend)
     verification = verify_gain(consistent_set(D, cfg), gain, n_samples=n_samples,
                                seed=seed, cfg=cfg)
     return {
@@ -217,6 +216,13 @@ def demo_example1(cfg: NumericalConfig = DEFAULT_CONFIG, seed: int = 0,
         "gain": gain,
         "verification": verification,
     }
+
+
+def demo_example1(cfg: NumericalConfig = DEFAULT_CONFIG, seed: int = 0,
+                  n_samples: int = 200, backend=None) -> dict:
+    """Dataset where no gain covers every consistent system, yet one covers
+    all stabilizable ones."""
+    return _synthesis_demo(example1_trajectory(), cfg, seed, n_samples, backend)
 
 
 def demo_example2(a_range: tuple[float, float] = (-1.0, 3.0),
@@ -256,23 +262,13 @@ def demo_three_tank(cfg: NumericalConfig = DEFAULT_CONFIG, seed: int = 0,
     """Discretize the cascade, run the length-5 experiment, synthesize and verify."""
     continuous = three_tank_model()
     system = zoh_discretize(continuous)
-    traj = simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS)
-    D = build_data_matrices(traj)
-    report = check_stabilizability_prior(D, cfg, backend)
-    gain, sol, comp = synthesize_stab(D, cfg, backend=backend)
-    verification = verify_gain(consistent_set(D, cfg), gain, n_samples=n_samples,
-                               seed=seed, cfg=cfg)
-    closed_loop = system.A + system.B @ gain.K
+    bundle = _synthesis_demo(simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS),
+                             cfg, seed, n_samples, backend)
+    closed_loop = system.A + system.B @ bundle["gain"].K
     return {
         "continuous": continuous,
         "system": system,
-        "trajectory": traj,
-        "data": D,
-        "informativity": report,
-        "compression": comp,
-        "solution": sol,
-        "gain": gain,
-        "verification": verification,
+        **bundle,
         "closed_loop_eigenvalues": np.linalg.eigvals(closed_loop),
         "closed_loop_spectral_radius": spectral_radius(closed_loop),
     }

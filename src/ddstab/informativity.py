@@ -10,24 +10,26 @@ tests) or via an LMI feasibility solve:
   * with a stabilizability prior: restricted to stabilizable members; on
     full-rank state data this again equals the plain verdict, on
     rank-deficient data it reduces to two checkable subspace conditions.
+
+Each condition has one owner: ``check_identification``,
+``check_plain_stabilization``, and in ``data`` ``check_image_inclusion``,
+``check_input_rank`` and their guard ``require_prior_conditions``;
+``Branch.of`` names the branch. The report reads the input-rank condition
+off the ``rank_stacked`` it reports, and the image-inclusion residual off
+its row compression, at the rank cutoff the verdict uses.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataMatrices, consistent_set, sample_consistent
-from .errors import PreconditionError, SolverFailure
-from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
-                     numerical_rank, row_compress, subspace_contained)
+from .data import (Branch, DataMatrices, check_image_inclusion, check_input_rank,
+                   consistent_set, sample_consistent)
+from .errors import SolverFailure
+from .linalg import (DEFAULT_CONFIG, NumericalConfig, numerical_rank,
+                     row_compress, subspace_contained)
 from .synthesis import SolveStatus, solve_plain_lmi
-
-
-class Branch(enum.Enum):
-    FULL_RANK = "full_rank"
-    RANK_DEFICIENT = "rank_deficient"
 
 
 @dataclass(frozen=True)
@@ -41,22 +43,9 @@ class InformativityReport:
     image_inclusion: bool
     input_rank_condition: bool
     diagnostics: dict = field(default_factory=dict)
-    plain_theta: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "rank_x_minus": self.rank_x_minus,
-            "identification": self.identification,
-            "stabilization": self.stabilization,
-            "stabilization_controllability_prior":
-                self.stabilization_controllability_prior,
-            "stabilization_stabilizability_prior":
-                self.stabilization_stabilizability_prior,
-            "branch": self.branch.value,
-            "image_inclusion": self.image_inclusion,
-            "input_rank_condition": self.input_rank_condition,
-            "diagnostics": self.diagnostics,
-        }
+        return {**vars(self), "branch": self.branch.value}
 
 
 def check_identification(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
@@ -80,24 +69,6 @@ def check_controllability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
     return verdict
 
 
-def check_image_inclusion(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    """col(X_plus) inside col(X_minus)."""
-    return subspace_contained(D.x_plus, D.x_minus, cfg)
-
-
-def check_input_rank(D: DataMatrices, comp: RowCompression,
-                     cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    """rank [X_minus; U_minus] = r + m.
-
-    The stacked image always sits inside col(X_minus) x R^m, so equality of
-    the two sets is just this dimension count. Only meaningful on
-    rank-deficient state data.
-    """
-    if comp.r >= D.n:
-        raise PreconditionError("input-rank condition applies only when rank X_minus < n")
-    return numerical_rank(D.stacked(), cfg) == comp.r + D.m
-
-
 def _rank_margin_diagnostics(M: np.ndarray, cfg: NumericalConfig) -> dict:
     """Flag singular values within two decades of the rank cutoff."""
     if M.size == 0 or not M.any():
@@ -116,56 +87,36 @@ def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
     prior knowledge, as prior knowledge must.
     """
     comp = row_compress(D.x_minus, D.x_plus, cfg)
-    ident = check_identification(D, cfg)
+    branch = Branch.of(D, comp)
+    rank_stacked = numerical_rank(D.stacked(), cfg)
     diagnostics: dict = {
         "n": D.n, "m": D.m, "T": D.T,
-        "rank_stacked": numerical_rank(D.stacked(), cfg),
+        "rank_stacked": rank_stacked,
         "x_minus_rank_margin": _rank_margin_diagnostics(D.x_minus, cfg),
     }
-    if comp.r == D.n:
-        plain, theta = check_plain_stabilization(D, cfg, backend)
-        image_ok = check_image_inclusion(D, cfg)  # trivially true at full rank
-        input_ok = diagnostics["rank_stacked"] == D.n + D.m
-        report = InformativityReport(
-            rank_x_minus=comp.r,
-            identification=ident,
-            stabilization=plain,
-            stabilization_controllability_prior=plain,
-            stabilization_stabilizability_prior=plain,
-            branch=Branch.FULL_RANK,
-            image_inclusion=image_ok,
-            input_rank_condition=input_ok,
-            diagnostics=diagnostics,
-            plain_theta=theta,
-        )
+    input_ok = rank_stacked == comp.r + D.m
+    if branch is Branch.FULL_RANK:
+        plain, _ = check_plain_stabilization(D, cfg, backend)
+        image_ok = True  # col(X_minus) is the whole state space
+        prior = plain
     else:
+        plain = False
         image_ok = check_image_inclusion(D, cfg)
-        input_ok = check_input_rank(D, comp, cfg)
-        proj_resid = _image_inclusion_residual(D)
-        diagnostics["image_inclusion_residual"] = proj_resid
-        report = InformativityReport(
-            rank_x_minus=comp.r,
-            identification=ident,
-            stabilization=False,
-            stabilization_controllability_prior=False,
-            stabilization_stabilizability_prior=image_ok and input_ok,
-            branch=Branch.RANK_DEFICIENT,
-            image_inclusion=image_ok,
-            input_rank_condition=input_ok,
-            diagnostics=diagnostics,
-        )
-    return report
-
-
-def _image_inclusion_residual(D: DataMatrices) -> float:
-    if not D.x_plus.any():
-        return 0.0
-    if not D.x_minus.any():
-        return float(np.linalg.norm(D.x_plus, 2))
-    U, sv, _ = np.linalg.svd(D.x_minus)
-    r = int(np.count_nonzero(sv > 1e-12 * sv[0] * max(D.x_minus.shape)))
-    Q = U[:, :r]
-    return float(np.linalg.norm(D.x_plus - Q @ (Q.T @ D.x_plus), 2))
+        # S[r:] spans the complement of col(X_minus) at the same rank cutoff
+        diagnostics["image_inclusion_residual"] = float(
+            np.linalg.norm(comp.S[comp.r:] @ D.x_plus, 2))
+        prior = image_ok and input_ok
+    return InformativityReport(
+        rank_x_minus=comp.r,
+        identification=check_identification(D, cfg),
+        stabilization=plain,
+        stabilization_controllability_prior=plain,
+        stabilization_stabilizability_prior=prior,
+        branch=branch,
+        image_inclusion=image_ok,
+        input_rank_condition=input_ok,
+        diagnostics=diagnostics,
+    )
 
 
 def necessary_conditions_report(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import DataMatrices
+from .data import Branch, DataMatrices, require_prior_conditions
 from .errors import PreconditionError, SolverFailure
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
-                     numerical_rank, pinv, row_compress, subspace_contained)
+                     numerical_rank, pinv, row_compress)
 from .sdp import AffineLmiFeasibility, BarrierBackend
 
 
@@ -210,15 +210,9 @@ def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
     supplies it, default zeros.
     """
     comp = comp if comp is not None else row_compress(D.x_minus, D.x_plus, cfg)
-    if comp.r < D.n:
-        # the compressed LMI cannot see the discarded rows; the informativity
-        # conditions are what make its gain valid for the whole family
-        image_ok = subspace_contained(D.x_plus, D.x_minus, cfg)
-        rank_ok = numerical_rank(D.stacked(), cfg) == comp.r + D.m
-        if not (image_ok and rank_ok):
-            raise PreconditionError(
-                "data are not informative for stabilization under the "
-                "stabilizability prior")
+    # the compressed LMI cannot see the discarded rows; the informativity
+    # conditions are what make its gain valid for the whole family
+    require_prior_conditions(D, comp, cfg)
     sol = solve_stab_lmi(D, comp, cfg, backend)
     if sol.status is SolveStatus.SOLVER_FAILURE:
         raise SolverFailure("stabilizability-prior LMI solve broke down")
@@ -238,6 +232,24 @@ def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
     K = np.hstack([K1, K2]) @ comp.S
     return FeedbackGain(K=K, provenance=GainProvenance.STAB_PRIOR,
                         k2=K2, k2_policy=policy_name), sol, comp
+
+
+def synthesize(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG, backend=None,
+               comp: RowCompression | None = None) -> tuple[FeedbackGain, LmiSolution, RowCompression]:
+    """Gain from the branch the data select.
+
+    Full-rank state data go through the plain LMI (``solve_plain_lmi`` then
+    ``gain_from_plain``), rank-deficient data through ``synthesize_stab``.
+    Raises PreconditionError when the data are not informative and
+    SolverFailure when the solver breaks down.
+    """
+    comp = comp if comp is not None else row_compress(D.x_minus, D.x_plus, cfg)
+    if Branch.of(D, comp) is Branch.RANK_DEFICIENT:
+        return synthesize_stab(D, cfg, backend=backend, comp=comp)
+    sol = solve_plain_lmi(D, cfg, backend)
+    if sol.status is SolveStatus.SOLVER_FAILURE:
+        raise SolverFailure("plain LMI solve broke down")
+    return gain_from_plain(D, sol, cfg), sol, comp  # raises when infeasible
 
 
 def problem_to_json(problem: LmiFeasibilityProblem) -> str:

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConsistentSet, DataMatrices, LtiSystem, consistency_residual, \
-    reachable_part, sample_consistent
+from .data import (ConsistentSet, DataMatrices, LtiSystem, consistency_residual,
+                   reachable_part, require_prior_conditions, sample_consistent)
 from .errors import PreconditionError, SolverFailure
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      controllability_matrix, is_controllable, is_schur,
-                     is_stabilizable, numerical_rank, spectral_radius,
-                     subspace_contained)
+                     is_stabilizable, spectral_radius)
 from .sdp import AffineLmiFeasibility, BarrierBackend
 from .synthesis import FeedbackGain, GainProvenance
 
@@ -147,12 +146,8 @@ def decomposition_check(D: DataMatrices, comp: RowCompression, system: LtiSystem
         raise PreconditionError("system is not consistent with the data")
     if not is_stabilizable(system.A, system.B, cfg):
         raise PreconditionError("system is not stabilizable")
+    require_prior_conditions(D, comp, cfg)
     r, n = comp.r, D.n
-    if r < n:
-        if not subspace_contained(D.x_plus, D.x_minus, cfg):
-            raise PreconditionError("image inclusion condition fails for this data")
-        if numerical_rank(D.stacked(), cfg) != r + D.m:
-            raise PreconditionError("input-rank condition fails for this data")
     A_c = comp.S @ system.A @ np.linalg.inv(comp.S)
     B_c = comp.S @ system.B
     A21, A22, B2 = A_c[r:, :r], A_c[r:, r:], B_c[r:, :]
@@ -163,13 +158,12 @@ def decomposition_check(D: DataMatrices, comp: RowCompression, system: LtiSystem
     b2_norm = float(np.linalg.norm(B2, 2)) if B2.size else 0.0
     a22_schur = is_schur(A22, cfg)
     stab = is_stabilizable(A11, B1, cfg)
-    if r < n:
+    match = 0.0
+    if 0 < r < n:
         A11_data, B1_data = reachable_part(D, comp, cfg)
-        match = float(np.linalg.norm(np.hstack([A11 - A11_data, B1 - B1_data]), 2)) \
-            if r > 0 else 0.0
-    else:
-        match = 0.0
-    ok = a21_norm <= tol and b2_norm <= tol and a22_schur and stab and match <= tol
+        match = float(np.linalg.norm(np.hstack([A11 - A11_data, B1 - B1_data]), 2))
+    # plain bools: the norms compare as numpy scalars, which JSON rejects
+    ok = bool(a21_norm <= tol and b2_norm <= tol and a22_schur and stab and match <= tol)
     return DecompositionDiagnostics(a21_norm=a21_norm, b2_norm=b2_norm,
                                     a22_spectral_radius=spectral_radius(A22),
                                     a22_schur=a22_schur,

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from ddstab import LtiSystem, simulate
 from ddstab.cli import EXIT_FAILURE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from ddstab.data import trajectory_to_csv, trajectory_to_json
 from ddstab.experiments import example1_trajectory
@@ -84,6 +85,38 @@ class TestSynthesizeAndVerify:
         code = main(["verify", example1_file, str(gain_path),
                      "--out", str(tmp_path / "v"), "--samples", "40"])
         assert code == EXIT_NEGATIVE
+
+    def test_verify_rejects_gain_of_wrong_shape(self, example1_file, tmp_path, capsys):
+        gain_path = tmp_path / "gain.json"
+        gain_path.write_text(json.dumps({"K": [[0.0, 0.0, 0.0]], "provenance": "plain"}))
+        code = main(["verify", example1_file, str(gain_path),
+                     "--out", str(tmp_path / "v"), "--samples", "10"])
+        assert code == EXIT_FAILURE
+        assert "error: gain file" in capsys.readouterr().err
+
+    def test_full_rank_pipeline(self, tmp_path):
+        # identifiable data from an unstable 3-state system: the plain branch
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(3, 3))
+        A *= 1.2 / np.abs(np.linalg.eigvals(A)).max()
+        traj = simulate(LtiSystem(A=A, B=rng.normal(size=(3, 1))),
+                        rng.normal(size=3), rng.normal(size=(8, 1)))
+        data = tmp_path / "full.json"
+        data.write_text(trajectory_to_json(traj))
+        blobs = []
+        for run in ("r1", "r2"):
+            syn, ver = str(tmp_path / run / "syn"), str(tmp_path / run / "ver")
+            gain_path = os.path.join(syn, "gain.json")
+            ver_path = os.path.join(ver, "verification.json")
+            assert main(["synthesize", str(data), "--out", syn]) == EXIT_OK
+            assert read_json(gain_path)["branch"] == "full_rank"
+            assert main(["verify", str(data), gain_path, "--out", ver,
+                         "--samples", "40"]) == EXIT_OK
+            report = read_json(ver_path)
+            assert report["passed"] is True
+            assert report["decomposition"]["ok"] is True
+            blobs.append(tuple(open(p, "rb").read() for p in (gain_path, ver_path)))
+        assert blobs[0] == blobs[1]
 
     def test_synthesize_non_informative(self, tmp_path):
         path = tmp_path / "scalarfam.json"

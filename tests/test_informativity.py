@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddstab import (LtiSystem, PreconditionError, TrajectoryData,
+from ddstab import (DataMatrices, LtiSystem, PreconditionError, TrajectoryData,
                     build_data_matrices, check_controllability_prior,
                     check_identification, check_image_inclusion, check_input_rank,
                     check_plain_stabilization, check_stabilizability_prior,
@@ -138,6 +138,41 @@ class TestStabilizabilityPriorReport:
     def test_clean_rank_not_flagged(self, cfg, example1):
         report = check_stabilizability_prior(example1, cfg)
         assert report.diagnostics["x_minus_rank_margin"]["marginal_rank"] is False
+
+
+class TestImageInclusionResidual:
+    """The residual beside the verdict comes from the same rank cutoff."""
+
+    def _outside(self, report, D, cfg):
+        residual = report.diagnostics["image_inclusion_residual"]
+        return bool(residual > cfg.subspace_tol * max(1.0, np.linalg.norm(D.x_plus, 2)))
+
+    def test_direction_below_rank_cutoff_is_outside(self, cfg):
+        # third singular value of X_minus at 1e-11 relative scale: below the
+        # 1e-9 rank cutoff, so col(X_minus) is a plane that X_plus leaves
+        rng = np.random.default_rng(48)
+        U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        V, _ = np.linalg.qr(rng.normal(size=(4, 3)))
+        D = DataMatrices(u_minus=rng.normal(size=(1, 4)),
+                         x_minus=U @ np.diag([1.0, 0.5, 1e-11]) @ V.T,
+                         x_plus=rng.normal(size=(3, 4)))
+        report = check_stabilizability_prior(D, cfg)
+        assert report.rank_x_minus == 2
+        assert not report.image_inclusion
+        assert self._outside(report, D, cfg)
+
+    def test_residual_agrees_with_verdict_on_random_suites(self, cfg):
+        seen = set()
+        for seed, count in ((43, 300), (44, 150)):
+            rng = np.random.default_rng(seed)
+            for _ in range(count):
+                D = random_dataset(rng).D
+                if row_compress(D.x_minus, D.x_plus, cfg).r == D.n:
+                    continue  # no residual on the full-rank branch
+                report = check_stabilizability_prior(D, cfg)
+                assert self._outside(report, D, cfg) == (not report.image_inclusion)
+                seen.add(report.image_inclusion)
+        assert seen == {True, False}
 
 
 class TestVerdictEquivalences:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from ddstab import (LtiSystem, NumericalConfig, PreconditionError, TrajectoryData,
-                    build_data_matrices, gain_from_plain, sdp_solve, simulate,
-                    solve_plain_lmi, solve_stab_lmi, spectral_radius,
-                    synthesize_stab, row_compress)
+from ddstab import (GainProvenance, LtiSystem, NumericalConfig, PreconditionError,
+                    TrajectoryData, build_data_matrices, check_stabilizability_prior,
+                    gain_from_plain, sdp_solve, simulate, solve_plain_lmi,
+                    solve_stab_lmi, spectral_radius, synthesize, synthesize_stab,
+                    row_compress)
+from ddstab.data import Branch
 from ddstab.linalg import RowCompression
 from ddstab.synthesis import (LmiFeasibilityProblem, SolveStatus, problem_from_json,
                               problem_to_json)
@@ -307,3 +309,43 @@ def test_problem_json_round_trip():
     back = problem_from_json(problem_to_json(problem))
     assert np.array_equal(back.diag_coeff, problem.diag_coeff)
     assert np.array_equal(back.offdiag_coeff, problem.offdiag_coeff)
+
+
+class TestSynthesize:
+    """The library dispatch gives the gain of the route its branch names, and
+    refuses exactly the data the stabilizability-prior report rejects."""
+
+    def _check(self, D, cfg):
+        report = check_stabilizability_prior(D, cfg)
+        if not report.stabilization_stabilizability_prior:
+            with pytest.raises(PreconditionError):
+                synthesize(D, cfg)
+            return report.branch, False
+        gain, sol, comp = synthesize(D, cfg)
+        assert sol.feasible
+        assert comp.r == report.rank_x_minus
+        if report.branch is Branch.FULL_RANK:
+            assert gain.provenance is GainProvenance.PLAIN
+            reference = gain_from_plain(D, solve_plain_lmi(D, cfg), cfg)
+        else:
+            assert gain.provenance is GainProvenance.STAB_PRIOR
+            reference, _, _ = synthesize_stab(D, cfg)
+        assert gain.K.shape == reference.K.shape
+        assert gain.K.tobytes() == reference.K.tobytes()
+        return report.branch, True
+
+    def test_example1(self, cfg, example1):
+        assert self._check(example1, cfg) == (Branch.RANK_DEFICIENT, True)
+
+    def test_three_tank(self, cfg):
+        from ddstab.experiments import (THREE_TANK_INPUTS, THREE_TANK_X0,
+                                        three_tank_model, zoh_discretize)
+        system = zoh_discretize(three_tank_model())
+        D = build_data_matrices(simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS))
+        assert self._check(D, cfg) == (Branch.RANK_DEFICIENT, True)
+
+    def test_random_suite(self, cfg):
+        rng = np.random.default_rng(44)
+        outcomes = {self._check(random_dataset(rng).D, cfg) for _ in range(150)}
+        # every branch meets both verdicts, so each path of the dispatch ran
+        assert len(outcomes) == 4
