@@ -13,6 +13,7 @@ fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -38,8 +39,7 @@ EXIT_FAILURE = 1
 EXIT_NEGATIVE = 2
 EXIT_USAGE = 64
 
-_CONFIG_FIELDS = ("rank_rel_tol", "subspace_tol", "schur_margin", "psd_margin",
-                  "equality_tol")
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(NumericalConfig))
 
 
 class _Parser(argparse.ArgumentParser):

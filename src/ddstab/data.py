@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, PreconditionError
-from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
-                     is_stabilizable, numerical_rank, pinv, subspace_contained)
+from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression, is_stabilizable,
+                     numerical_rank, pinv, rank_revealing_svd, subspace_contained)
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,7 @@ def consistent_set(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> Co
     """
     Z = D.stacked()
     particular = _split_ab(D.x_plus @ pinv(Z, cfg), D.n)
-    U, sv, _ = np.linalg.svd(Z)
-    cutoff = cfg.rank_rel_tol * max(Z.shape) * (sv[0] if sv.size else 0.0)
-    r = int(np.count_nonzero(sv > cutoff))
+    U, r = rank_revealing_svd(Z, cfg)
     Q = U[:, r:]
     return ConsistentSet(particular=particular,
                          basis=NullBasis(Q=Q, d=Q.shape[1]),
@@ -200,6 +198,12 @@ def check_input_rank(D: DataMatrices, comp: RowCompression,
     if comp.r >= D.n:
         raise PreconditionError("input-rank condition applies only when rank X_minus < n")
     return numerical_rank(D.stacked(), cfg) == comp.r + D.m
+
+
+def input_rank_condition(D: DataMatrices, comp: RowCompression,
+                         cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
+    """``check_input_rank`` where it applies; vacuously True on full-rank state data."""
+    return Branch.of(D, comp) is Branch.FULL_RANK or check_input_rank(D, comp, cfg)
 
 
 def require_prior_conditions(D: DataMatrices, comp: RowCompression,

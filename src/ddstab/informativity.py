@@ -14,9 +14,9 @@ tests) or via an LMI feasibility solve:
 Each condition has one owner: ``check_identification``,
 ``check_plain_stabilization``, and in ``data`` ``check_image_inclusion``,
 ``check_input_rank`` and their guard ``require_prior_conditions``;
-``Branch.of`` names the branch. The report reads the input-rank condition
-off the ``rank_stacked`` it reports, and the image-inclusion residual off
-its row compression, at the rank cutoff the verdict uses.
+``Branch.of`` names the branch; both reports take ``input_rank_condition``.
+The report reads the image-inclusion residual off its row compression, at
+the rank cutoff the verdict uses. A solver breakdown raises SolverFailure.
 """
 from __future__ import annotations
 
@@ -24,12 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (Branch, DataMatrices, check_image_inclusion, check_input_rank,
-                   consistent_set, sample_consistent)
-from .errors import SolverFailure
-from .linalg import (DEFAULT_CONFIG, NumericalConfig, numerical_rank,
+from .data import (Branch, DataMatrices, check_image_inclusion, consistent_set,
+                   input_rank_condition, sample_consistent)
+from .linalg import (DEFAULT_CONFIG, NumericalConfig, numerical_rank, rank_cutoff,
                      row_compress, subspace_contained)
-from .synthesis import SolveStatus, solve_plain_lmi
+from .synthesis import solve_plain_lmi
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,6 @@ def check_plain_stabilization(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CO
                               backend=None) -> tuple[bool, np.ndarray | None]:
     """LMI feasibility on the raw data; returns the witness Theta when feasible."""
     sol = solve_plain_lmi(D, cfg, backend)
-    if sol.status is SolveStatus.SOLVER_FAILURE:
-        raise SolverFailure("plain stabilization LMI solve broke down")
     return sol.feasible, sol.theta
 
 
@@ -74,7 +71,7 @@ def _rank_margin_diagnostics(M: np.ndarray, cfg: NumericalConfig) -> dict:
     if M.size == 0 or not M.any():
         return {"marginal_rank": False, "singular_values": []}
     sv = np.linalg.svd(M, compute_uv=False)
-    cutoff = cfg.rank_rel_tol * max(M.shape) * sv[0]
+    cutoff = rank_cutoff(sv, M.shape, cfg)
     marginal = bool(np.any((sv > cutoff / 100.0) & (sv < cutoff * 100.0)))
     return {"marginal_rank": marginal, "singular_values": sv.tolist()}
 
@@ -94,7 +91,7 @@ def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
         "rank_stacked": rank_stacked,
         "x_minus_rank_margin": _rank_margin_diagnostics(D.x_minus, cfg),
     }
-    input_ok = rank_stacked == comp.r + D.m
+    input_ok = input_rank_condition(D, comp, cfg)
     if branch is Branch.FULL_RANK:
         plain, _ = check_plain_stabilization(D, cfg, backend)
         image_ok = True  # col(X_minus) is the whole state space
@@ -139,8 +136,7 @@ def necessary_conditions_report(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
     containment = [bool(subspace_contained(mem.B, D.x_minus, cfg)) for mem in members]
     return {
         "image_inclusion": check_image_inclusion(D, cfg),
-        "input_rank_condition": (check_input_rank(D, comp, cfg)
-                                 if comp.r < D.n else True),
+        "input_rank_condition": input_rank_condition(D, comp, cfg),
         "x_minus_invariant_under_A": invariance,
         "x_minus_contains_B_image": containment,
         "members_checked": len(members),

@@ -6,7 +6,7 @@ functions are pure and operate on plain 2-D numpy arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -28,10 +28,9 @@ class NumericalConfig:
     equality_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_rel_tol", "subspace_tol", "schur_margin",
-                     "psd_margin", "equality_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise ValueError(f"{f.name} must be strictly positive")
         if not self.schur_margin < 1.0:
             raise ValueError("schur_margin must be < 1")
 
@@ -54,7 +53,8 @@ class RowCompression:
     x_hat_plus: np.ndarray
 
 
-def _rank_cutoff(sv: np.ndarray, shape: tuple[int, int], cfg: NumericalConfig) -> float:
+def rank_cutoff(sv: np.ndarray, shape: tuple[int, int], cfg: NumericalConfig) -> float:
+    """Singular-value cutoff of every rank decision (inf for a zero spectrum)."""
     if sv.size == 0 or sv[0] == 0.0:
         return np.inf
     return cfg.rank_rel_tol * max(shape) * sv[0]
@@ -66,7 +66,14 @@ def numerical_rank(M: np.ndarray, cfg: NumericalConfig = DEFAULT_CONFIG) -> int:
     if M.size == 0:
         return 0
     sv = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(sv > _rank_cutoff(sv, M.shape, cfg)))
+    return int(np.count_nonzero(sv > rank_cutoff(sv, M.shape, cfg)))
+
+
+def rank_revealing_svd(M: np.ndarray,
+                       cfg: NumericalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, int]:
+    """Left singular vectors U and numerical rank r: U[:, :r] spans col(M)."""
+    U, sv, _ = np.linalg.svd(M)
+    return U, int(np.count_nonzero(sv > rank_cutoff(sv, M.shape, cfg)))
 
 
 def row_compress(x_minus: np.ndarray, x_plus: np.ndarray,
@@ -86,8 +93,7 @@ def row_compress(x_minus: np.ndarray, x_plus: np.ndarray,
         return RowCompression(S=np.eye(n), r=0,
                               x_hat_minus=x_minus[:0],
                               x_hat_plus=x_plus[:0])
-    U, sv, _ = np.linalg.svd(x_minus)
-    r = int(np.count_nonzero(sv > _rank_cutoff(sv, x_minus.shape, cfg)))
+    U, r = rank_revealing_svd(x_minus, cfg)
     S = U.T.copy()
     # fix the sign ambiguity of the singular vectors so results are
     # deterministic: leading entry of each compressed row made positive
@@ -167,8 +173,7 @@ def subspace_contained(M: np.ndarray, N: np.ndarray,
         return True
     if N.size == 0 or not N.any():
         return False
-    U, sv, _ = np.linalg.svd(N)
-    r = int(np.count_nonzero(sv > _rank_cutoff(sv, N.shape, cfg)))
+    U, r = rank_revealing_svd(N, cfg)
     Q = U[:, :r]
     resid = M - Q @ (Q.T @ M)
     return bool(np.linalg.norm(resid, 2) <= cfg.subspace_tol * max(1.0, np.linalg.norm(M, 2)))

@@ -17,7 +17,9 @@ The built-in backend is a log-det barrier path-following method. Problems
 here are tiny (a few dozen unknowns, blocks of order <= 2n), so a dense
 Newton iteration is both faster and lighter than an external conic solver;
 a cvxpy-based backend is provided for cross-checking when cvxpy is
-installed.
+installed. ``GAP_TOL``, ``MU0``, ``MU_FACTOR`` and ``MAX_NEWTON`` fix the
+barrier's schedule. Both backends return through ``_certified``, so a solve
+yields the slack achieved at its final point or raises SolverFailure.
 """
 from __future__ import annotations
 
@@ -27,6 +29,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverFailure
+
+GAP_TOL = 1e-9
+MU0 = 1.0
+MU_FACTOR = 100.0
+MAX_NEWTON = 400
+CVXPY_SOLVER = "CLARABEL"
 
 
 @dataclass(frozen=True)
@@ -50,21 +58,27 @@ class BackendResult:
     x: np.ndarray
 
 
+def _certified(blocks, x: np.ndarray) -> BackendResult:
+    """The least eigenvalue over the blocks at ``x`` (``inf`` without blocks);
+    a non-finite ``x`` (eigvalsh can return finite values on nan) or slack raises."""
+    if not np.isfinite(x).all():
+        raise SolverFailure("the solve ended at a non-finite point")
+    t = min((float(np.linalg.eigvalsh(C + (x @ G.reshape(x.size, C.size)).reshape(C.shape)).min())
+             for C, G in blocks), default=np.inf)
+    if np.isnan(t):
+        raise SolverFailure("the solve ended at a non-finite slack")
+    return BackendResult(t=t, x=x)
+
+
 class BarrierBackend:
     """Interior-point solve of the slack-maximization problem.
 
     Follows the central path of
         -mu*t - sum_j logdet(F_j(x) - t I) - log(1 - x.x)
-    with damped Newton steps, tightening mu until the barrier duality gap
-    is below ``gap_tol``. Deterministic: no randomness, fixed schedule.
+    with damped Newton steps from mu = ``MU0``, multiplying mu by ``MU_FACTOR``
+    until the duality gap is below ``GAP_TOL``, within ``MAX_NEWTON`` steps.
+    Deterministic: no randomness, fixed schedule; ``_certified`` reports t.
     """
-
-    def __init__(self, gap_tol: float = 1e-9, mu0: float = 1.0,
-                 mu_factor: float = 100.0, max_newton: int = 400):
-        self.gap_tol = gap_tol
-        self.mu0 = mu0
-        self.mu_factor = mu_factor
-        self.max_newton = max_newton
 
     @staticmethod
     def _newton_step(H: np.ndarray, g: np.ndarray, d: int) -> tuple[np.ndarray, float]:
@@ -91,11 +105,9 @@ class BarrierBackend:
         d = problem.dim
         blocks = [(np.asarray(C, dtype=float), np.asarray(G, dtype=float))
                   for C, G in problem.blocks]
-        if not blocks:
-            return BackendResult(t=np.inf, x=np.zeros(d))
+        if not blocks or d == 0:
+            return _certified(blocks, np.zeros(d))
         t0 = min(np.linalg.eigvalsh(C).min() for C, _ in blocks) - 1.0
-        if d == 0:
-            return BackendResult(t=t0 + 1.0, x=np.zeros(0))
 
         flats = [(C, G.reshape(d, -1)) for C, G in blocks]
 
@@ -125,9 +137,9 @@ class BarrierBackend:
         chs = chol_all(x, t)
         if chs is None:
             raise SolverFailure("could not construct a strictly feasible start")
-        mu = self.mu0
-        newton_left = self.max_newton
-        last_stage = nu / mu < self.gap_tol
+        mu = MU0
+        newton_left = MAX_NEWTON
+        last_stage = nu / mu < GAP_TOL
         while True:
             # center for the current mu; loose tolerance except on the last stage
             inner_tol = 1e-9 if last_stage else 0.25
@@ -154,8 +166,6 @@ class BarrierBackend:
                 g[:d] += 2.0 * x / q
                 H[:d, :d] += 2.0 * np.eye(d) / q + 4.0 * np.outer(x, x) / q**2
                 step, decrement = self._newton_step(H, g, d)
-                if not np.isfinite(decrement):
-                    raise SolverFailure("non-finite Newton step")
                 if decrement / 2.0 <= inner_tol:
                     # includes tiny negative values: centered to rounding noise
                     break
@@ -178,26 +188,18 @@ class BarrierBackend:
                 break
             if newton_left <= 0:
                 raise SolverFailure("Newton iteration budget exhausted")
-            mu *= self.mu_factor
-            last_stage = nu / mu < self.gap_tol
-        # report the slack actually achieved at the final iterate
-        achieved = min(
-            float(np.linalg.eigvalsh(C + (x @ Gf).reshape(C.shape)).min())
-            for C, Gf in flats)
-        return BackendResult(t=achieved, x=x)
+            mu *= MU_FACTOR
+            last_stage = nu / mu < GAP_TOL
+        return _certified(blocks, x)
 
 
 class CvxpyBackend:
     """Same contract, modeled through cvxpy (for cross-checks and larger sizes).
 
-    The reported slack is recomputed at the returned point rather than taken
-    from the solver objective, so it is a certified lower bound exactly like
-    the built-in backend's (solver feasibility tolerances can otherwise
-    overstate the objective on marginal problems).
+    The slack comes from ``_certified`` at the returned point, not from the
+    solver objective (solver feasibility tolerances can otherwise overstate
+    the objective on marginal problems).
     """
-
-    def __init__(self, solver: str = "CLARABEL"):
-        self.solver = solver
 
     def solve(self, problem: AffineLmiFeasibility) -> BackendResult:
         try:
@@ -205,11 +207,8 @@ class CvxpyBackend:
         except ImportError as exc:  # pragma: no cover
             raise SolverFailure("cvxpy is not installed") from exc
         d = problem.dim
-        if not problem.blocks:
-            return BackendResult(t=np.inf, x=np.zeros(d))
-        if d == 0:
-            t0 = min(float(np.linalg.eigvalsh(C).min()) for C, _ in problem.blocks)
-            return BackendResult(t=t0, x=np.zeros(0))
+        if not problem.blocks or d == 0:
+            return _certified(problem.blocks, np.zeros(d))
         x = cp.Variable(d)
         t = cp.Variable()
         cons = [cp.norm(x) <= 1]
@@ -219,7 +218,7 @@ class CvxpyBackend:
             cons.append(expr >> t * np.eye(s))
         prob = cp.Problem(cp.Maximize(t), cons)
         try:
-            prob.solve(solver=self.solver)
+            prob.solve(solver=CVXPY_SOLVER)
         except cp.SolverError as exc:
             raise SolverFailure(str(exc)) from exc
         if prob.status not in ("optimal", "optimal_inaccurate"):
@@ -228,14 +227,11 @@ class CvxpyBackend:
         norm = np.linalg.norm(x_val)
         if norm > 1.0:
             x_val = x_val / norm
-        achieved = min(
-            float(np.linalg.eigvalsh(C + np.tensordot(x_val, G, axes=1)).min())
-            for C, G in problem.blocks)
-        return BackendResult(t=achieved, x=x_val)
+        return _certified(problem.blocks, x_val)
 
 
 def get_backend(name: str = "builtin"):
-    if name in ("builtin", "barrier"):
+    if name == "builtin":
         return BarrierBackend()
     if name == "cvxpy":
         return CvxpyBackend()

@@ -25,16 +25,15 @@ import numpy as np
 import scipy.linalg
 
 from .data import Branch, DataMatrices, require_prior_conditions
-from .errors import PreconditionError, SolverFailure
+from .errors import PreconditionError
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
-                     numerical_rank, pinv, row_compress)
+                     numerical_rank, pinv, rank_revealing_svd, row_compress)
 from .sdp import AffineLmiFeasibility, BarrierBackend
 
 
 class SolveStatus(enum.Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
-    SOLVER_FAILURE = "solver_failure"
 
 
 class GainProvenance(enum.Enum):
@@ -121,7 +120,7 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     eigenvalue ~1 (the problem is homogeneous in Theta, so any positive
     scaling of a witness is a witness). ``slack`` reports the scale-free
     optimum on the normalized image ball, a conditioning measure in
-    (0, sqrt(2)].
+    (0, sqrt(2)]. A solver breakdown raises SolverFailure.
     """
     backend = backend or BarrierBackend()
     L, P = problem.diag_coeff, problem.offdiag_coeff
@@ -129,11 +128,7 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     if k == 0:
         return LmiSolution(theta=np.zeros((T, 0)), slack=np.inf, status=SolveStatus.FEASIBLE)
     V = np.vstack([L, P])
-    U, sv, _ = np.linalg.svd(V)
-    cutoff = cfg.rank_rel_tol * max(V.shape) * (sv[0] if sv.size else 0.0)
-    rho = int(np.count_nonzero(sv > cutoff))
-    if rho == 0:
-        return LmiSolution(theta=None, slack=0.0, status=SolveStatus.INFEASIBLE)
+    U, rho = rank_revealing_svd(V, cfg)
     Qv = U[:, :rho]
     QG, QH = Qv[:k, :], Qv[k:, :]
     N = _symmetry_nullspace(QG, k, rho)
@@ -146,15 +141,8 @@ def sdp_solve(problem: LmiFeasibilityProblem,
         G, H = QG @ Z, QH @ Z
         blk = np.block([[G, H], [H.T, G]])
         coeffs[i] = 0.5 * (blk + blk.T)
-    try:
-        result = backend.solve(AffineLmiFeasibility(
-            dim=d, blocks=((np.zeros((2 * k, 2 * k)), coeffs),)))
-    except SolverFailure:
-        return LmiSolution(theta=None, slack=float("nan"),
-                           status=SolveStatus.SOLVER_FAILURE)
-    if not np.isfinite(result.t):
-        return LmiSolution(theta=None, slack=float("nan"),
-                           status=SolveStatus.SOLVER_FAILURE)
+    result = backend.solve(AffineLmiFeasibility(
+        dim=d, blocks=((np.zeros((2 * k, 2 * k)), coeffs),)))
     if result.t < cfg.psd_margin:
         return LmiSolution(theta=None, slack=max(result.t, 0.0),
                            status=SolveStatus.INFEASIBLE)
@@ -183,7 +171,7 @@ def solve_plain_lmi(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
 def gain_from_plain(D: DataMatrices, sol: LmiSolution,
                     cfg: NumericalConfig = DEFAULT_CONFIG) -> FeedbackGain:
     """K = U_minus Theta (X_minus Theta)^{-1} from a feasible no-prior solve."""
-    if not sol.feasible or sol.theta is None:
+    if not sol.feasible:
         raise PreconditionError("gain extraction needs a feasible solution")
     G = D.x_minus @ sol.theta
     if np.linalg.eigvalsh(0.5 * (G + G.T)).min() <= 0.0:
@@ -214,8 +202,6 @@ def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
     # conditions are what make its gain valid for the whole family
     require_prior_conditions(D, comp, cfg)
     sol = solve_stab_lmi(D, comp, cfg, backend)
-    if sol.status is SolveStatus.SOLVER_FAILURE:
-        raise SolverFailure("stabilizability-prior LMI solve broke down")
     if not sol.feasible:
         raise PreconditionError("stabilizability-prior LMI is infeasible for this data")
     r, n, m = comp.r, D.n, D.m
@@ -247,8 +233,6 @@ def synthesize(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG, backend=N
     if Branch.of(D, comp) is Branch.RANK_DEFICIENT:
         return synthesize_stab(D, cfg, backend=backend, comp=comp)
     sol = solve_plain_lmi(D, cfg, backend)
-    if sol.status is SolveStatus.SOLVER_FAILURE:
-        raise SolverFailure("plain LMI solve broke down")
     return gain_from_plain(D, sol, cfg), sol, comp  # raises when infeasible
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import (ConsistentSet, DataMatrices, LtiSystem, consistency_residual,
                    reachable_part, require_prior_conditions, sample_consistent)
-from .errors import PreconditionError, SolverFailure
+from .errors import PreconditionError
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      controllability_matrix, is_controllable, is_schur,
                      is_stabilizable, spectral_radius)
@@ -208,8 +208,6 @@ def common_lyapunov(systems: list[np.ndarray], cfg: NumericalConfig = DEFAULT_CO
         coeffs = 0.5 * (coeffs + np.transpose(coeffs, (0, 2, 1)))
         blocks.append((np.zeros((n, n)), coeffs))
     result = backend.solve(AffineLmiFeasibility(dim=d, blocks=tuple(blocks)))
-    if not np.isfinite(result.t):
-        raise SolverFailure("common Lyapunov solve returned a non-finite slack")
     if result.t < cfg.psd_margin:
         return None
     P = np.tensordot(result.x, basis, axes=1)

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ddstab import (DataMatrices, LtiSystem, NumericalConfig, TrajectoryData,
-                    build_data_matrices, simulate)
+from ddstab import (DataMatrices, LtiSystem, NumericalConfig, SolverFailure,
+                    TrajectoryData, build_data_matrices, sdp, simulate)
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,34 @@ class Dataset:
 @pytest.fixture
 def cfg() -> NumericalConfig:
     return NumericalConfig()
+
+
+class RaisingBackend:
+    """A backend whose solve breaks down."""
+
+    def solve(self, problem):
+        raise SolverFailure("fake breakdown")
+
+
+class NanPointBackend:
+    """A backend that ends its solve at a point with a nan entry and returns
+    it through the certification every backend shares."""
+
+    def solve(self, problem):
+        x = np.zeros(problem.dim)
+        x[0] = np.nan
+        return sdp._certified(problem.blocks, x)
+
+
+@pytest.fixture(params=[RaisingBackend, NanPointBackend], ids=["raises", "nan_point"])
+def broken_backend(request):
+    return request.param()
+
+
+def scalar_full_rank() -> DataMatrices:
+    """x = 1 -> 0.5 under u = 0: full-rank state data, so verdicts solve the plain LMI."""
+    return build_data_matrices(simulate(LtiSystem(A=[[0.5]], B=[[1.0]]),
+                                        np.array([1.0]), np.array([[0.0]])))
 
 
 def example1_matrices() -> DataMatrices:

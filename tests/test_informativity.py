@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ddstab import (DataMatrices, LtiSystem, PreconditionError, TrajectoryData,
-                    build_data_matrices, check_controllability_prior,
+from ddstab import (DataMatrices, LtiSystem, PreconditionError, SolverFailure,
+                    TrajectoryData, build_data_matrices, check_controllability_prior,
                     check_identification, check_image_inclusion, check_input_rank,
                     check_plain_stabilization, check_stabilizability_prior,
                     consistent_set, necessary_conditions_report, row_compress,
@@ -10,7 +10,7 @@ from ddstab import (DataMatrices, LtiSystem, PreconditionError, TrajectoryData,
 from ddstab.informativity import Branch
 from ddstab.synthesis import FeedbackGain, GainProvenance
 
-from conftest import random_dataset
+from conftest import random_dataset, scalar_full_rank
 
 
 def corrupted_example1():
@@ -271,3 +271,42 @@ class TestNecessaryConditions:
         assert report["image_inclusion"]
         assert all(report["x_minus_invariant_under_A"])
         assert all(report["x_minus_contains_B_image"])
+
+
+def closed_loop_two_steps():
+    # x = (1, 0.3) driven by u = K x: full-rank X_minus, but U_minus = K X_minus
+    # adds no rank, so rank [X_minus; U_minus] = 2 < r + m = 3
+    A = np.array([[1.2, 0.3], [0.0, 0.7]])
+    B = np.array([[1.0], [0.5]])
+    K = np.array([[-0.9, -0.1]])
+    states, inputs = [np.array([1.0, 0.3])], []
+    for _ in range(2):
+        inputs.append(K @ states[-1])
+        states.append(A @ states[-1] + B @ inputs[-1])
+    return build_data_matrices(TrajectoryData(inputs=np.array(inputs),
+                                              states=np.array(states)))
+
+
+class TestInputRankAtFullRank:
+    """The input-rank condition applies only when rank X_minus < n; at full
+    rank both reports state it as vacuously true."""
+
+    @pytest.mark.parametrize("name", ["closed_loop", "one_sample_two_inputs"])
+    def test_reports_agree(self, cfg, name):
+        D = closed_loop_two_steps() if name == "closed_loop" else build_data_matrices(
+            TrajectoryData(inputs=[[1.0, -1.0]], states=[[-1.0], [-1.0]]))
+        report = check_stabilizability_prior(D, cfg)
+        assert report.branch is Branch.FULL_RANK
+        assert report.diagnostics["rank_stacked"] < report.rank_x_minus + D.m
+        assert report.input_rank_condition is True
+        assert necessary_conditions_report(D, cfg)["input_rank_condition"] is True
+
+    def test_closed_loop_data_informative(self, cfg):
+        report = check_stabilizability_prior(closed_loop_two_steps(), cfg)
+        assert report.stabilization_stabilizability_prior
+        assert report.image_inclusion and report.input_rank_condition
+
+
+def test_solver_failure_propagates_through_report(cfg, broken_backend):
+    with pytest.raises(SolverFailure):
+        check_stabilizability_prior(scalar_full_rank(), cfg, backend=broken_backend)

@@ -89,3 +89,10 @@ def test_get_backend():
     assert isinstance(get_backend("cvxpy"), CvxpyBackend)
     with pytest.raises(ValueError):
         get_backend("nope")
+
+
+def test_no_blocks_leave_the_slack_unbounded():
+    problem = AffineLmiFeasibility(dim=2, blocks=())
+    result = BarrierBackend().solve(problem)
+    assert result.t == np.inf
+    assert np.array_equal(result.x, np.zeros(2))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ddstab import (GainProvenance, LtiSystem, NumericalConfig, PreconditionError,
-                    TrajectoryData, build_data_matrices, check_stabilizability_prior,
-                    gain_from_plain, sdp_solve, simulate, solve_plain_lmi,
+                    SolverFailure, TrajectoryData, build_data_matrices,
+                    check_stabilizability_prior, gain_from_plain, sdp_solve, simulate, solve_plain_lmi,
                     solve_stab_lmi, spectral_radius, synthesize, synthesize_stab,
                     row_compress)
 from ddstab.data import Branch
@@ -11,7 +11,7 @@ from ddstab.linalg import RowCompression
 from ddstab.synthesis import (LmiFeasibilityProblem, SolveStatus, problem_from_json,
                               problem_to_json)
 
-from conftest import random_dataset
+from conftest import random_dataset, scalar_full_rank
 
 
 def identity_compression_example1() -> RowCompression:
@@ -349,3 +349,27 @@ class TestSynthesize:
         outcomes = {self._check(random_dataset(rng).D, cfg) for _ in range(150)}
         # every branch meets both verdicts, so each path of the dispatch ran
         assert len(outcomes) == 4
+
+
+class TestSolverFailurePropagates:
+    """A breakdown is an exception at every layer, never an infeasible verdict."""
+
+    def test_solve_plain_lmi(self, cfg, broken_backend):
+        with pytest.raises(SolverFailure):
+            solve_plain_lmi(scalar_full_rank(), cfg, backend=broken_backend)
+
+    def test_solve_stab_lmi(self, cfg, example1, broken_backend):
+        with pytest.raises(SolverFailure):
+            solve_stab_lmi(example1, identity_compression_example1(), cfg,
+                           backend=broken_backend)
+
+    @pytest.mark.parametrize("branch", ["rank_deficient", "full_rank"])
+    def test_synthesize(self, cfg, example1, broken_backend, branch):
+        D = example1 if branch == "rank_deficient" else scalar_full_rank()
+        with pytest.raises(SolverFailure):
+            synthesize(D, cfg, backend=broken_backend)
+
+    def test_common_lyapunov(self, cfg, broken_backend):
+        from ddstab import common_lyapunov
+        with pytest.raises(SolverFailure):
+            common_lyapunov([np.array([[0.5]])], cfg, backend=broken_backend)
