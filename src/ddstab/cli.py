@@ -40,6 +40,8 @@ EXIT_NEGATIVE = 2
 EXIT_USAGE = 64
 
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(NumericalConfig))
+FORMATS = ("json", "csv")
+BACKENDS = ("builtin", "cvxpy")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,14 +51,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _resolve(flag_value, env_key: str, file_value, default, cast):
-    if flag_value is not None:
-        return cast(flag_value)
-    env = os.environ.get(env_key)
-    if env is not None:
-        return cast(env)
-    if file_value is not None:
-        return cast(file_value)
+def _resolve(args, file_cfg: dict, name: str, default, cast):
+    """The first value set among flag, DDSTAB_<NAME> and config file, cast;
+    a value the cast rejects raises DataFormatError."""
+    env_key = f"DDSTAB_{name.upper()}"
+    for source, value in ((f"--{name.replace('_', '-')}", getattr(args, name, None)),
+                          (env_key, os.environ.get(env_key)),
+                          ("config file", file_cfg.get(name))):
+        if value is not None:
+            try:
+                return cast(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                msg = f"invalid {name} {value!r} from {source}: {exc}"
+                raise DataFormatError(msg) from exc
     return default
 
 
@@ -79,36 +86,46 @@ def _settings(args) -> dict:
     file_cfg = _load_config_file(getattr(args, "config", None))
     tol_kwargs = {}
     for name in _CONFIG_FIELDS:
-        value = _resolve(getattr(args, name, None), f"DDSTAB_{name.upper()}",
-                         file_cfg.get(name), None, float)
+        value = _resolve(args, file_cfg, name, None, float)
         if value is not None:
             tol_kwargs[name] = value
     try:
         numcfg = NumericalConfig(**tol_kwargs)
     except ValueError as exc:
         raise DataFormatError(f"invalid tolerance configuration: {exc}") from exc
-    scales = _resolve(getattr(args, "scales", None), "DDSTAB_SCALES",
-                      file_cfg.get("scales"), (0.1, 1.0, 10.0), _parse_scales)
     return {
         "numcfg": numcfg,
-        "seed": _resolve(getattr(args, "seed", None), "DDSTAB_SEED",
-                         file_cfg.get("seed"), 3, int),
-        "out": _resolve(getattr(args, "out", None), "DDSTAB_OUT",
-                        file_cfg.get("out"), "out", str),
-        "fmt": _resolve(getattr(args, "format", None), "DDSTAB_FORMAT",
-                        file_cfg.get("format"), "json", str),
-        "backend_name": _resolve(getattr(args, "backend", None), "DDSTAB_BACKEND",
-                                 file_cfg.get("backend"), "builtin", str),
-        "samples": _resolve(getattr(args, "samples", None), "DDSTAB_SAMPLES",
-                            file_cfg.get("samples"), 200, int),
-        "scales": scales,
+        "seed": _resolve(args, file_cfg, "seed", 3, _integer(lowest=0)),
+        "out": _resolve(args, file_cfg, "out", "out", str),
+        "fmt": _resolve(args, file_cfg, "format", "json", _choice(FORMATS)),
+        "backend_name": _resolve(args, file_cfg, "backend", "builtin", _choice(BACKENDS)),
+        "samples": _resolve(args, file_cfg, "samples", 200, _integer(lowest=1)),
+        "scales": _resolve(args, file_cfg, "scales", (0.1, 1.0, 10.0), _parse_scales),
     }
 
 
+def _integer(lowest: int):
+    def cast(value) -> int:
+        if int(value) != float(value) or int(value) < lowest:
+            raise ValueError(f"expected an integer >= {lowest}")
+        return int(value)
+    return cast
+
+
+def _choice(choices: tuple[str, ...]):
+    def cast(value) -> str:
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return value
+    return cast
+
+
 def _parse_scales(value) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    return tuple(float(v) for v in str(value).split(",") if v.strip())
+    cells = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    scales = tuple(float(v) for v in cells if str(v).strip())
+    if not scales or not np.isfinite(scales).all():
+        raise ValueError("expected a non-empty list of finite numbers")
+    return scales
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
@@ -120,7 +137,7 @@ def _write(out_dir: str, name: str, text: str) -> str:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _gain_payload(gain: FeedbackGain, sol, comp, branch: Branch) -> dict:
@@ -130,7 +147,7 @@ def _gain_payload(gain: FeedbackGain, sol, comp, branch: Branch) -> dict:
         "k2": None if gain.k2 is None else gain.k2.tolist(),
         "k2_policy": gain.k2_policy,
         "theta": sol.theta.tolist(),
-        "slack": sol.slack,
+        "slack": sol.slack if np.isfinite(sol.slack) else None,  # inf: empty LMI
         "branch": branch.value,
         "row_compression": {"S": comp.S.tolist(), "r": comp.r},
     }
@@ -225,11 +242,12 @@ def cmd_verify(args) -> int:
 def cmd_montecarlo(args) -> int:
     settings = _settings(args)
     system = zoh_discretize(three_tank_model())
-    mc = MonteCarloConfig(system=system,
-                          scenarios=args.scenarios,
-                          t_list=tuple(args.T_list),
-                          seed=settings["seed"],
-                          workers=args.workers)
+    try:
+        mc = MonteCarloConfig(system=system, scenarios=args.scenarios,
+                              t_list=tuple(args.T_list), seed=settings["seed"],
+                              workers=args.workers)
+    except ValueError as exc:
+        raise DataFormatError(f"invalid Monte Carlo settings: {exc}") from exc
     result = run_monte_carlo(mc, settings["numcfg"])
     pct = result.percentages()
     summary = {
@@ -320,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with tolerances and defaults")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory (default ./out)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--backend", choices=("builtin", "cvxpy"), default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
+        p.add_argument("--backend", choices=BACKENDS, default=None)
         p.add_argument("--samples", type=int, default=None,
                        help="verification draws per scale")
         p.add_argument("--scales", default=None,

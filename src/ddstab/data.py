@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataFormatError, PreconditionError
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression, is_stabilizable,
-                     numerical_rank, pinv, rank_revealing_svd, subspace_contained)
+                     numerical_rank, rank_revealing_svd, subspace_contained)
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,8 @@ def consistent_set(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> Co
     particular = X_plus @ pinv([X_minus; U_minus]) split into (A, B); the
     basis spans all [A0 B0] with A0 X_minus + B0 U_minus = 0.
     """
-    Z = D.stacked()
-    particular = _split_ab(D.x_plus @ pinv(Z, cfg), D.n)
-    U, r = rank_revealing_svd(Z, cfg)
+    U, sv, Vt, r = rank_revealing_svd(D.stacked(), cfg)
+    particular = _split_ab((D.x_plus @ Vt[:r].T / sv[:r]) @ U[:, :r].T, D.n)
     Q = U[:, r:]
     return ConsistentSet(particular=particular,
                          basis=NullBasis(Q=Q, d=Q.shape[1]),
@@ -187,23 +186,22 @@ def check_image_inclusion(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG
     return subspace_contained(D.x_plus, D.x_minus, cfg)
 
 
-def check_input_rank(D: DataMatrices, comp: RowCompression,
-                     cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    """rank [X_minus; U_minus] = r + m.
+def input_rank_condition(D: DataMatrices, comp: RowCompression, rank_stacked: int) -> bool:
+    """rank [X_minus; U_minus] = r + m, given that rank as ``rank_stacked``;
+    vacuously True on full-rank state data.
 
     The stacked image always sits inside col(X_minus) x R^m, so equality of
-    the two sets is just this dimension count. Only meaningful on
-    rank-deficient state data.
+    the two sets is just this dimension count.
     """
+    return Branch.of(D, comp) is Branch.FULL_RANK or rank_stacked == comp.r + D.m
+
+
+def check_input_rank(D: DataMatrices, comp: RowCompression,
+                     cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
+    """``input_rank_condition`` where it applies: on rank-deficient state data."""
     if comp.r >= D.n:
         raise PreconditionError("input-rank condition applies only when rank X_minus < n")
-    return numerical_rank(D.stacked(), cfg) == comp.r + D.m
-
-
-def input_rank_condition(D: DataMatrices, comp: RowCompression,
-                         cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    """``check_input_rank`` where it applies; vacuously True on full-rank state data."""
-    return Branch.of(D, comp) is Branch.FULL_RANK or check_input_rank(D, comp, cfg)
+    return input_rank_condition(D, comp, numerical_rank(D.stacked(), cfg))
 
 
 def require_prior_conditions(D: DataMatrices, comp: RowCompression,
@@ -225,12 +223,12 @@ def reachable_part(D: DataMatrices, comp: RowCompression,
     [A11 B1] = x_hat_plus @ pinv([x_hat_minus; U_minus]); exact when the
     stacked matrix has full row rank r+m, which is required here.
     """
-    stacked = np.vstack([comp.x_hat_minus, D.u_minus])
-    if numerical_rank(stacked, cfg) < comp.r + D.m:
+    U, sv, Vt, rank = rank_revealing_svd(np.vstack([comp.x_hat_minus, D.u_minus]), cfg)
+    if rank < comp.r + D.m:
         raise PreconditionError(
             "[x_hat_minus; u_minus] must have full row rank r+m to recover the "
             "reachable-part blocks")
-    AB = comp.x_hat_plus @ pinv(stacked, cfg)
+    AB = (comp.x_hat_plus @ Vt[:rank].T / sv[:rank]) @ U.T
     return AB[:, :comp.r], AB[:, comp.r:]
 
 

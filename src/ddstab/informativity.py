@@ -66,12 +66,11 @@ def check_controllability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
     return verdict
 
 
-def _rank_margin_diagnostics(M: np.ndarray, cfg: NumericalConfig) -> dict:
-    """Flag singular values within two decades of the rank cutoff."""
-    if M.size == 0 or not M.any():
+def _rank_margin_diagnostics(sv: np.ndarray | None, shape, cfg: NumericalConfig) -> dict:
+    """Flag singular values within two decades of the rank cutoff (none: zero data)."""
+    if sv is None:
         return {"marginal_rank": False, "singular_values": []}
-    sv = np.linalg.svd(M, compute_uv=False)
-    cutoff = rank_cutoff(sv, M.shape, cfg)
+    cutoff = rank_cutoff(sv, shape, cfg)
     marginal = bool(np.any((sv > cutoff / 100.0) & (sv < cutoff * 100.0)))
     return {"marginal_rank": marginal, "singular_values": sv.tolist()}
 
@@ -89,9 +88,9 @@ def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
     diagnostics: dict = {
         "n": D.n, "m": D.m, "T": D.T,
         "rank_stacked": rank_stacked,
-        "x_minus_rank_margin": _rank_margin_diagnostics(D.x_minus, cfg),
+        "x_minus_rank_margin": _rank_margin_diagnostics(comp.sv, D.x_minus.shape, cfg),
     }
-    input_ok = input_rank_condition(D, comp, cfg)
+    input_ok = input_rank_condition(D, comp, rank_stacked)
     if branch is Branch.FULL_RANK:
         plain, _ = check_plain_stabilization(D, cfg, backend)
         image_ok = True  # col(X_minus) is the whole state space
@@ -136,7 +135,8 @@ def necessary_conditions_report(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
     containment = [bool(subspace_contained(mem.B, D.x_minus, cfg)) for mem in members]
     return {
         "image_inclusion": check_image_inclusion(D, cfg),
-        "input_rank_condition": input_rank_condition(D, comp, cfg),
+        "input_rank_condition": input_rank_condition(
+            D, comp, numerical_rank(D.stacked(), cfg)),
         "x_minus_invariant_under_A": invariance,
         "x_minus_contains_B_image": containment,
         "members_checked": len(members),

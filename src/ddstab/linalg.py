@@ -44,13 +44,15 @@ class RowCompression:
 
     ``S`` is n x n orthogonal, ``r`` the numerical rank of X_minus,
     ``x_hat_minus`` the full-row-rank top block of S @ X_minus and
-    ``x_hat_plus`` the first r rows of S @ X_plus.
+    ``x_hat_plus`` the first r rows of S @ X_plus, ``sv`` the singular values
+    r was decided from (None where no SVD was taken).
     """
 
     S: np.ndarray
     r: int
     x_hat_minus: np.ndarray
     x_hat_plus: np.ndarray
+    sv: np.ndarray | None = None
 
 
 def rank_cutoff(sv: np.ndarray, shape: tuple[int, int], cfg: NumericalConfig) -> float:
@@ -69,11 +71,12 @@ def numerical_rank(M: np.ndarray, cfg: NumericalConfig = DEFAULT_CONFIG) -> int:
     return int(np.count_nonzero(sv > rank_cutoff(sv, M.shape, cfg)))
 
 
-def rank_revealing_svd(M: np.ndarray,
-                       cfg: NumericalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, int]:
-    """Left singular vectors U and numerical rank r: U[:, :r] spans col(M)."""
-    U, sv, _ = np.linalg.svd(M)
-    return U, int(np.count_nonzero(sv > rank_cutoff(sv, M.shape, cfg)))
+def rank_revealing_svd(M: np.ndarray, cfg: NumericalConfig = DEFAULT_CONFIG
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Full SVD M = U diag(sv) Vt and numerical rank r: U[:, :r] spans col(M),
+    U[:, r:] its left null space, and pinv(M) = Vt[:r].T diag(1/sv[:r]) U[:, :r].T."""
+    U, sv, Vt = np.linalg.svd(M)
+    return U, sv, Vt, int(np.count_nonzero(sv > rank_cutoff(sv, M.shape, cfg)))
 
 
 def row_compress(x_minus: np.ndarray, x_plus: np.ndarray,
@@ -93,7 +96,7 @@ def row_compress(x_minus: np.ndarray, x_plus: np.ndarray,
         return RowCompression(S=np.eye(n), r=0,
                               x_hat_minus=x_minus[:0],
                               x_hat_plus=x_plus[:0])
-    U, r = rank_revealing_svd(x_minus, cfg)
+    U, sv, _, r = rank_revealing_svd(x_minus, cfg)
     S = U.T.copy()
     # fix the sign ambiguity of the singular vectors so results are
     # deterministic: leading entry of each compressed row made positive
@@ -104,7 +107,7 @@ def row_compress(x_minus: np.ndarray, x_plus: np.ndarray,
             S[i] = -S[i]
     return RowCompression(S=S, r=r,
                           x_hat_minus=S[:r] @ x_minus,
-                          x_hat_plus=S[:r] @ x_plus)
+                          x_hat_plus=S[:r] @ x_plus, sv=sv)
 
 
 def spectral_radius(M: np.ndarray) -> float:
@@ -173,7 +176,7 @@ def subspace_contained(M: np.ndarray, N: np.ndarray,
         return True
     if N.size == 0 or not N.any():
         return False
-    U, r = rank_revealing_svd(N, cfg)
+    U, _, _, r = rank_revealing_svd(N, cfg)
     Q = U[:, :r]
     resid = M - Q @ (Q.T @ M)
     return bool(np.linalg.norm(resid, 2) <= cfg.subspace_tol * max(1.0, np.linalg.norm(M, 2)))
@@ -181,10 +184,8 @@ def subspace_contained(M: np.ndarray, N: np.ndarray,
 
 def pinv(M: np.ndarray, cfg: NumericalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the shared rank cutoff."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        return M.T.copy()
-    return np.linalg.pinv(M, rcond=cfg.rank_rel_tol * max(M.shape))
+    U, sv, Vt, r = rank_revealing_svd(np.atleast_2d(np.asarray(M, dtype=float)), cfg)
+    return (Vt[:r].T / sv[:r]) @ U[:, :r].T
 
 
 def matrix_exponential(M: np.ndarray) -> np.ndarray:

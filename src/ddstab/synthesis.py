@@ -128,7 +128,7 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     if k == 0:
         return LmiSolution(theta=np.zeros((T, 0)), slack=np.inf, status=SolveStatus.FEASIBLE)
     V = np.vstack([L, P])
-    U, rho = rank_revealing_svd(V, cfg)
+    U, sv, Vt, rho = rank_revealing_svd(V, cfg)
     Qv = U[:, :rho]
     QG, QH = Qv[:k, :], Qv[k:, :]
     N = _symmetry_nullspace(QG, k, rho)
@@ -147,8 +147,8 @@ def sdp_solve(problem: LmiFeasibilityProblem,
         return LmiSolution(theta=None, slack=max(result.t, 0.0),
                            status=SolveStatus.INFEASIBLE)
     Z = (N @ result.x).reshape(rho, k)
-    theta = pinv(V, cfg) @ (Qv @ Z)
-    # squeeze out the pinv round-off so L @ theta is symmetric to working precision
+    theta = Vt[:rho].T @ (Z / sv[:rho, None])  # pinv(V) @ Qv @ Z
+    # squeeze out the round-off so L @ theta is symmetric to working precision
     G = L @ theta
     theta = theta - pinv(L, cfg) @ (0.5 * (G - G.T))
     theta = theta / result.t

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ddstab import LtiSystem, simulate
-from ddstab.cli import EXIT_FAILURE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from ddstab.cli import EXIT_FAILURE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, _dump_json, main
 from ddstab.data import trajectory_to_csv, trajectory_to_json
 from ddstab.experiments import example1_trajectory
 
@@ -19,9 +19,14 @@ def example1_file(tmp_path):
     return str(path)
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def read_json(path):
+    """Strict parse: NaN and Infinity are not JSON, so a file holding them fails."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_not_json)
 
 
 class TestInformativityCommand:
@@ -125,6 +130,17 @@ class TestSynthesizeAndVerify:
         assert main(["synthesize", str(path), "--out", str(tmp_path / "o")]) \
             == EXIT_NEGATIVE
 
+    def test_synthesize_rank_zero_writes_plain_json(self, tmp_path):
+        # zero state data: the compressed LMI is empty and its slack unbounded
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": 3, "m": 1, "inputs": [[1.0], [2.0]],
+                                    "states": [[0.0, 0.0, 0.0]] * 3}))
+        out = str(tmp_path / "o")
+        assert main(["synthesize", str(path), "--out", out]) == EXIT_OK
+        gain = read_json(os.path.join(out, "gain.json"))
+        assert gain["row_compression"]["r"] == 0
+        assert gain["slack"] is None
+
     def test_dump_problem(self, example1_file, tmp_path):
         out = str(tmp_path / "syn")
         assert main(["synthesize", example1_file, "--out", out,
@@ -151,6 +167,13 @@ class TestMonteCarloCommand:
         assert summary["per_T"]["3"]["identification_pct"] == 0.0
         csv_lines = open(os.path.join(out, "montecarlo.csv")).read().strip().split("\n")
         assert len(csv_lines) == 1 + 6 * 2
+
+    def test_t_beyond_horizon_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--scenarios", "1", "--T-list", "200",
+                     "--out", str(out)]) == EXIT_FAILURE
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_stable(self, tmp_path):
         outs = []
@@ -236,6 +259,60 @@ class TestOptionResolution:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestBadOptionValues:
+    """A malformed option value exits 1 with an error line, whatever its source."""
+
+    @pytest.fixture
+    def gain_file(self, example1_file, tmp_path):
+        out = str(tmp_path / "syn")
+        assert main(["synthesize", example1_file, "--out", out]) == EXIT_OK
+        return os.path.join(out, "gain.json")
+
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-3"],
+                                       ["--scales", ","], ["--scales", "abc"],
+                                       ["--scales", "1,nan"]])
+    def test_verify_flags(self, example1_file, gain_file, tmp_path, capsys, flags):
+        out = tmp_path / "ver"
+        assert main(["verify", example1_file, gain_file, "--out", str(out)] + flags) \
+            == EXIT_FAILURE
+        assert capsys.readouterr().err.startswith(f"error: invalid {flags[0][2:]} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("DDSTAB_SEED", "x"), ("DDSTAB_SEED", "-1"), ("DDSTAB_SAMPLES", "0"),
+        ("DDSTAB_RANK_REL_TOL", "abc"), ("DDSTAB_BACKEND", "foo"),
+        ("DDSTAB_FORMAT", "xml"), ("DDSTAB_SCALES", "")])
+    def test_environment(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.setenv(key, value)
+        out = tmp_path / "demo"
+        assert main(["demo", "example1", "--out", str(out)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid ") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"samples": "many"}, {"samples": 2.5}, {"seed": "x"}, {"seed": 1e400}, {"scales": []},
+        {"scales": ["abc"]}, {"format": "xml"}, {"backend": 3}, {"psd_margin": "small"}])
+    def test_config_file(self, example1_file, tmp_path, capsys, payload):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["informativity", example1_file, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid ") and "config file" in err
+
+    def test_valid_choice_from_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DDSTAB_FORMAT", "csv")
+        monkeypatch.setenv("DDSTAB_SAMPLES", "10")
+        out = tmp_path / "demo"
+        assert main(["demo", "example1", "--out", str(out)]) == EXIT_OK
+        assert (out / "data.csv").exists()
+
+    def test_json_output_refuses_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            _dump_json({"slack": float("inf")})
 
 
 def test_console_script_installed(example1_file, tmp_path):

@@ -4,9 +4,12 @@ import pytest
 from ddstab import (NumericalConfig, is_controllable, is_schur, is_stabilizable,
                     matrix_exponential, numerical_rank, pinv, row_compress,
                     spectral_radius, subspace_contained)
+from ddstab import check_stabilizability_prior, consistent_set, reachable_part, sdp_solve
 from ddstab.linalg import controllability_matrix
+from ddstab.synthesis import LmiFeasibilityProblem
 
-from conftest import THREE_TANK_A_REF, THREE_TANK_B_REF, THREE_TANK_K_REF
+from conftest import (THREE_TANK_A_REF, THREE_TANK_B_REF, THREE_TANK_K_REF,
+                      example1_matrices)
 
 
 class TestNumericalRank:
@@ -168,6 +171,66 @@ class TestPinv:
             assert np.abs(Mp @ M @ Mp - Mp).max() <= 1e-8
             assert np.abs((M @ Mp) - (M @ Mp).T).max() <= 1e-8
             assert np.abs((Mp @ M) - (Mp @ M).T).max() <= 1e-8
+
+
+    def test_matches_numpy_at_the_shared_cutoff(self, cfg):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            p, q = rng.integers(1, 7, size=2)
+            r = int(rng.integers(1, min(p, q) + 1))
+            M = rng.normal(size=(p, r)) @ rng.normal(size=(r, q))
+            expected = np.linalg.pinv(M, rcond=cfg.rank_rel_tol * max(M.shape))
+            assert np.abs(pinv(M, cfg) - expected).max() <= 1e-10 * max(
+                1.0, np.abs(expected).max())
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Copies of the matrices handed to np.linalg.svd and np.linalg.pinv."""
+    calls = {"svd": [], "pinv": []}
+    for name, log in calls.items():
+        def counting(M, *args, _real=getattr(np.linalg, name), _log=log, **kwargs):
+            _log.append(np.array(M, copy=True))
+            return _real(M, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def _count(calls, M):
+    return sum(C.shape == M.shape and np.array_equal(C, M) for C in calls)
+
+
+class TestOneFactorizationPerMatrix:
+    """Each rank, basis and pseudoinverse of a matrix is read off one SVD."""
+
+    def test_consistent_set(self, cfg, factorizations):
+        consistent_set(example1_matrices(), cfg)
+        assert len(factorizations["svd"]) == 1
+        assert not factorizations["pinv"]
+
+    def test_reachable_part(self, cfg, factorizations):
+        D = example1_matrices()
+        comp = row_compress(D.x_minus, D.x_plus, cfg)
+        factorizations["svd"].clear()
+        reachable_part(D, comp, cfg)
+        assert len(factorizations["svd"]) == 1
+        assert not factorizations["pinv"]
+
+    def test_sdp_solve_lifts_theta_from_the_svd_of_V(self, cfg, factorizations):
+        L, P = np.array([[1.0, 2.0, 4.0]]), np.array([[2.0, 4.0, 3.0]])
+        assert sdp_solve(LmiFeasibilityProblem(diag_coeff=L, offdiag_coeff=P), cfg).feasible
+        assert _count(factorizations["svd"], np.vstack([L, P])) == 1
+        assert not factorizations["pinv"]
+
+    def test_stabilizability_prior_report(self, cfg, factorizations):
+        D = example1_matrices()
+        report = check_stabilizability_prior(D, cfg)
+        # row_compress and check_image_inclusion factor X_minus; rank_stacked
+        # and check_identification factor [X_minus; U_minus]
+        assert _count(factorizations["svd"], D.x_minus) <= 2
+        assert _count(factorizations["svd"], D.stacked()) <= 2
+        margin = report.diagnostics["x_minus_rank_margin"]["singular_values"]
+        assert margin == row_compress(D.x_minus, D.x_plus, cfg).sv.tolist()
 
 
 class TestMatrixExponential:
