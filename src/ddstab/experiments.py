@@ -93,6 +93,8 @@ class MonteCarloConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.scenarios < 1:
+            raise ValueError("scenarios must be >= 1")
         if any(T > self.horizon for T in self.t_list):
             raise ValueError("every T must be <= horizon")
 

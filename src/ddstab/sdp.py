@@ -18,7 +18,10 @@ here are tiny (a few dozen unknowns, blocks of order <= 2n), so a dense
 Newton iteration is both faster and lighter than an external conic solver;
 a cvxpy-based backend is provided for cross-checking when cvxpy is
 installed. ``GAP_TOL``, ``MU0``, ``MU_FACTOR`` and ``MAX_NEWTON`` fix the
-barrier's schedule. Both backends return through ``_certified``, so a solve
+barrier's schedule. A barrier stage ends when its Newton decrement is within
+the centering tolerance or when the line search finds no point other than
+the current one; a last stage that spends the whole Newton budget still
+returns its iterate. Both backends return through ``_certified``, so a solve
 yields the slack achieved at its final point or raises SolverFailure.
 """
 from __future__ import annotations
@@ -77,6 +80,12 @@ class BarrierBackend:
         -mu*t - sum_j logdet(F_j(x) - t I) - log(1 - x.x)
     with damped Newton steps from mu = ``MU0``, multiplying mu by ``MU_FACTOR``
     until the duality gap is below ``GAP_TOL``, within ``MAX_NEWTON`` steps.
+    A stage ends when its decrement is within ``inner_tol`` or when the line
+    search finds no point other than the current one (no trial is accepted,
+    or the accepted one rounds back to the current iterate). An earlier stage
+    that runs out of steps raises SolverFailure; the last stage returns its
+    iterate even when it spends the whole budget, which some large solves do
+    while still moving by tiny steps.
     Deterministic: no randomness, fixed schedule; ``_certified`` reports t.
     """
 
@@ -178,8 +187,10 @@ class BarrierBackend:
                     chn = chol_all(xn, tn)
                     if chn is not None and \
                             barrier_value(xn, tn, mu, chn) <= val + 0.01 * alpha * (g @ step):
+                        # a step lost to rounding lands on (x, t) itself; the
+                        # next step would be the same, so that ends the stage too
+                        moved = not (tn == t and np.array_equal(xn, x))
                         x, t, chs = xn, tn, chn
-                        moved = True
                         break
                     alpha = short if alpha > short else alpha * 0.5
                 if not moved:

@@ -45,6 +45,19 @@ def broken_backend(request):
     return request.param()
 
 
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """The dimension of every Newton system the barrier backend factors, one
+    entry per Newton step."""
+    steps = []
+
+    def counting(H, g, d, _real=sdp.BarrierBackend._newton_step):
+        steps.append(d)
+        return _real(H, g, d)
+    monkeypatch.setattr(sdp.BarrierBackend, "_newton_step", staticmethod(counting))
+    return steps
+
+
 def scalar_full_rank() -> DataMatrices:
     """x = 1 -> 0.5 under u = 0: full-rank state data, so verdicts solve the plain LMI."""
     return build_data_matrices(simulate(LtiSystem(A=[[0.5]], B=[[1.0]]),

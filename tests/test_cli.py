@@ -175,6 +175,14 @@ class TestMonteCarloCommand:
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenarios", ["0", "-1"])
+    def test_no_scenarios_is_an_error(self, tmp_path, capsys, scenarios):
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--scenarios", scenarios, "--T-list", "3",
+                     "--out", str(out)]) == EXIT_FAILURE
+        assert "error: invalid Monte Carlo settings: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_stable(self, tmp_path):
         outs = []
         for name in ("a", "b"):

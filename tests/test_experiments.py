@@ -135,6 +135,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             self._config(t_list=(3, 200))
 
+    @pytest.mark.parametrize("scenarios", [0, -1])
+    def test_no_scenarios_rejected(self, scenarios):
+        with pytest.raises(ValueError, match="scenarios"):
+            self._config(scenarios=scenarios)
+
 
 class TestDemos:
     def test_example1_bundle(self, cfg):

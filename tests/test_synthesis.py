@@ -176,6 +176,37 @@ class TestStabLmi:
             synthesize_stab(D, cfg)
 
 
+class TestNoNewtonStall:
+    """A line-search step lost to rounding ends the barrier stage instead of
+    being retaken until the Newton budget runs out."""
+
+    def test_three_tank_compressed_solve(self, cfg, newton_steps):
+        from ddstab.experiments import (THREE_TANK_INPUTS, THREE_TANK_X0,
+                                        three_tank_model, zoh_discretize)
+        system = zoh_discretize(three_tank_model())
+        D = build_data_matrices(simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS))
+        comp = row_compress(D.x_minus, D.x_plus, cfg)
+        newton_steps.clear()
+        assert solve_stab_lmi(D, comp, cfg).feasible
+        assert len(newton_steps) < 100
+
+    def test_monte_carlo_window(self, cfg, newton_steps):
+        # scenario 4 of the default-seed stream at T = 3 spent all MAX_NEWTON
+        # steps in one solve when the rounding no-op was retaken
+        from ddstab.experiments import (MonteCarloConfig, ScenarioVerdict,
+                                        _evaluate_scenario, three_tank_model,
+                                        zoh_discretize)
+        from ddstab.sdp import MAX_NEWTON
+        mc = MonteCarloConfig(system=zoh_discretize(three_tank_model()),
+                              scenarios=5, t_list=(3,))
+        verdicts, failures = _evaluate_scenario(mc, 4, cfg)
+        assert len(newton_steps) < MAX_NEWTON
+        assert failures == 0
+        assert verdicts == [ScenarioVerdict(scenario=4, T=3, identification=False,
+                                            stabilization=False,
+                                            stabilization_stabilizability_prior=False)]
+
+
 class TestThreeTankReferenceTheta:
     def test_reference_theta_is_near_feasible_on_rounded_data(self, cfg):
         # both the trajectory and this certificate are 4-decimal rounded, so
