@@ -157,9 +157,15 @@ def _gain_from_file(path: str, D: DataMatrices) -> FeedbackGain:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+        raise DataFormatError(f"gain file {path}: {exc}") from exc
+    if not isinstance(payload, dict) or "K" not in payload:
+        # what synthesize writes for data that are not informative
+        raise DataFormatError(f"gain file {path} holds no gain K")
+    try:
         K = np.atleast_2d(np.array(payload["K"], dtype=float))
         provenance = GainProvenance(payload.get("provenance", "plain"))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DataFormatError(f"gain file {path}: {exc}") from exc
     if K.shape != (D.m, D.n):
         raise DataFormatError(f"gain file {path}: K has shape {K.shape}, the data "
@@ -235,7 +241,12 @@ def cmd_verify(args) -> int:
         payload["decomposition"] = {"skipped": str(exc)}
     path = _write(settings["out"], "verification.json", _dump_json(payload))
     print(f"wrote {path}")
-    print(f"pass: {report.passed} (max spectral radius {report.max_spectral_radius:.6f})")
+    if report.samples_tested == 0:
+        print(f"pass: False (no draw was tested: all {report.rejected_unstabilizable} "
+              f"were rejected as not stabilizable)")
+    else:
+        print(f"pass: {report.passed} "
+              f"(max spectral radius {report.max_spectral_radius:.6f})")
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 

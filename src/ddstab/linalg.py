@@ -2,7 +2,9 @@
 
 Rank decisions, row compression, spectra, subspace inclusion, and the
 system-theoretic predicates (Schur / controllable / stabilizable). All
-functions are pure and operate on plain 2-D numpy arrays.
+functions are pure and operate on plain 2-D numpy arrays;
+``spectral_radius`` and ``controllability_matrix`` also take (N, ., .)
+stacks and treat each member as if it were passed alone.
 """
 from __future__ import annotations
 
@@ -110,12 +112,18 @@ def row_compress(x_minus: np.ndarray, x_plus: np.ndarray,
                           x_hat_plus=S[:r] @ x_plus, sv=sv)
 
 
-def spectral_radius(M: np.ndarray) -> float:
-    """max |eigenvalue|; 0.0 for the empty 0 x 0 matrix."""
+def spectral_radius(M: np.ndarray) -> float | np.ndarray:
+    """max |eigenvalue|; 0.0 for the empty 0 x 0 matrix.
+
+    An (N, k, k) stack gives the N radii as an array, each equal to the
+    radius of its matrix taken alone.
+    """
     M = np.atleast_2d(M)
-    if M.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
+    if M.shape[-1] == 0:
+        rho = np.zeros(M.shape[:-2])
+    else:
+        rho = np.abs(np.linalg.eigvals(M)).max(axis=-1)
+    return float(rho) if M.ndim == 2 else rho
 
 
 def is_schur(M: np.ndarray, cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
@@ -123,18 +131,18 @@ def is_schur(M: np.ndarray, cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
 
 
 def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """[B, AB, ..., A^(n-1) B]."""
+    """[B, AB, ..., A^(n-1) B]; for stacks (N, n, n) and (N, n, m), one per member."""
     A = np.atleast_2d(A)
     B = np.atleast_2d(B)
-    n = A.shape[0]
+    n = A.shape[-1]
     blocks = []
     col = B
     for _ in range(n):
         blocks.append(col)
         col = A @ col
     if not blocks:
-        return np.zeros((0, 0))
-    return np.hstack(blocks)
+        return np.zeros(A.shape[:-2] + (0, 0))
+    return np.concatenate(blocks, axis=-1)
 
 
 def is_controllable(A: np.ndarray, B: np.ndarray,

@@ -99,6 +99,38 @@ class TestSynthesizeAndVerify:
         assert code == EXIT_FAILURE
         assert "error: gain file" in capsys.readouterr().err
 
+    def test_verify_without_a_tested_draw_fails(self, tmp_path, capsys):
+        # identifiable data of an unstabilizable system: the stabilizability
+        # filter rejects every draw, so nothing vouches for the gain
+        rng = np.random.default_rng(13)
+        traj = simulate(LtiSystem(A=np.diag([0.5, 2.0]), B=[[1.0], [0.0]]),
+                        rng.normal(size=2), rng.normal(size=(6, 1)))
+        data = tmp_path / "unstabilizable.json"
+        data.write_text(trajectory_to_json(traj))
+        gain_path = tmp_path / "gain.json"
+        gain_path.write_text(json.dumps(
+            {"K": [[-0.5, 0.0]], "provenance": "stabilizability_prior"}))
+        out = str(tmp_path / "v")
+        assert main(["verify", str(data), str(gain_path), "--out", out]) == EXIT_NEGATIVE
+        assert "pass: False (no draw was tested: all 600 were rejected" \
+            in capsys.readouterr().out
+        report = read_json(os.path.join(out, "verification.json"))
+        assert report["samples_tested"] == 0
+        assert report["passed"] is False
+
+    def test_verify_gain_file_without_gain(self, tmp_path, capsys):
+        # synthesize writes no K for data that are not informative
+        data = tmp_path / "scalarfam.json"
+        data.write_text(json.dumps({"n": 1, "m": 1, "inputs": [[0.0]],
+                                    "states": [[1.0], [1.0]]}))
+        syn = str(tmp_path / "syn")
+        assert main(["synthesize", str(data), "--out", syn]) == EXIT_NEGATIVE
+        gain_path = os.path.join(syn, "gain.json")
+        capsys.readouterr()
+        assert main(["verify", str(data), gain_path,
+                     "--out", str(tmp_path / "v")]) == EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: gain file {gain_path} holds no gain K\n"
+
     def test_full_rank_pipeline(self, tmp_path):
         # identifiable data from an unstable 3-state system: the plain branch
         rng = np.random.default_rng(12)

@@ -260,3 +260,53 @@ def test_controllability_matrix_shape():
     C = controllability_matrix(A, B)
     assert C.shape == (2, 2)
     assert np.allclose(C, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestStackedKernels:
+    """An (N, k, k) stack gives each member's own result, bit for bit."""
+
+    @staticmethod
+    def stacks(rng, N, n, m):
+        A = rng.normal(size=(N, n, n))
+        B = rng.normal(size=(N, n, m))
+        if n >= 2:  # a rotation block: complex eigenvalues in some members only
+            A[::3, :2, :2] = [[0.0, -1.2], [1.2, 0.0]]
+        return A, B
+
+    def test_spectral_radius(self):
+        rng = np.random.default_rng(60)
+        for n in range(1, 6):
+            A, _ = self.stacks(rng, 7, n, 1)
+            rho = spectral_radius(A)
+            assert rho.shape == (7,)
+            for i in range(7):
+                single = spectral_radius(A[i])
+                assert type(single) is float
+                assert _bits(rho[i]) == _bits(single)
+
+    def test_controllability_matrix(self):
+        rng = np.random.default_rng(61)
+        for n in range(1, 6):
+            for m in (1, 2):
+                A, B = self.stacks(rng, 5, n, m)
+                C = controllability_matrix(A, B)
+                assert C.shape == (5, n, n * m)
+                for i in range(5):
+                    assert _bits(C[i]) == _bits(controllability_matrix(A[i], B[i]))
+
+    def test_empty_matrices(self):
+        assert type(spectral_radius(np.zeros((0, 0)))) is float
+        rho = spectral_radius(np.zeros((3, 0, 0)))
+        assert rho.shape == (3,) and not rho.any()
+        assert controllability_matrix(np.zeros((0, 0)), np.zeros((0, 1))).shape == (0, 0)
+        assert controllability_matrix(np.zeros((3, 0, 0)),
+                                      np.zeros((3, 0, 1))).shape == (3, 0, 0)
+
+    def test_empty_stack(self):
+        assert spectral_radius(np.zeros((0, 3, 3))).shape == (0,)
+        assert controllability_matrix(np.zeros((0, 3, 3)),
+                                      np.zeros((0, 3, 2))).shape == (0, 3, 6)

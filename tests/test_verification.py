@@ -5,8 +5,11 @@ from ddstab import (LtiSystem, PreconditionError, TrajectoryData,
                     build_data_matrices, common_lyapunov, consistent_set,
                     decomposition_check, genericity_probe, is_schur, row_compress,
                     simulate, spectral_radius, structural_nullity, verify_gain)
+from ddstab import verification
+from ddstab.data import sample_consistent
 from ddstab.linalg import RowCompression
 from ddstab.synthesis import FeedbackGain, GainProvenance
+from ddstab.verification import VerificationReport
 
 from conftest import (THREE_TANK_A_REF, THREE_TANK_B_REF, random_dataset)
 
@@ -79,6 +82,177 @@ class TestVerifyGain:
             assert report.rejected_unstabilizable == 0
             assert report.passed
             checked += 1
+
+
+def unstabilizable_identifiable(cfg):
+    """Identifiable data of x+ = diag(0.5, 2) x + [1; 0] u: a one-member family
+    that the stabilizability filter rejects at every draw."""
+    rng = np.random.default_rng(55)
+    system = LtiSystem(A=np.diag([0.5, 2.0]), B=[[1.0], [0.0]])
+    D = build_data_matrices(simulate(system, rng.normal(size=2),
+                                     rng.normal(size=(6, 1))))
+    cs = consistent_set(D, cfg)
+    assert cs.d == 0
+    return cs
+
+
+class TestNoDrawTested:
+    def test_all_rejected_does_not_pass(self, cfg):
+        cs = unstabilizable_identifiable(cfg)
+        report = verify_gain(cs, stab_gain([[-0.5, 0.0]]), n_samples=200, seed=0, cfg=cfg)
+        assert report.samples_tested == 0
+        assert report.rejected_unstabilizable == 600
+        assert report.worst_member is None
+        assert not report.passed
+
+    def test_no_draws_requested_does_not_pass(self, cfg, example1):
+        report = verify_gain(consistent_set(example1, cfg), stab_gain([[-1.0, 0.0]]),
+                             n_samples=0, seed=0, cfg=cfg)
+        assert report.samples_tested == 0
+        assert not report.passed
+
+
+def per_member_nullity(cs, gain, system):
+    """structural_nullity of one member, as a scalar loop."""
+    blocks, col = [], system.B
+    for _ in range(system.n):
+        blocks.append(col)
+        col = system.A @ col
+    C = np.hstack(blocks)
+    c_norm = np.linalg.norm(C, 2)
+    if c_norm == 0.0 or cs.d == 0:
+        return 0.0
+    n = cs.particular.n
+    worst = 0.0
+    for j in range(cs.d):
+        q = cs.basis.Q[:, j]
+        row = q[:n] + q[n:] @ gain.K
+        worst = max(worst, float(np.linalg.norm(row @ C) / c_norm))
+    return worst
+
+
+def per_draw_verify(cs, gain, n_samples, scales, seed, cfg):
+    """Oracle: verify_gain evaluated one draw at a time."""
+    filter_stabilizable = gain.provenance is GainProvenance.STAB_PRIOR
+    n, d = cs.particular.n, cs.d
+    tested = rejected = 0
+    worst_rho, worst = -1.0, None
+    structural = []
+    for i_scale, scale in enumerate(scales):
+        for i_draw in range(n_samples):
+            rng = np.random.default_rng((seed, i_scale, i_draw))
+            W = scale * rng.normal(size=(n, d))
+            member = sample_consistent(cs, W, filter_stabilizable, cfg)
+            if member is None:
+                rejected += 1
+                continue
+            tested += 1
+            closed = member.A + member.B @ gain.K
+            rho = float(np.max(np.abs(np.linalg.eigvals(closed))))
+            if rho > worst_rho:
+                worst_rho, worst = rho, member
+            structural.append(per_member_nullity(cs, gain, member))
+    return VerificationReport(
+        samples_tested=tested, rejected_unstabilizable=rejected,
+        max_spectral_radius=worst_rho, worst_member=worst,
+        structural_residuals=structural,
+        passed=tested > 0 and worst_rho <= 1.0 - cfg.schur_margin,
+        seed=seed, scales=tuple(scales))
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_bitwise_equal(got: VerificationReport, want: VerificationReport):
+    assert (got.samples_tested, got.rejected_unstabilizable, got.passed,
+            got.seed, got.scales) == (want.samples_tested, want.rejected_unstabilizable,
+                                      want.passed, want.seed, want.scales)
+    assert type(got.max_spectral_radius) is float
+    assert bits(got.max_spectral_radius) == bits(want.max_spectral_radius)
+    if want.worst_member is None:
+        assert got.worst_member is None
+    else:
+        for name in ("A", "B"):
+            g, w = getattr(got.worst_member, name), getattr(want.worst_member, name)
+            assert g.shape == w.shape and bits(g) == bits(w)
+    assert all(type(r) is float for r in got.structural_residuals)
+    assert bits(got.structural_residuals) == bits(want.structural_residuals)
+    assert got.to_dict() == want.to_dict()
+
+
+class TestStackedEqualsPerDraw:
+    """verify_gain's stacked chunks reproduce the draw-by-draw loop bit for bit."""
+
+    def check(self, cs, gain, n_samples, cfg, scales=(0.1, 1.0, 10.0), seed=3):
+        report = verify_gain(cs, gain, n_samples=n_samples, scales=scales,
+                             seed=seed, cfg=cfg)
+        assert_bitwise_equal(report, per_draw_verify(cs, gain, n_samples, scales,
+                                                     seed, cfg))
+        return report
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_random_datasets_both_provenances(self, cfg, monkeypatch, chunk):
+        monkeypatch.setattr(verification, "VERIFY_CHUNK", chunk)
+        rng = np.random.default_rng(56)
+        rejected = 0
+        for _ in range(12):
+            ds = random_dataset(rng)
+            cs = consistent_set(ds.D, cfg)
+            K = rng.normal(size=(ds.D.m, ds.D.n))
+            for provenance in GainProvenance:
+                gain = FeedbackGain(K=K, provenance=provenance)
+                rejected += self.check(cs, gain, 10, cfg).rejected_unstabilizable
+        assert rejected > 0
+
+    def test_singleton_family(self, cfg):
+        rng = np.random.default_rng(57)
+        system = LtiSystem(A=[[0.3, 0.0], [0.1, 0.2]], B=[[1.0], [0.0]])
+        D = build_data_matrices(simulate(system, rng.normal(size=2),
+                                         rng.normal(size=(7, 1))))
+        cs = consistent_set(D, cfg)
+        assert cs.d == 0
+        report = self.check(cs, stab_gain([[0.1, 0.0]]), 100, cfg)
+        assert report.passed and report.structural_residuals == [0.0] * 300
+
+    def test_all_rejected(self, cfg):
+        cs = unstabilizable_identifiable(cfg)
+        assert self.check(cs, stab_gain([[-0.5, 0.0]]), 100, cfg).samples_tested == 0
+
+    def test_tie_keeps_first_maximum_across_chunks(self, cfg, example1):
+        # A + B K = [[a11 + 1, alpha], [0, beta]] with a11 fixed by the data:
+        # every accepted member (|beta| < 1) has the same spectral radius
+        cs = consistent_set(example1, cfg)
+        gain = stab_gain([[1.0, 0.0]])
+        n_samples = verification.VERIFY_CHUNK + 50
+        report = self.check(cs, gain, n_samples, cfg)
+        members = [m for m in verification._draws(cs, (0.1, 1.0, 10.0), n_samples,
+                                                  3, True, cfg) if m is not None]
+        rho = spectral_radius(np.stack([m.A for m in members])
+                              + np.stack([m.B for m in members]) @ gain.K)
+        ties = np.flatnonzero(rho == report.max_spectral_radius)
+        assert len(ties) > 1 and ties[-1] >= verification.VERIFY_CHUNK
+        assert bits(report.worst_member.A) == bits(members[ties[0]].A)
+
+    def test_structural_nullity_of_a_stack(self, cfg):
+        rng = np.random.default_rng(58)
+        for _ in range(10):
+            ds = random_dataset(rng)
+            cs = consistent_set(ds.D, cfg)
+            gain = stab_gain(rng.normal(size=(ds.D.m, ds.D.n)))
+            members = [sample_consistent(cs, rng.normal(size=(ds.D.n, cs.d)))
+                       for _ in range(6)]
+            stack = LtiSystem(A=np.stack([m.A for m in members]),
+                              B=np.stack([m.B for m in members]))
+            residuals = structural_nullity(cs, gain, stack, cfg)
+            assert residuals.shape == (6,)
+            for r, m in zip(residuals, members):
+                single = structural_nullity(cs, gain, m, cfg)
+                assert type(single) is float
+                assert bits(r) == bits(single) == bits(per_member_nullity(cs, gain, m))
+            empty = LtiSystem(A=np.zeros((0, ds.D.n, ds.D.n)),
+                              B=np.zeros((0, ds.D.n, ds.D.m)))
+            assert structural_nullity(cs, gain, empty, cfg).shape == (0,)
 
 
 class TestStructuralNullity:
