@@ -74,7 +74,7 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
         raise DataFormatError(f"config file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataFormatError(f"config file {path}: expected a JSON object")
@@ -300,7 +300,8 @@ def _demo_synthesis_bundle(settings, demo) -> None:
     """Trajectory, report, gain and verification of a synthesis demo, plus the
     model and closed-loop spectrum when the demo simulates a known system."""
     bundle = demo(settings["numcfg"], seed=settings["seed"],
-                  n_samples=settings["samples"])
+                  n_samples=settings["samples"],
+                  backend=get_backend(settings["backend_name"]))
     out = settings["out"]
     if settings["fmt"] == "csv":
         _write(out, "data.csv", trajectory_to_csv(bundle["trajectory"]))

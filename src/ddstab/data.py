@@ -258,12 +258,14 @@ def trajectory_from_json(text: str) -> TrajectoryData:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"expected a JSON object, got {type(payload).__name__}")
     for key in ("n", "m", "inputs", "states"):
         if key not in payload:
             raise DataFormatError(f"missing field '{key}'")
     n, m = payload["n"], payload["m"]
     inputs, states = payload["inputs"], payload["states"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (n, m)):
         raise DataFormatError(f"'n' and 'm' must be positive integers, got {n!r}, {m!r}")
     for name, rows, width in (("inputs", inputs, m), ("states", states, n)):
         if not isinstance(rows, list):
@@ -272,8 +274,12 @@ def trajectory_from_json(text: str) -> TrajectoryData:
             if not isinstance(row, list) or len(row) != width:
                 raise DataFormatError(
                     f"{name}[{i}] must be a list of {width} numbers, got {row!r}")
-    traj = TrajectoryData(inputs=np.array(inputs, dtype=float).reshape(len(inputs), m),
-                          states=np.array(states, dtype=float).reshape(len(states), n))
+    try:
+        inputs = np.array(inputs, dtype=float).reshape(len(inputs), m)
+        states = np.array(states, dtype=float).reshape(len(states), n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"'inputs' and 'states' must hold numbers: {exc}") from exc
+    traj = TrajectoryData(inputs=inputs, states=states)
     if traj.n != n or traj.m != m:
         raise DataFormatError("declared (n, m) do not match the vector sizes")
     return traj
@@ -321,7 +327,10 @@ def trajectory_from_csv(text: str) -> TrajectoryData:
 
 def load_trajectory(path: str) -> TrajectoryData:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     if path.endswith(".csv"):
         return trajectory_from_csv(text)
     return trajectory_from_json(text)

@@ -18,11 +18,12 @@ here are tiny (a few dozen unknowns, blocks of order <= 2n), so a dense
 Newton iteration is both faster and lighter than an external conic solver;
 a cvxpy-based backend is provided for cross-checking when cvxpy is
 installed. ``GAP_TOL``, ``MU0``, ``MU_FACTOR`` and ``MAX_NEWTON`` fix the
-barrier's schedule. A barrier stage ends when its Newton decrement is within
-the centering tolerance or when the line search finds no point other than
-the current one; a last stage that spends the whole Newton budget still
-returns its iterate. Both backends return through ``_certified``, so a solve
-yields the slack achieved at its final point or raises SolverFailure.
+barrier's schedule. Every barrier stage follows one rule: it ends when its
+half Newton decrement is within 0.25 or when the line search finds no point
+other than the current one, and a solve that spends ``MAX_NEWTON`` steps
+raises SolverFailure, whatever its stage. Both backends return through
+``_certified``, so a solve yields the slack achieved at its final point or
+raises SolverFailure.
 """
 from __future__ import annotations
 
@@ -79,13 +80,13 @@ class BarrierBackend:
     Follows the central path of
         -mu*t - sum_j logdet(F_j(x) - t I) - log(1 - x.x)
     with damped Newton steps from mu = ``MU0``, multiplying mu by ``MU_FACTOR``
-    until the duality gap is below ``GAP_TOL``, within ``MAX_NEWTON`` steps.
-    A stage ends when its decrement is within ``inner_tol`` or when the line
-    search finds no point other than the current one (no trial is accepted,
-    or the accepted one rounds back to the current iterate). An earlier stage
-    that runs out of steps raises SolverFailure; the last stage returns its
-    iterate even when it spends the whole budget, which some large solves do
-    while still moving by tiny steps.
+    until the duality gap bound nu/mu is below ``GAP_TOL``. Every stage ends
+    when its half decrement is within 0.25 or when the line search finds no
+    point other than the current one (no trial is accepted, or the accepted
+    one rounds back to the current iterate). The gap, not how tightly the
+    last stage centers, sets the accuracy, and ``_certified`` measures the
+    slack at the returned point, so the last stage centers like the others.
+    A solve that spends ``MAX_NEWTON`` steps raises SolverFailure.
     Deterministic: no randomness, fixed schedule; ``_certified`` reports t.
     """
 
@@ -147,41 +148,36 @@ class BarrierBackend:
         if chs is None:
             raise SolverFailure("could not construct a strictly feasible start")
         mu = MU0
-        newton_left = MAX_NEWTON
-        last_stage = nu / mu < GAP_TOL
-        while True:
-            # center for the current mu; loose tolerance except on the last stage
-            inner_tol = 1e-9 if last_stage else 0.25
-            while newton_left > 0:
-                newton_left -= 1
-                val = barrier_value(x, t, mu, chs)
-                g = np.zeros(d + 1)
-                H = np.zeros((d + 1, d + 1))
-                g[d] -= mu
-                for (C, G), L in zip(blocks, chs):
-                    s = C.shape[0]
-                    Minv = scipy.linalg.cho_solve((L, True), np.eye(s))
-                    V = G @ Minv
-                    W = Minv @ Minv
-                    g[:d] -= np.einsum("iaa->i", V)
-                    g[d] += np.trace(Minv)
-                    Vm = V.reshape(d, s * s)
-                    VTm = np.transpose(V, (0, 2, 1)).reshape(d, s * s)
-                    H[:d, :d] += Vm @ VTm.T
-                    H[:d, d] -= G.reshape(d, s * s) @ W.T.ravel()
-                    H[d, d] += np.trace(W)
-                H[d, :d] = H[:d, d]
-                q = 1.0 - x @ x
-                g[:d] += 2.0 * x / q
-                H[:d, :d] += 2.0 * np.eye(d) / q + 4.0 * np.outer(x, x) / q**2
-                step, decrement = self._newton_step(H, g, d)
-                if decrement / 2.0 <= inner_tol:
-                    # includes tiny negative values: centered to rounding noise
-                    break
+        for _ in range(MAX_NEWTON):
+            g = np.zeros(d + 1)
+            H = np.zeros((d + 1, d + 1))
+            g[d] -= mu
+            for (C, G), L in zip(blocks, chs):
+                s = C.shape[0]
+                Minv = scipy.linalg.cho_solve((L, True), np.eye(s))
+                V = G @ Minv
+                W = Minv @ Minv
+                g[:d] -= np.einsum("iaa->i", V)
+                g[d] += np.trace(Minv)
+                Vm = V.reshape(d, s * s)
+                VTm = np.transpose(V, (0, 2, 1)).reshape(d, s * s)
+                H[:d, :d] += Vm @ VTm.T
+                H[:d, d] -= G.reshape(d, s * s) @ W.T.ravel()
+                H[d, d] += np.trace(W)
+            H[d, :d] = H[:d, d]
+            q = 1.0 - x @ x
+            g[:d] += 2.0 * x / q
+            H[:d, :d] += 2.0 * np.eye(d) / q + 4.0 * np.outer(x, x) / q**2
+            step, decrement = self._newton_step(H, g, d)
+            # a half-decrement within 0.25 (tiny negative values included:
+            # centered to rounding noise) ends the stage without a step
+            moved = False
+            if decrement / 2.0 > 0.25:
                 # full step when it works, else the short step 1/(1+lambda)
                 # that self-concordance guarantees feasible, then halve
-                alpha, moved = 1.0, False
-                short = 1.0 / (1.0 + np.sqrt(max(decrement, 0.0)))
+                val = barrier_value(x, t, mu, chs)
+                alpha = 1.0
+                short = 1.0 / (1.0 + np.sqrt(decrement))
                 while alpha > 1e-14:
                     xn, tn = x + alpha * step[:d], t + alpha * step[d]
                     chn = chol_all(xn, tn)
@@ -193,15 +189,12 @@ class BarrierBackend:
                         x, t, chs = xn, tn, chn
                         break
                     alpha = short if alpha > short else alpha * 0.5
-                if not moved:
-                    break  # at numerical precision for this stage
-            if last_stage:
-                break
-            if newton_left <= 0:
-                raise SolverFailure("Newton iteration budget exhausted")
-            mu *= MU_FACTOR
-            last_stage = nu / mu < GAP_TOL
-        return _certified(blocks, x)
+            if not moved:
+                # centered, or at numerical precision, for this mu
+                if nu / mu < GAP_TOL:
+                    return _certified(blocks, x)
+                mu *= MU_FACTOR
+        raise SolverFailure("Newton iteration budget exhausted")
 
 
 class CvxpyBackend:

@@ -118,9 +118,11 @@ def sdp_solve(problem: LmiFeasibilityProblem,
 
     A feasible Theta is returned scaled so the assembled block has minimum
     eigenvalue ~1 (the problem is homogeneous in Theta, so any positive
-    scaling of a witness is a witness). ``slack`` reports the scale-free
-    optimum on the normalized image ball, a conditioning measure in
-    (0, sqrt(2)]. A solver breakdown raises SolverFailure.
+    scaling of a witness is a witness). ``slack`` is the slack achieved
+    at the point the backend returns: the least block eigenvalue there on
+    the normalized image ball, a scale-free conditioning measure in
+    (0, sqrt(2)] (clamped at 0 when infeasible), not a solver objective. A solver
+    breakdown raises SolverFailure.
     """
     backend = backend or BarrierBackend()
     L, P = problem.diag_coeff, problem.offdiag_coeff

@@ -59,6 +59,19 @@ class TestInformativityCommand:
             == EXIT_FAILURE
         assert "states[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe", b"5", b"null",
+        b'{"n": 1, "m": 1, "inputs": [["a"]], "states": [[1.0], [2.0]]}',
+        b'{"n": true, "m": 1, "inputs": [[1.0]], "states": [[1.0], [2.0]]}'],
+        ids=["not_utf8", "int", "null", "non_numeric_cell", "boolean_n"])
+    def test_malformed_data_is_an_error_line(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["informativity", str(path), "--out", str(tmp_path / "o")]) \
+            == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_file(self, tmp_path):
         assert main(["informativity", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == EXIT_FAILURE
@@ -252,6 +265,14 @@ class TestDemoCommand:
         model = read_json(os.path.join(out, "model.json"))
         assert np.array(model["A"]).shape == (3, 3)
 
+    def test_uses_the_resolved_backend(self, tmp_path, monkeypatch, capsys):
+        from ddstab import cli
+        from conftest import RaisingBackend
+        monkeypatch.setattr(cli, "get_backend", lambda name: RaisingBackend())
+        assert main(["demo", "example1", "--out", str(tmp_path / "d"),
+                     "--samples", "10"]) == EXIT_FAILURE
+        assert "fake breakdown" in capsys.readouterr().err
+
     def test_unknown_name_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["demo", "example99", "--out", str(tmp_path / "x")])
@@ -287,6 +308,13 @@ class TestOptionResolution:
         cfg_path.write_text(json.dumps({"psd_margin": 1e-9, "out": str(tmp_path / "co")}))
         assert main(["informativity", example1_file, "--config", str(cfg_path)]) == EXIT_OK
         assert os.path.exists(str(tmp_path / "co" / "informativity.json"))
+
+    def test_config_file_that_is_not_utf8(self, example1_file, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe")
+        assert main(["informativity", example1_file, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == EXIT_FAILURE
+        assert capsys.readouterr().err.startswith(f"error: config file {cfg_path}")
 
     def test_invalid_tolerances_rejected(self, example1_file, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -204,6 +204,31 @@ class TestTrajectoryFiles:
         with pytest.raises(DataFormatError, match="row 2"):
             trajectory_from_csv(text)
 
+    @pytest.mark.parametrize("text", ["5", "null", "[1, 2]"])
+    def test_json_top_level_not_an_object(self, text):
+        with pytest.raises(DataFormatError, match="JSON object"):
+            trajectory_from_json(text)
+
+    @pytest.mark.parametrize("cell", ['"a"', "1" + "0" * 400],
+                             ids=["string", "int_beyond_float"])
+    def test_json_non_numeric_cell(self, cell):
+        with pytest.raises(DataFormatError, match="must hold numbers"):
+            trajectory_from_json(
+                f'{{"n": 1, "m": 1, "inputs": [[{cell}]], "states": [[1.0], [2.0]]}}')
+
+    @pytest.mark.parametrize("n, m", [("true", "1"), ("1", "false")])
+    def test_json_boolean_dimension(self, n, m):
+        with pytest.raises(DataFormatError, match="positive integers"):
+            trajectory_from_json(f'{{"n": {n}, "m": {m}, "inputs": [[1.0]], '
+                                 '"states": [[1.0], [2.0]]}')
+
+    @pytest.mark.parametrize("name", ["t.json", "t.csv"])
+    def test_file_that_is_not_utf8(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(DataFormatError, match="not UTF-8"):
+            load_trajectory(str(path))
+
     def test_load_by_extension(self, tmp_path):
         traj = TrajectoryData(inputs=[[1.0]], states=[[0.5], [2.0]])
         j = tmp_path / "t.json"

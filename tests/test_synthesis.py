@@ -176,16 +176,20 @@ class TestStabLmi:
             synthesize_stab(D, cfg)
 
 
+def _three_tank_compressed():
+    from ddstab.experiments import (THREE_TANK_INPUTS, THREE_TANK_X0,
+                                    three_tank_model, zoh_discretize)
+    system = zoh_discretize(three_tank_model())
+    D = build_data_matrices(simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS))
+    return D, row_compress(D.x_minus, D.x_plus, NumericalConfig())
+
+
 class TestNoNewtonStall:
     """A line-search step lost to rounding ends the barrier stage instead of
     being retaken until the Newton budget runs out."""
 
     def test_three_tank_compressed_solve(self, cfg, newton_steps):
-        from ddstab.experiments import (THREE_TANK_INPUTS, THREE_TANK_X0,
-                                        three_tank_model, zoh_discretize)
-        system = zoh_discretize(three_tank_model())
-        D = build_data_matrices(simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS))
-        comp = row_compress(D.x_minus, D.x_plus, cfg)
+        D, comp = _three_tank_compressed()
         newton_steps.clear()
         assert solve_stab_lmi(D, comp, cfg).feasible
         assert len(newton_steps) < 100
@@ -205,6 +209,39 @@ class TestNoNewtonStall:
         assert verdicts == [ScenarioVerdict(scenario=4, T=3, identification=False,
                                             stabilization=False,
                                             stabilization_stabilizability_prior=False)]
+
+
+class TestNewtonBudget:
+    """Every barrier stage centers to one tolerance, and a solve that spends
+    the whole Newton budget raises in every stage, the last included."""
+
+    @pytest.mark.parametrize("seed, index, dim, feasible", [
+        (102, 20, 14, False), (102, 311, 18, True),
+        (103, 112, 20, False), (103, 279, 20, False)])
+    def test_criterion_5_plain_solves_end_within_budget(self, cfg, newton_steps,
+                                                        seed, index, dim, feasible):
+        # the half-decrement of these full-rank criterion-5 solves plateaus at
+        # 1e-9 to 7e-9 near the optimum, so a stage that had to center below
+        # that would take steps until the budget ran out
+        from ddstab.sdp import MAX_NEWTON
+        rng = np.random.default_rng(seed)
+        D = [random_dataset(rng) for _ in range(index + 1)][index].D
+        newton_steps.clear()
+        sol = solve_plain_lmi(D, cfg)
+        assert set(newton_steps) == {dim}
+        assert len(newton_steps) < MAX_NEWTON
+        assert sol.feasible is feasible
+
+    def test_spent_budget_raises_in_the_last_stage(self, cfg, newton_steps, monkeypatch):
+        from ddstab import sdp
+        D, comp = _three_tank_compressed()
+        assert solve_stab_lmi(D, comp, cfg).feasible
+        steps = len(newton_steps)
+        monkeypatch.setattr(sdp, "MAX_NEWTON", steps)
+        assert solve_stab_lmi(D, comp, cfg).feasible
+        monkeypatch.setattr(sdp, "MAX_NEWTON", steps - 1)
+        with pytest.raises(SolverFailure, match="budget exhausted"):
+            solve_stab_lmi(D, comp, cfg)
 
 
 class TestThreeTankReferenceTheta:
