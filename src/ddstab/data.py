@@ -274,6 +274,9 @@ def trajectory_from_json(text: str) -> TrajectoryData:
             if not isinstance(row, list) or len(row) != width:
                 raise DataFormatError(
                     f"{name}[{i}] must be a list of {width} numbers, got {row!r}")
+            for v in row:  # a JSON number: no string, boolean or nested list
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise DataFormatError(f"{name}[{i}] must hold numbers, got {v!r}")
     try:
         inputs = np.array(inputs, dtype=float).reshape(len(inputs), m)
         states = np.array(states, dtype=float).reshape(len(states), n)

@@ -21,12 +21,18 @@ installed. ``GAP_TOL``, ``MU0``, ``MU_FACTOR`` and ``MAX_NEWTON`` fix the
 barrier's schedule. Every barrier stage follows one rule: it ends when its
 half Newton decrement is within 0.25 or when the line search finds no point
 other than the current one, and a solve that spends ``MAX_NEWTON`` steps
-raises SolverFailure, whatever its stage. Both backends return through
-``_certified``, so a solve yields the slack achieved at its final point or
-raises SolverFailure.
+raises SolverFailure, whatever its stage. Each Newton step factors the
+system with ``scipy.linalg.cho_factor`` (no finiteness check) and solves
+with LAPACK ``potrs`` on that factor; each block inverse is ``potrs`` on
+the block's ``numpy.linalg.cholesky`` factor against a cached identity. A
+Newton system with a nan or inf entry yields no finite step at any jitter
+and ends in SolverFailure. Both backends return through ``_certified``, so
+a solve yields the slack achieved at its final point or raises
+SolverFailure.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,17 @@ MU0 = 1.0
 MU_FACTOR = 100.0
 MAX_NEWTON = 400
 CVXPY_SOLVER = "CLARABEL"
+
+# LAPACK's Cholesky solve, called without scipy's per-call input checks
+_potrs, = scipy.linalg.get_lapack_funcs(("potrs",))  # float64: dpotrs
+
+
+@functools.cache
+def _identity(s: int) -> np.ndarray:
+    """The s x s identity, built once per size and read-only."""
+    eye = np.eye(s)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
@@ -94,18 +111,24 @@ class BarrierBackend:
     def _newton_step(H: np.ndarray, g: np.ndarray, d: int) -> tuple[np.ndarray, float]:
         """Descent direction for the (mathematically PD) Newton system.
 
-        Near the central path's endgame the Hessian condition number can
-        exceed 1/eps; escalating Tikhonov jitter keeps the factorization
-        alive and every jittered step is still descent.
+        The symmetrized system is factored by ``scipy.linalg.cho_factor``
+        with ``check_finite=False`` and solved by LAPACK ``potrs`` on that
+        factor. Near the central path's endgame the Hessian condition
+        number can exceed 1/eps; escalating Tikhonov jitter keeps the
+        factorization alive and every jittered step is still descent. A
+        system that fails to factor or gives a non-finite decrement at
+        every jitter, as one with a nan or inf entry does, raises
+        SolverFailure.
         """
         Hs = 0.5 * (H + H.T)
         scale = max(np.trace(Hs) / (d + 1), 1.0)
         for jitter in (0.0, 1e-14, 1e-11, 1e-8, 1e-5):
-            try:
-                factor = scipy.linalg.cho_factor(Hs + jitter * scale * np.eye(d + 1))
+            try:  # through the module attribute: bench/ counts these calls per solve
+                c, lower = scipy.linalg.cho_factor(
+                    Hs + jitter * scale * _identity(d + 1), check_finite=False)
             except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
                 continue
-            step = -scipy.linalg.cho_solve(factor, g)
+            step = -_potrs(c, g, lower=lower)[0]
             decrement = float(-g @ step)
             if np.isfinite(decrement) and (decrement >= 0 or jitter > 0):
                 return step, decrement
@@ -154,7 +177,7 @@ class BarrierBackend:
             g[d] -= mu
             for (C, G), L in zip(blocks, chs):
                 s = C.shape[0]
-                Minv = scipy.linalg.cho_solve((L, True), np.eye(s))
+                Minv = _potrs(L, _identity(s), lower=True)[0]
                 V = G @ Minv
                 W = Minv @ Minv
                 g[:d] -= np.einsum("iaa->i", V)
@@ -167,7 +190,7 @@ class BarrierBackend:
             H[d, :d] = H[:d, d]
             q = 1.0 - x @ x
             g[:d] += 2.0 * x / q
-            H[:d, :d] += 2.0 * np.eye(d) / q + 4.0 * np.outer(x, x) / q**2
+            H[:d, :d] += 2.0 * _identity(d) / q + 4.0 * (x[:, None] * x[None, :]) / q**2
             step, decrement = self._newton_step(H, g, d)
             # a half-decrement within 0.25 (tiny negative values included:
             # centered to rounding noise) ends the stage without a step

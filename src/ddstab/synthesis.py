@@ -137,12 +137,15 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     d = N.shape[1]
     if d == 0:
         return LmiSolution(theta=None, slack=0.0, status=SolveStatus.INFEASIBLE)
-    coeffs = np.zeros((d, 2 * k, 2 * k))
-    for i in range(d):
-        Z = N[:, i].reshape(rho, k)
-        G, H = QG @ Z, QH @ Z
-        blk = np.block([[G, H], [H.T, G]])
-        coeffs[i] = 0.5 * (blk + blk.T)
+    # coefficient i is the block at Theta-image Z_i = N[:, i] as a rho x k matrix
+    Zs = N.T.reshape(d, rho, k)
+    G, H = QG @ Zs, QH @ Zs
+    blk = np.empty((d, 2 * k, 2 * k))
+    blk[:, :k, :k] = G
+    blk[:, :k, k:] = H
+    blk[:, k:, :k] = H.transpose(0, 2, 1)
+    blk[:, k:, k:] = G
+    coeffs = 0.5 * (blk + blk.transpose(0, 2, 1))
     result = backend.solve(AffineLmiFeasibility(
         dim=d, blocks=((np.zeros((2 * k, 2 * k)), coeffs),)))
     if result.t < cfg.psd_margin:

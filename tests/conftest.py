@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ddstab import (DataMatrices, LtiSystem, NumericalConfig, SolverFailure,
-                    TrajectoryData, build_data_matrices, sdp, simulate)
+                    TrajectoryData, build_data_matrices, row_compress, sdp, simulate)
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,16 @@ def newton_steps(monkeypatch):
         return _real(H, g, d)
     monkeypatch.setattr(sdp.BarrierBackend, "_newton_step", staticmethod(counting))
     return steps
+
+
+def three_tank_compressed():
+    """The three-tank run's data and row compression (a rank-deficient,
+    compressed-LMI case)."""
+    from ddstab.experiments import (THREE_TANK_INPUTS, THREE_TANK_X0,
+                                    three_tank_model, zoh_discretize)
+    system = zoh_discretize(three_tank_model())
+    D = build_data_matrices(simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS))
+    return D, row_compress(D.x_minus, D.x_plus, NumericalConfig())
 
 
 def scalar_full_rank() -> DataMatrices:

@@ -62,8 +62,14 @@ class TestInformativityCommand:
     @pytest.mark.parametrize("content", [
         b"\xff\xfe", b"5", b"null",
         b'{"n": 1, "m": 1, "inputs": [["a"]], "states": [[1.0], [2.0]]}',
-        b'{"n": true, "m": 1, "inputs": [[1.0]], "states": [[1.0], [2.0]]}'],
-        ids=["not_utf8", "int", "null", "non_numeric_cell", "boolean_n"])
+        b'{"n": true, "m": 1, "inputs": [[1.0]], "states": [[1.0], [2.0]]}',
+        b'{"n": 1, "m": 1, "inputs": [["1.5"]], "states": [[1.0], [2.0]]}',
+        b'{"n": 1, "m": 1, "inputs": [[1.0]], "states": [[" 2"], [2.0]]}',
+        b'{"n": 1, "m": 1, "inputs": [[false]], "states": [[1.0], [2.0]]}',
+        b'{"n": 1, "m": 1, "inputs": [[[1.0]]], "states": [[[1.0]], [[2.0]]]}'],
+        ids=["not_utf8", "int", "null", "non_numeric_cell", "boolean_n",
+             "numeric_string_cell", "padded_string_cell", "boolean_cell",
+             "one_element_list_cell"])
     def test_malformed_data_is_an_error_line(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)

@@ -216,6 +216,20 @@ class TestTrajectoryFiles:
             trajectory_from_json(
                 f'{{"n": 1, "m": 1, "inputs": [[{cell}]], "states": [[1.0], [2.0]]}}')
 
+    @pytest.mark.parametrize("cell", ['"1.5"', '" 2"', "true", "[1.0]", "null"],
+                             ids=["numeric_string", "padded_string", "boolean",
+                                  "one_element_list", "null"])
+    def test_json_cell_that_is_not_a_json_number(self, cell):
+        with pytest.raises(DataFormatError, match=r"inputs\[0\] must hold numbers"):
+            trajectory_from_json(
+                f'{{"n": 1, "m": 1, "inputs": [[{cell}]], "states": [[1.0], [2.0]]}}')
+
+    def test_json_integer_cells_stay_valid(self):
+        traj = trajectory_from_json(
+            '{"n": 1, "m": 1, "inputs": [[3]], "states": [[1], [-2.5]]}')
+        assert np.array_equal(traj.inputs, [[3.0]])
+        assert np.array_equal(traj.states, [[1.0], [-2.5]])
+
     @pytest.mark.parametrize("n, m", [("true", "1"), ("1", "false")])
     def test_json_boolean_dimension(self, n, m):
         with pytest.raises(DataFormatError, match="positive integers"):

@@ -1,8 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from ddstab import (NumericalConfig, SolverFailure, check_stabilizability_prior,
+                    sdp, solve_plain_lmi, solve_stab_lmi)
+from ddstab.linalg import rank_revealing_svd
 from ddstab.sdp import (AffineLmiFeasibility, BarrierBackend, BackendResult,
                         CvxpyBackend, get_backend)
+from ddstab.synthesis import LmiFeasibilityProblem, _symmetry_nullspace, sdp_solve
+
+from conftest import random_dataset, three_tank_compressed
 
 try:
     import cvxpy  # noqa: F401
@@ -96,3 +105,226 @@ def test_no_blocks_leave_the_slack_unbounded():
     result = BarrierBackend().solve(problem)
     assert result.t == np.inf
     assert np.array_equal(result.x, np.zeros(2))
+
+
+class TestNonFiniteNewtonSystem:
+    """A Newton system with a nan or inf entry ends in SolverFailure."""
+
+    def test_nan_in_hessian(self):
+        H = 2.0 * np.eye(3)
+        H[1, 1] = np.nan
+        with pytest.raises(SolverFailure, match="could not factor the Newton system"):
+            BarrierBackend._newton_step(H, np.ones(3), 2)
+
+    def test_inf_in_gradient(self):
+        with pytest.raises(SolverFailure, match="could not factor the Newton system"):
+            BarrierBackend._newton_step(2.0 * np.eye(3), np.array([1.0, np.inf, 0.0]), 2)
+
+
+# -- bitwise oracles ----------------------------------------------------------
+# The reference functions below take the Newton step through scipy's
+# cho_factor/cho_solve wrappers and build the LMI coefficients one np.block
+# at a time. The solver must reproduce both bit for bit.
+
+def _reference_newton_step(H, g, d):
+    Hs = 0.5 * (H + H.T)
+    scale = max(np.trace(Hs) / (d + 1), 1.0)
+    for jitter in (0.0, 1e-14, 1e-11, 1e-8, 1e-5):
+        try:
+            factor = scipy.linalg.cho_factor(Hs + jitter * scale * np.eye(d + 1))
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            continue
+        step = -scipy.linalg.cho_solve(factor, g)
+        decrement = float(-g @ step)
+        if np.isfinite(decrement) and (decrement >= 0 or jitter > 0):
+            return step, decrement
+    raise SolverFailure("could not factor the Newton system")
+
+
+def _reference_coefficients(problem, cfg):
+    L, P = problem.diag_coeff, problem.offdiag_coeff
+    k = L.shape[0]
+    U, _, _, rho = rank_revealing_svd(np.vstack([L, P]), cfg)
+    QG, QH = U[:k, :rho], U[k:, :rho]
+    N = _symmetry_nullspace(QG, k, rho)
+    d = N.shape[1]
+    coeffs = np.zeros((d, 2 * k, 2 * k))
+    for i in range(d):
+        Z = N[:, i].reshape(rho, k)
+        G, H = QG @ Z, QH @ Z
+        blk = np.block([[G, H], [H.T, G]])
+        coeffs[i] = 0.5 * (blk + blk.T)
+    return coeffs
+
+
+@functools.cache
+def _criterion_5_dataset(seed, index):
+    rng = np.random.default_rng(seed)
+    return [random_dataset(rng) for _ in range(index + 1)][index].D
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """Newton systems and block Cholesky factors of real barrier solves: the
+    three-tank compressed solve, random datasets and the four criterion-5
+    plain solves whose last stage reaches the rounding floor."""
+    cfg = NumericalConfig()
+    systems, factors = [], []
+    real_step = BarrierBackend._newton_step
+    real_cholesky = np.linalg.cholesky
+
+    def recording_step(H, g, d):
+        systems.append((H.copy(), g.copy(), d))
+        return real_step(H, g, d)
+
+    def recording_cholesky(M):
+        L = real_cholesky(M)
+        factors.append(L.copy())
+        return L
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BarrierBackend, "_newton_step", staticmethod(recording_step))
+        mp.setattr(np.linalg, "cholesky", recording_cholesky)
+        D, comp = three_tank_compressed()
+        solve_stab_lmi(D, comp, cfg)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            check_stabilizability_prior(random_dataset(rng).D, cfg)
+        for seed, index in ((102, 20), (102, 311), (103, 112), (103, 279)):
+            solve_plain_lmi(_criterion_5_dataset(seed, index), cfg)
+    return systems, factors
+
+
+class TestNewtonStepOracle:
+    def test_recorded_systems_match_the_reference_bitwise(self, recorded):
+        systems, _ = recorded
+        assert len(systems) > 500
+        assert {d for _, _, d in systems} >= {14, 18, 20}
+        for H, g, d in systems:
+            step, decrement = BarrierBackend._newton_step(H, g, d)
+            ref_step, ref_decrement = _reference_newton_step(H, g, d)
+            assert step.tobytes() == ref_step.tobytes()
+            assert decrement == ref_decrement
+
+    @pytest.mark.parametrize("H", [np.zeros((3, 3)), np.diag([1.0, 0.0, 1.0]),
+                                   np.ones((4, 4))], ids=["zero", "rank_2", "rank_1"])
+    def test_jittered_systems_match_the_reference_bitwise(self, H):
+        # singular systems factor only after Tikhonov jitter
+        d = H.shape[0] - 1
+        g = np.linspace(-1.0, 2.0, d + 1)
+        step, decrement = BarrierBackend._newton_step(H, g, d)
+        ref_step, ref_decrement = _reference_newton_step(H, g, d)
+        assert step.tobytes() == ref_step.tobytes()
+        assert decrement == ref_decrement
+
+    def test_block_inverse_matches_cho_solve_bitwise(self, recorded):
+        _, factors = recorded
+        assert len(factors) > 500
+        for L in factors:
+            s = L.shape[0]
+            Minv = sdp._potrs(L, sdp._identity(s), lower=True)[0]
+            assert Minv.tobytes() == scipy.linalg.cho_solve((L, True), np.eye(s)).tobytes()
+
+
+class _Recorder:
+    """Keeps the problem handed to the backend and skips the solve."""
+
+    def __init__(self):
+        self.problems = []
+
+    def solve(self, problem):
+        self.problems.append(problem)
+        return BackendResult(t=-1.0, x=np.zeros(problem.dim))
+
+
+@functools.cache
+def _coefficient_problems():
+    rng = np.random.default_rng(32)
+    problems = {
+        "k1": LmiFeasibilityProblem(diag_coeff=rng.normal(size=(1, 4)),
+                                    offdiag_coeff=rng.normal(size=(1, 4))),
+        "k1_T1": LmiFeasibilityProblem(diag_coeff=np.array([[2.0]]),
+                                       offdiag_coeff=np.array([[-0.5]])),
+        "rho1_d1": LmiFeasibilityProblem(diag_coeff=np.array([[1.0, 2.0], [2.0, 4.0]]),
+                                         offdiag_coeff=np.array([[0.5, 1.0], [-1.0, -2.0]])),
+        "wide": LmiFeasibilityProblem(diag_coeff=rng.normal(size=(3, 12)),
+                                      offdiag_coeff=rng.normal(size=(3, 12))),
+    }
+    D, comp = three_tank_compressed()
+    problems["three_tank_compressed"] = LmiFeasibilityProblem(
+        diag_coeff=comp.x_hat_minus, offdiag_coeff=comp.x_hat_plus)
+    for seed, index in ((102, 20), (103, 279)):
+        D = _criterion_5_dataset(seed, index)
+        problems[f"criterion_5_{seed}_{index}"] = LmiFeasibilityProblem(
+            diag_coeff=D.x_minus, offdiag_coeff=D.x_plus)
+    for i in range(12):
+        D = random_dataset(rng).D
+        problems[f"random_{i}"] = LmiFeasibilityProblem(
+            diag_coeff=D.x_minus, offdiag_coeff=D.x_plus)
+    return problems
+
+
+class TestCoefficientOracle:
+    @pytest.mark.parametrize("name", ["k1", "k1_T1", "rho1_d1", "wide", "three_tank_compressed",
+                                      "criterion_5_102_20", "criterion_5_103_279"]
+                             + [f"random_{i}" for i in range(12)])
+    def test_backend_problem_matches_the_block_loop_bitwise(self, cfg, name):
+        problem = _coefficient_problems()[name]
+        recorder = _Recorder()
+        sdp_solve(problem, cfg, backend=recorder)
+        reference = _reference_coefficients(problem, cfg)
+        if reference.shape[0] == 0:  # no unknowns: decided without the backend
+            assert recorder.problems == []
+            return
+        (handed,) = recorder.problems
+        (C, G), = handed.blocks
+        assert handed.dim == reference.shape[0]
+        assert C.tobytes() == np.zeros(C.shape).tobytes()
+        assert G.shape == reference.shape
+        assert G.tobytes() == reference.tobytes()
+
+    def test_edge_shapes_are_covered(self, cfg):
+        shapes = set()
+        for problem in _coefficient_problems().values():
+            k = problem.diag_coeff.shape[0]
+            rho = rank_revealing_svd(np.vstack([problem.diag_coeff,
+                                                problem.offdiag_coeff]), cfg)[3]
+            d = _reference_coefficients(problem, cfg).shape[0]
+            shapes.update({("k", k), ("rho", rho), ("d", d)})
+        assert {("k", 1), ("rho", 1), ("d", 1)} <= shapes
+
+
+class TestKernelCounters:
+    """Every barrier solve goes through scipy.linalg.cho_factor and
+    numpy.linalg.cholesky, the two kernels the benchmark counts per solve."""
+
+    def test_each_solve_calls_both_kernels(self, monkeypatch):
+        counts = {"cho_factor": 0, "cholesky": 0}
+        per_solve = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor",
+                            counted("cho_factor", scipy.linalg.cho_factor))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        real_solve = BarrierBackend.solve
+
+        def solve(self, problem):
+            before = dict(counts)
+            result = real_solve(self, problem)
+            per_solve.append({name: counts[name] - before[name] for name in counts})
+            return result
+
+        monkeypatch.setattr(BarrierBackend, "solve", solve)
+        rng = np.random.default_rng(33)
+        for _ in range(5):
+            BarrierBackend().solve(_random_problem(rng, n_blocks=2))
+        D, comp = three_tank_compressed()
+        solve_stab_lmi(D, comp, NumericalConfig())
+        assert len(per_solve) == 6
+        for calls in per_solve:
+            assert calls["cho_factor"] > 0 and calls["cholesky"] > 0

@@ -11,7 +11,7 @@ from ddstab.linalg import RowCompression
 from ddstab.synthesis import (LmiFeasibilityProblem, SolveStatus, problem_from_json,
                               problem_to_json)
 
-from conftest import random_dataset, scalar_full_rank
+from conftest import random_dataset, scalar_full_rank, three_tank_compressed
 
 
 def identity_compression_example1() -> RowCompression:
@@ -176,20 +176,12 @@ class TestStabLmi:
             synthesize_stab(D, cfg)
 
 
-def _three_tank_compressed():
-    from ddstab.experiments import (THREE_TANK_INPUTS, THREE_TANK_X0,
-                                    three_tank_model, zoh_discretize)
-    system = zoh_discretize(three_tank_model())
-    D = build_data_matrices(simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS))
-    return D, row_compress(D.x_minus, D.x_plus, NumericalConfig())
-
-
 class TestNoNewtonStall:
     """A line-search step lost to rounding ends the barrier stage instead of
     being retaken until the Newton budget runs out."""
 
     def test_three_tank_compressed_solve(self, cfg, newton_steps):
-        D, comp = _three_tank_compressed()
+        D, comp = three_tank_compressed()
         newton_steps.clear()
         assert solve_stab_lmi(D, comp, cfg).feasible
         assert len(newton_steps) < 100
@@ -234,7 +226,7 @@ class TestNewtonBudget:
 
     def test_spent_budget_raises_in_the_last_stage(self, cfg, newton_steps, monkeypatch):
         from ddstab import sdp
-        D, comp = _three_tank_compressed()
+        D, comp = three_tank_compressed()
         assert solve_stab_lmi(D, comp, cfg).feasible
         steps = len(newton_steps)
         monkeypatch.setattr(sdp, "MAX_NEWTON", steps)
