@@ -167,6 +167,8 @@ def _gain_from_file(path: str, D: DataMatrices) -> FeedbackGain:
         provenance = GainProvenance(payload.get("provenance", "plain"))
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"gain file {path}: {exc}") from exc
+    if not np.isfinite(K).all():  # json reads NaN and Infinity as numbers
+        raise DataFormatError(f"gain file {path}: K holds a non-finite entry")
     if K.shape != (D.m, D.n):
         raise DataFormatError(f"gain file {path}: K has shape {K.shape}, the data "
                               f"need ({D.m}, {D.n})")
@@ -223,8 +225,11 @@ def cmd_verify(args) -> int:
     D = build_data_matrices(traj)
     gain = _gain_from_file(args.gain, D)
     cs = consistent_set(D, numcfg)
-    report = verify_gain(cs, gain, n_samples=settings["samples"],
-                         scales=settings["scales"], seed=settings["seed"], cfg=numcfg)
+    try:
+        report = verify_gain(cs, gain, n_samples=settings["samples"],
+                             scales=settings["scales"], seed=settings["seed"], cfg=numcfg)
+    except PreconditionError as exc:
+        raise DataFormatError(f"invalid verification settings: {exc}") from exc
     payload = report.to_dict()
     payload["structural_nullity_particular"] = structural_nullity(
         cs, gain, cs.particular, numcfg)

@@ -85,7 +85,8 @@ class DataMatrices:
 
 @dataclass(frozen=True)
 class LtiSystem:
-    """x(t+1) = A x(t) + B u(t)."""
+    """x(t+1) = A x(t) + B u(t); A and B may also be (N, n, n) and (N, n, m)
+    stacks of N members."""
 
     A: np.ndarray
     B: np.ndarray
@@ -96,11 +97,11 @@ class LtiSystem:
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.B.shape[1]
+        return self.B.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ def build_data_matrices(traj: TrajectoryData) -> DataMatrices:
 
 
 def _split_ab(M: np.ndarray, n: int) -> LtiSystem:
-    return LtiSystem(A=M[:, :n], B=M[:, n:])
+    return LtiSystem(A=M[..., :n], B=M[..., n:])
 
 
 def consistent_set(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> ConsistentSet:
@@ -156,13 +157,24 @@ def consistent_set(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> Co
 def sample_consistent(cs: ConsistentSet, W: np.ndarray,
                       require_stabilizable: bool = False,
                       cfg: NumericalConfig = DEFAULT_CONFIG) -> LtiSystem | None:
-    """Member particular + split(W @ Q^T); None when the stabilizability filter rejects."""
-    W = np.asarray(W, dtype=float).reshape(cs.particular.n, cs.basis.d)
-    offset = _split_ab(W @ cs.basis.Q.T, cs.particular.n)
+    """Member particular + split(W @ Q^T); None when the stabilizability filter rejects.
+
+    ``W`` of shape (N, n, d) gives one system of (N, n, n) and (N, n, m)
+    stacks, each member equal to its own draw's, in draw order; the filter
+    leaves out the members it rejects.
+    """
+    n = cs.particular.n
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 3:
+        W = W.reshape(n, cs.basis.d)
+    offset = _split_ab(W @ cs.basis.Q.T, n)
     member = LtiSystem(A=cs.particular.A + offset.A, B=cs.particular.B + offset.B)
-    if require_stabilizable and not is_stabilizable(member.A, member.B, cfg):
-        return None
-    return member
+    if not require_stabilizable:
+        return member
+    keep = is_stabilizable(member.A, member.B, cfg)
+    if W.ndim == 3:
+        return LtiSystem(A=member.A[keep], B=member.B[keep])
+    return member if keep else None
 
 
 def consistency_residual(D: DataMatrices, system: LtiSystem) -> float:

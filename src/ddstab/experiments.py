@@ -95,6 +95,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.scenarios < 1:
             raise ValueError("scenarios must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if any(T > self.horizon for T in self.t_list):
             raise ValueError("every T must be <= horizon")
 

@@ -3,8 +3,9 @@
 Rank decisions, row compression, spectra, subspace inclusion, and the
 system-theoretic predicates (Schur / controllable / stabilizable). All
 functions are pure and operate on plain 2-D numpy arrays;
-``spectral_radius`` and ``controllability_matrix`` also take (N, ., .)
-stacks and treat each member as if it were passed alone.
+``spectral_radius``, ``controllability_matrix`` and ``is_stabilizable``
+also take (N, ., .) stacks and treat each member as if it were passed
+alone, and ``rank_cutoff`` takes an (N, k) stack of spectra.
 """
 from __future__ import annotations
 
@@ -57,8 +58,17 @@ class RowCompression:
     sv: np.ndarray | None = None
 
 
-def rank_cutoff(sv: np.ndarray, shape: tuple[int, int], cfg: NumericalConfig) -> float:
-    """Singular-value cutoff of every rank decision (inf for a zero spectrum)."""
+def rank_cutoff(sv: np.ndarray, shape: tuple[int, int],
+                cfg: NumericalConfig) -> float | np.ndarray:
+    """Singular-value cutoff of every rank decision (inf for a zero spectrum).
+
+    ``sv`` is a descending spectrum of a matrix of the given shape; an
+    (N, k) stack of spectra of N such matrices gives the N cutoffs, each
+    from its own row's leading value.
+    """
+    if sv.ndim == 2:
+        lead = sv[:, 0] if sv.shape[1] else np.zeros(len(sv))
+        return np.where(lead == 0.0, np.inf, cfg.rank_rel_tol * max(shape) * lead)
     if sv.size == 0 or sv[0] == 0.0:
         return np.inf
     return cfg.rank_rel_tol * max(shape) * sv[0]
@@ -154,19 +164,30 @@ def is_controllable(A: np.ndarray, B: np.ndarray,
 
 
 def is_stabilizable(A: np.ndarray, B: np.ndarray,
-                    cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    """Eigenvalue test: rank [A - lambda*I, B] = n at every |lambda| >= 1 - margin."""
+                    cfg: NumericalConfig = DEFAULT_CONFIG) -> bool | np.ndarray:
+    """Eigenvalue test: rank [A - lambda*I, B] = n at every |lambda| >= 1 - margin.
+
+    Stacks (N, n, n) and (N, n, m) give the N verdicts as a boolean array,
+    each equal to its member's own: one stacked ``eigvals``, then one
+    stacked SVD over the pencils of every (member, eigenvalue) pair on or
+    outside the margin, each ranked at its own ``rank_cutoff``.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    n = A.shape[0]
-    if n == 0:
-        return True
-    for lam in np.linalg.eigvals(A):
-        if abs(lam) >= 1.0 - cfg.schur_margin:
-            pencil = np.hstack([A - lam * np.eye(n), B.astype(complex)])
-            if numerical_rank(pencil, cfg) < n:
-                return False
-    return True
+    stacked = A.ndim == 3
+    if not stacked:
+        A, B = A[None], B[None]
+    n = A.shape[-1]
+    lams = np.linalg.eigvals(A)
+    # hypot, not np.abs: it rounds |lambda| as abs() does on one eigenvalue
+    k, j = np.nonzero(np.hypot(lams.real, lams.imag) >= 1.0 - cfg.schur_margin)
+    lam = lams[k, j][:, None, None]
+    pencils = np.concatenate([A[k] - lam * np.eye(n), B[k].astype(complex)], axis=-1)
+    sv = np.linalg.svd(pencils, compute_uv=False)
+    cutoff = rank_cutoff(sv, pencils.shape[1:], cfg)
+    ok = np.ones(len(A), dtype=bool)
+    ok[k[np.count_nonzero(sv > cutoff[:, None], axis=-1) < n]] = False
+    return ok if stacked else bool(ok[0])
 
 
 def subspace_contained(M: np.ndarray, N: np.ndarray,

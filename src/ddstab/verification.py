@@ -64,15 +64,12 @@ class LyapunovCertificate:
 VERIFY_CHUNK = 256
 
 
-def _draws(cs: ConsistentSet, scales: tuple[float, ...], n_samples: int, seed: int,
-           filter_stabilizable: bool, cfg: NumericalConfig):
-    """Each draw's member in draw order, or None where the filter rejects it."""
-    n, d = cs.particular.n, cs.d
+def _draws(n: int, d: int, scales: tuple[float, ...], n_samples: int, seed: int):
+    """Each draw's (n, d) coefficient matrix W in draw order."""
     for i_scale, scale in enumerate(scales):
         for i_draw in range(n_samples):
             rng = np.random.default_rng((seed, i_scale, i_draw))
-            W = scale * rng.normal(size=(n, d))
-            yield sample_consistent(cs, W, filter_stabilizable, cfg)
+            yield scale * rng.normal(size=(n, d))
 
 
 def verify_gain(cs: ConsistentSet, gain: FeedbackGain, n_samples: int = 200,
@@ -85,31 +82,43 @@ def verify_gain(cs: ConsistentSet, gain: FeedbackGain, n_samples: int = 200,
     the stabilizable members, so non-stabilizable draws are rejected (and
     counted); plain gains face every member. Each draw owns its own RNG
     stream keyed by (seed, scale index, draw index), so the report is
-    reproducible under any evaluation order. Draws are sampled one at a
-    time and their members evaluated in stacked chunks of up to
-    ``VERIFY_CHUNK`` draws; the report equals a draw-by-draw evaluation bit
-    for bit, the worst member being the first maximum in draw order. A
-    report with no tested draw does not pass.
+    reproducible under any evaluation order. Draws are taken in chunks of
+    up to ``VERIFY_CHUNK``: each chunk is sampled, filtered and evaluated
+    as one stack, and the report equals a draw-by-draw evaluation bit for
+    bit, the worst member being the first maximum in draw order. A report
+    with no tested draw does not pass. Raises PreconditionError when a
+    scale puts a member outside the floating-point range.
     """
-    draws = _draws(cs, scales, n_samples, seed,
-                   gain.provenance is GainProvenance.STAB_PRIOR, cfg)
-    tested = rejected = 0
+    draws = _draws(cs.particular.n, cs.d, scales, n_samples, seed)
+    filter_stabilizable = gain.provenance is GainProvenance.STAB_PRIOR
+    drawn = tested = rejected = 0
     worst_rho, worst = -1.0, None
     structural: list[float] = []
-    while chunk := list(islice(draws, VERIFY_CHUNK)):
-        members = [m for m in chunk if m is not None]
-        rejected += len(chunk) - len(members)
-        if not members:
-            continue
-        tested += len(members)
-        stack = LtiSystem(A=np.stack([m.A for m in members]),
-                          B=np.stack([m.B for m in members]))
-        rho = spectral_radius(stack.A + stack.B @ gain.K)
-        i = int(np.argmax(rho))
-        if rho[i] > worst_rho:  # strict: an earlier chunk keeps a tie
-            worst_rho, worst = float(rho[i]), members[i]
-        if compute_structural:
-            structural.extend(structural_nullity(cs, gain, stack, cfg).tolist())
+    # a draw that overflows raises below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while chunk := list(islice(draws, VERIFY_CHUNK)):
+            stack = sample_consistent(cs, np.stack(chunk), cfg=cfg)
+            finite = (np.isfinite(stack.A).all(axis=(1, 2))
+                      & np.isfinite(stack.B).all(axis=(1, 2)))
+            if not finite.all():
+                scale = scales[(drawn + int(np.argmin(finite))) // n_samples]
+                raise PreconditionError(f"scale {scale!r} draws members that are not finite")
+            drawn += len(chunk)
+            if filter_stabilizable:
+                keep = is_stabilizable(stack.A, stack.B, cfg)
+                stack = LtiSystem(A=stack.A[keep], B=stack.B[keep])
+            rejected += len(chunk) - len(stack.A)
+            if not len(stack.A):
+                continue
+            tested += len(stack.A)
+            rho = spectral_radius(stack.A + stack.B @ gain.K)
+            i = int(np.argmax(rho))
+            if rho[i] > worst_rho:  # strict: an earlier chunk keeps a tie
+                # copies, so the report does not hold the chunk's stacks
+                worst_rho = float(rho[i])
+                worst = LtiSystem(A=stack.A[i].copy(), B=stack.B[i].copy())
+            if compute_structural:
+                structural.extend(structural_nullity(cs, gain, stack, cfg).tolist())
     passed = tested > 0 and worst_rho <= 1.0 - cfg.schur_margin
     return VerificationReport(samples_tested=tested,
                               rejected_unstabilizable=rejected,

@@ -118,6 +118,32 @@ class TestSynthesizeAndVerify:
         assert code == EXIT_FAILURE
         assert "error: gain file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity"])
+    def test_verify_rejects_non_finite_gain(self, example1_file, tmp_path, capsys,
+                                            constant):
+        gain_path = tmp_path / "gain.json"
+        gain_path.write_text(f'{{"K": [[{constant}, 0.0]], "provenance": "plain"}}')
+        out = tmp_path / "v"
+        code = main(["verify", example1_file, str(gain_path), "--out", str(out),
+                     "--samples", "10"])
+        assert code == EXIT_FAILURE
+        assert capsys.readouterr().err == \
+            f"error: gain file {gain_path}: K holds a non-finite entry\n"
+        assert not out.exists()
+
+    def test_verify_overflowing_scale_is_an_error(self, example1_file, tmp_path, capsys):
+        gain_path = tmp_path / "gain.json"
+        gain_path.write_text(json.dumps(
+            {"K": [[-1.0, 0.0]], "provenance": "stabilizability_prior"}))
+        out = tmp_path / "v"
+        code = main(["verify", example1_file, str(gain_path), "--out", str(out),
+                     "--scales", "1e308"])
+        assert code == EXIT_FAILURE
+        assert capsys.readouterr().err == ("error: invalid verification settings: "
+                                           "scale 1e+308 draws members that are "
+                                           "not finite\n")
+        assert not out.exists()
+
     def test_verify_without_a_tested_draw_fails(self, tmp_path, capsys):
         # identifiable data of an unstabilizable system: the stabilizability
         # filter rejects every draw, so nothing vouches for the gain
@@ -232,6 +258,15 @@ class TestMonteCarloCommand:
         assert main(["montecarlo", "--scenarios", scenarios, "--T-list", "3",
                      "--out", str(out)]) == EXIT_FAILURE
         assert "error: invalid Monte Carlo settings: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_no_workers_is_an_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--scenarios", "1", "--T-list", "3",
+                     "--workers", workers, "--out", str(out)]) == EXIT_FAILURE
+        assert "error: invalid Monte Carlo settings: workers must be >= 1" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_byte_stable(self, tmp_path):

@@ -111,6 +111,69 @@ class TestConsistentSet:
         assert rejected is None
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestStackedSampling:
+    """A stack of draws gives each draw's own member, bit for bit."""
+
+    @staticmethod
+    def check(cs, W, cfg):
+        n, m = cs.particular.n, cs.particular.m
+        stack = sample_consistent(cs, W, False, cfg)
+        assert stack.A.shape == (len(W), n, n) and stack.B.shape == (len(W), n, m)
+        assert (stack.n, stack.m) == (n, m)
+        for i, w in enumerate(W):
+            single = sample_consistent(cs, w, False, cfg)
+            assert _bits(stack.A[i]) == _bits(single.A)
+            assert _bits(stack.B[i]) == _bits(single.B)
+        kept = sample_consistent(cs, W, True, cfg)
+        survivors = [s for s in (sample_consistent(cs, w, True, cfg) for w in W)
+                     if s is not None]
+        assert kept.A.shape == (len(survivors), n, n)
+        assert kept.B.shape == (len(survivors), n, m)
+        for a, b, single in zip(kept.A, kept.B, survivors):
+            assert _bits(a) == _bits(single.A) and _bits(b) == _bits(single.B)
+        return kept
+
+    def test_random_datasets(self, cfg):
+        rng = np.random.default_rng(14)
+        rejected = 0
+        for _ in range(30):
+            ds = random_dataset(rng)
+            cs = consistent_set(ds.D, cfg)
+            scales = rng.choice([0.1, 1.0, 10.0], size=(8, 1, 1))
+            kept = self.check(cs, scales * rng.normal(size=(8, ds.D.n, cs.d)), cfg)
+            rejected += 8 - len(kept.A)
+        assert rejected > 0
+
+    def test_singleton_family(self, cfg):
+        rng = np.random.default_rng(15)
+        system = LtiSystem(A=[[0.3, 0.0], [0.1, 1.2]], B=[[1.0], [0.5]])
+        D = build_data_matrices(simulate(system, rng.normal(size=2),
+                                         rng.normal(size=(7, 1))))
+        cs = consistent_set(D, cfg)
+        assert cs.d == 0
+        kept = self.check(cs, np.zeros((5, 2, 0)), cfg)
+        assert len(kept.A) == 5
+        assert all(_bits(a) == _bits(cs.particular.A) for a in kept.A)
+
+    def test_empty_stack(self, cfg, example1):
+        cs = consistent_set(example1, cfg)
+        kept = self.check(cs, np.zeros((0, 2, cs.d)), cfg)
+        assert kept.A.shape == (0, 2, 2)
+
+    def test_every_draw_rejected(self, cfg, example1):
+        # the second coefficient sets the uncontrollable eigenvalue, here on
+        # or outside the margin in every draw
+        cs = consistent_set(example1, cfg)
+        sign = np.sign(cs.basis.Q[1, 0])
+        W = sign * np.array([[[0.0], [2.0]], [[0.7], [-1.5]],
+                             [[-3.0], [1.0 - cfg.schur_margin]]])
+        assert len(self.check(cs, W, cfg).A) == 0
+
+
 class TestReachablePart:
     def test_example1(self, cfg, example1):
         comp = row_compress(example1.x_minus, example1.x_plus, cfg)

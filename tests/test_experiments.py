@@ -140,6 +140,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="scenarios"):
             self._config(scenarios=scenarios)
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_no_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            self._config(workers=workers)
+
 
 class TestDemos:
     def test_example1_bundle(self, cfg):

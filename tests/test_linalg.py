@@ -5,7 +5,7 @@ from ddstab import (NumericalConfig, is_controllable, is_schur, is_stabilizable,
                     matrix_exponential, numerical_rank, pinv, row_compress,
                     spectral_radius, subspace_contained)
 from ddstab import check_stabilizability_prior, consistent_set, reachable_part, sdp_solve
-from ddstab.linalg import controllability_matrix
+from ddstab.linalg import controllability_matrix, rank_cutoff
 from ddstab.synthesis import LmiFeasibilityProblem
 
 from conftest import (THREE_TANK_A_REF, THREE_TANK_B_REF, THREE_TANK_K_REF,
@@ -266,6 +266,22 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+def per_eigenvalue_stabilizable(A, B, cfg) -> bool:
+    """Oracle: the Hautus test one eigenvalue and one pencil at a time."""
+    n = A.shape[0]
+    for lam in np.linalg.eigvals(A):
+        if abs(lam) >= 1.0 - cfg.schur_margin:
+            pencil = np.hstack([A - lam * np.eye(n), B.astype(complex)])
+            if numerical_rank(pencil, cfg) < n:
+                return False
+    return True
+
+
+def _rotation(radius, angle):
+    c, s = radius * np.cos(angle), radius * np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
 class TestStackedKernels:
     """An (N, k, k) stack gives each member's own result, bit for bit."""
 
@@ -310,3 +326,75 @@ class TestStackedKernels:
         assert spectral_radius(np.zeros((0, 3, 3))).shape == (0,)
         assert controllability_matrix(np.zeros((0, 3, 3)),
                                       np.zeros((0, 3, 2))).shape == (0, 3, 6)
+
+    def check_is_stabilizable(self, A, B, cfg):
+        ok = is_stabilizable(A, B, cfg)
+        assert ok.dtype == bool and ok.shape == (len(A),)
+        for i in range(len(A)):
+            single = is_stabilizable(A[i], B[i], cfg)
+            assert type(single) is bool
+            assert ok[i] == single == per_eigenvalue_stabilizable(A[i], B[i], cfg)
+        return ok
+
+    def test_is_stabilizable(self, cfg):
+        rng = np.random.default_rng(62)
+        verdicts = []
+        for n in range(1, 6):
+            for m in (1, 2):
+                A, B = self.stacks(rng, 9, n, m)
+                # every other member hides an uncontrollable mode in its last
+                # state: marginal, unstable or stable
+                for i in range(1, 9, 2):
+                    A[i, -1] = 0.0
+                    A[i, -1, -1] = rng.choice([1.0 - cfg.schur_margin, 1.0, -1.0,
+                                               1.5, 0.5])
+                    B[i, -1] = 0.0
+                verdicts.extend(self.check_is_stabilizable(A, B, cfg))
+        assert any(verdicts) and not all(verdicts)
+
+    def test_is_stabilizable_at_the_margin(self, cfg):
+        edge = 1.0 - cfg.schur_margin
+        inside = np.nextafter(edge, 0.0)
+        A = np.array([np.diag([edge, 0.5]), np.diag([inside, 0.5]),
+                      np.diag([-edge, 0.5]), np.diag([0.5, edge])])
+        B = np.array([[[0.0], [1.0]]] * 3 + [[[1.0], [0.0]]])
+        assert np.linalg.eigvals(A[0])[0] == edge
+        ok = self.check_is_stabilizable(A, B, cfg)
+        assert ok.tolist() == [False, True, False, False]
+
+    def test_is_stabilizable_complex_pairs(self, cfg):
+        # an unstable rotation: its conjugate pair is uncontrollable from
+        # [0; 0; 1], controllable from [1; 0; 1]
+        A = np.zeros((4, 3, 3))
+        A[:, :2, :2] = _rotation(1.1, 0.7)
+        A[:, 2, 2] = 0.4
+        # a pair inside the margin band is tested as if it were on the circle
+        A[2:, :2, :2] = _rotation(1.0 - cfg.schur_margin / 2, 2.1)
+        B = np.array([[[0.0], [0.0], [1.0]], [[1.0], [0.0], [1.0]]] * 2)
+        lams = np.linalg.eigvals(A[0])
+        assert np.count_nonzero(lams.imag) == 2
+        ok = self.check_is_stabilizable(A, B, cfg)
+        assert ok.tolist() == [False, True, False, True]
+
+    def test_is_stabilizable_cutoff_per_pencil(self, cfg):
+        # a large member next to one whose pencil has a small but clear
+        # singular value: the cutoff must come from each pencil's own spectrum
+        A = np.array([np.diag([1e6, 0.5]), np.diag([2.0, 0.5])])
+        B = np.array([[[1.0], [0.0]], [[1e-4], [0.0]]])
+        ok = self.check_is_stabilizable(A, B, cfg)
+        assert ok.tolist() == [True, True]
+
+    def test_is_stabilizable_empty(self, cfg):
+        ok = is_stabilizable(np.zeros((0, 3, 3)), np.zeros((0, 3, 2)), cfg)
+        assert ok.dtype == bool and ok.shape == (0,)
+        assert is_stabilizable(np.zeros((0, 0)), np.zeros((0, 1)), cfg) is True
+        assert is_stabilizable(np.zeros((2, 0, 0)), np.zeros((2, 0, 1)), cfg).all()
+
+    def test_rank_cutoff_of_a_stack(self, cfg):
+        rng = np.random.default_rng(63)
+        sv = np.sort(np.abs(rng.normal(size=(6, 3))), axis=1)[:, ::-1].copy()
+        sv[2] = 0.0
+        cut = rank_cutoff(sv, (3, 5), cfg)
+        assert cut.shape == (6,)
+        for row, c in zip(sv, cut):
+            assert _bits(c) == _bits(rank_cutoff(row, (3, 5), cfg))

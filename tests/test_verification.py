@@ -160,6 +160,17 @@ def per_draw_verify(cs, gain, n_samples, scales, seed, cfg):
         seed=seed, scales=tuple(scales))
 
 
+def per_draw_members(cs, gain, n_samples, scales, seed, cfg):
+    """Each draw's member in draw order, None where the filter rejects it."""
+    filter_stabilizable = gain.provenance is GainProvenance.STAB_PRIOR
+    n, d = cs.particular.n, cs.d
+    for i_scale, scale in enumerate(scales):
+        for i_draw in range(n_samples):
+            rng = np.random.default_rng((seed, i_scale, i_draw))
+            W = scale * rng.normal(size=(n, d))
+            yield sample_consistent(cs, W, filter_stabilizable, cfg)
+
+
 def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
@@ -226,8 +237,8 @@ class TestStackedEqualsPerDraw:
         gain = stab_gain([[1.0, 0.0]])
         n_samples = verification.VERIFY_CHUNK + 50
         report = self.check(cs, gain, n_samples, cfg)
-        members = [m for m in verification._draws(cs, (0.1, 1.0, 10.0), n_samples,
-                                                  3, True, cfg) if m is not None]
+        members = [m for m in per_draw_members(cs, gain, n_samples, (0.1, 1.0, 10.0),
+                                               3, cfg) if m is not None]
         rho = spectral_radius(np.stack([m.A for m in members])
                               + np.stack([m.B for m in members]) @ gain.K)
         ties = np.flatnonzero(rho == report.max_spectral_radius)
@@ -253,6 +264,21 @@ class TestStackedEqualsPerDraw:
             empty = LtiSystem(A=np.zeros((0, ds.D.n, ds.D.n)),
                               B=np.zeros((0, ds.D.n, ds.D.m)))
             assert structural_nullity(cs, gain, empty, cfg).shape == (0,)
+
+
+class TestNonFiniteDraws:
+    @pytest.mark.parametrize("scales", [(1e308,), (1.0, 1e308)])
+    def test_overflowing_scale_is_named(self, cfg, example1, scales):
+        cs = consistent_set(example1, cfg)
+        with pytest.raises(PreconditionError, match=r"scale 1e\+308 "):
+            verify_gain(cs, stab_gain([[-1.0, 0.0]]), n_samples=50, scales=scales,
+                        seed=0, cfg=cfg)
+
+    def test_finite_large_scale_still_verifies(self, cfg, example1):
+        cs = consistent_set(example1, cfg)
+        report = verify_gain(cs, stab_gain([[-1.0, 0.0]]), n_samples=50,
+                             scales=(1e150,), seed=0, cfg=cfg)
+        assert report.samples_tested + report.rejected_unstabilizable == 50
 
 
 class TestStructuralNullity:
