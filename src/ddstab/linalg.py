@@ -181,8 +181,12 @@ def is_stabilizable(A: np.ndarray, B: np.ndarray,
     lams = np.linalg.eigvals(A)
     # hypot, not np.abs: it rounds |lambda| as abs() does on one eigenvalue
     k, j = np.nonzero(np.hypot(lams.real, lams.imag) >= 1.0 - cfg.schur_margin)
-    lam = lams[k, j][:, None, None]
-    pencils = np.concatenate([A[k] - lam * np.eye(n), B[k].astype(complex)], axis=-1)
+    # each pencil [A - lambda*I, B] built in place in one complex array
+    pencils = np.empty((len(k), n, n + B.shape[-1]), dtype=complex)
+    pencils[..., :n] = A[k]
+    pencils[..., n:] = B[k]
+    diagonal = np.arange(n)
+    pencils[:, diagonal, diagonal] -= lams[k, j][:, None]
     sv = np.linalg.svd(pencils, compute_uv=False)
     cutoff = rank_cutoff(sv, pencils.shape[1:], cfg)
     ok = np.ones(len(A), dtype=bool)

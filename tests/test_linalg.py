@@ -277,6 +277,21 @@ def per_eigenvalue_stabilizable(A, B, cfg) -> bool:
     return True
 
 
+def concatenated_pencils(A, B, cfg):
+    """Oracle: the stacked Hautus pencils as np.concatenate builds them, with
+    the verdicts read off their singular values, and the eigenvalues kept."""
+    n = A.shape[-1]
+    lams = np.linalg.eigvals(A)
+    k, j = np.nonzero(np.hypot(lams.real, lams.imag) >= 1.0 - cfg.schur_margin)
+    lam = lams[k, j][:, None, None]
+    pencils = np.concatenate([A[k] - lam * np.eye(n), B[k].astype(complex)], axis=-1)
+    sv = np.linalg.svd(pencils, compute_uv=False)
+    cutoff = rank_cutoff(sv, pencils.shape[1:], cfg)
+    ok = np.ones(len(A), dtype=bool)
+    ok[k[np.count_nonzero(sv > cutoff[:, None], axis=-1) < n]] = False
+    return pencils, ok, lams[k, j]
+
+
 def _rotation(radius, angle):
     c, s = radius * np.cos(angle), radius * np.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -383,6 +398,33 @@ class TestStackedKernels:
         B = np.array([[[1.0], [0.0]], [[1e-4], [0.0]]])
         ok = self.check_is_stabilizable(A, B, cfg)
         assert ok.tolist() == [True, True]
+
+    def test_is_stabilizable_pencils_match_concatenate(self, cfg, factorizations):
+        # the pencils built in place equal the concatenation of A - lambda*I
+        # and B byte for byte, and so do the verdicts read off them (these
+        # A hold no -0.0, which lambda times the identity's zeros could make
+        # +0.0 in the concatenated pencil)
+        rng = np.random.default_rng(64)
+        edge = 1.0 - cfg.schur_margin
+        at_edge = 0
+        for n in range(1, 6):
+            for m in (1, 2):
+                A, B = self.stacks(rng, 40, n, m)
+                for i in range(1, 40, 2):
+                    A[i, -1] = 0.0
+                    A[i, -1, -1] = rng.choice([edge, 1.0, -1.0, 1.5, 0.5])
+                    B[i, -1] = 0.0
+                factorizations["svd"].clear()
+                ok = is_stabilizable(A, B, cfg)
+                (pencils,) = factorizations["svd"]
+                want_pencils, want_ok, lams = concatenated_pencils(A, B, cfg)
+                assert pencils.shape == want_pencils.shape
+                assert pencils.tobytes() == want_pencils.tobytes()
+                assert ok.tobytes() == want_ok.tobytes()
+                at_edge += np.count_nonzero(lams == edge)
+                if n >= 2:
+                    assert np.count_nonzero(lams.imag) > 0
+        assert at_edge > 0
 
     def test_is_stabilizable_empty(self, cfg):
         ok = is_stabilizable(np.zeros((0, 3, 3)), np.zeros((0, 3, 2)), cfg)

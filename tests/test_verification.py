@@ -281,6 +281,93 @@ class TestNonFiniteDraws:
         assert report.samples_tested + report.rejected_unstabilizable == 50
 
 
+def numpy_pcg64_state(seed, i_scale, i_draw) -> tuple[int, int]:
+    state = np.random.PCG64(np.random.SeedSequence((seed, i_scale, i_draw))).state
+    return state["state"]["state"], state["state"]["inc"]
+
+
+LARGE_SEED = 2**70 + 1
+
+
+class TestVectorizedSeeding:
+    """The draws' PCG64 states are NumPy's, computed for a chunk at once."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 7])
+    def test_states_match_numpy(self, seed):
+        for i_scale in range(4):
+            states = verification._pcg64_states(seed, i_scale, 0, 257)
+            for i_draw in (0, 1, 255, 256):
+                assert states[i_draw] == numpy_pcg64_state(seed, i_scale, i_draw)
+            # the draw index gains a second 32-bit word inside this range
+            states = verification._pcg64_states(seed, i_scale, 2**32 - 1, 2**32 + 1)
+            assert states == [numpy_pcg64_state(seed, i_scale, 2**32 - 1),
+                              numpy_pcg64_state(seed, i_scale, 2**32)]
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("seed", [0, LARGE_SEED])
+    def test_draws_match_default_rng(self, monkeypatch, chunk, seed):
+        monkeypatch.setattr(verification, "VERIFY_CHUNK", chunk)
+        scales = (0.1, 1.0, 10.0)
+        got = np.concatenate(list(verification._draws(3, 2, scales, 10, seed)))
+        want = [scale * np.random.default_rng((seed, i_scale, i_draw)).normal(size=(3, 2))
+                for i_scale, scale in enumerate(scales) for i_draw in range(10)]
+        assert got.shape == (30, 3, 2) and bits(got) == bits(want)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("seed", [0, LARGE_SEED])
+    def test_verify_gain_equals_per_draw(self, cfg, monkeypatch, chunk, seed):
+        monkeypatch.setattr(verification, "VERIFY_CHUNK", chunk)
+        rng = np.random.default_rng(59)
+        for _ in range(4):
+            ds = random_dataset(rng)
+            cs = consistent_set(ds.D, cfg)
+            K = rng.normal(size=(ds.D.m, ds.D.n))
+            for provenance in GainProvenance:
+                gain = FeedbackGain(K=K, provenance=provenance)
+                report = verify_gain(cs, gain, n_samples=10, seed=seed, cfg=cfg)
+                assert_bitwise_equal(report, per_draw_verify(
+                    cs, gain, 10, (0.1, 1.0, 10.0), seed, cfg))
+
+    @pytest.mark.parametrize("n_samples, scales", [(0, (0.1, 1.0, 10.0)), (20, ())])
+    @pytest.mark.parametrize("seed", [0, -1])
+    def test_no_draws(self, cfg, example1, n_samples, scales, seed):
+        # no draw, no seeding: even a seed NumPy refuses gives the empty report
+        cs = consistent_set(example1, cfg)
+        gain = stab_gain([[-1.0, 0.0]])
+        report = verify_gain(cs, gain, n_samples=n_samples, scales=scales, seed=seed, cfg=cfg)
+        assert_bitwise_equal(report, per_draw_verify(cs, gain, n_samples, scales, seed, cfg))
+        assert report.samples_tested == 0 and report.worst_member is None
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_refused_seed_raises_numpys_error(self, cfg, example1, seed):
+        with pytest.raises((TypeError, ValueError)) as numpy_error:
+            np.random.default_rng((seed, 0, 0))
+        with pytest.raises(type(numpy_error.value)) as error:
+            verify_gain(consistent_set(example1, cfg), stab_gain([[-1.0, 0.0]]),
+                        n_samples=5, seed=seed, cfg=cfg)
+        assert str(error.value) == str(numpy_error.value)
+
+    def test_disagreement_with_numpy_raises(self, cfg, example1, monkeypatch):
+        monkeypatch.setattr(verification, "_PCG64_MULT", verification._PCG64_MULT + 2)
+        with pytest.raises(RuntimeError, match="seed 0, scale index 0"):
+            verify_gain(consistent_set(example1, cfg), stab_gain([[-1.0, 0.0]]),
+                        n_samples=5, seed=0, cfg=cfg)
+
+    def test_one_seed_sequence_per_scale(self, cfg, example1, monkeypatch):
+        # the check's SeedSequence is the only one: no draw builds its own
+        calls = {"SeedSequence": 0, "default_rng": 0}
+        for name in calls:
+            def counting(*args, _real=getattr(np.random, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.random, name, counting)
+        scales = (0.1, 1.0, 10.0)
+        report = verify_gain(consistent_set(example1, cfg), stab_gain([[-1.0, 0.0]]),
+                             n_samples=200, scales=scales, seed=3, cfg=cfg)
+        assert report.samples_tested + report.rejected_unstabilizable == 600
+        assert calls == {"SeedSequence": len(scales), "default_rng": 0}
+
+
 class TestStructuralNullity:
     def test_example1_directions_annihilate(self, cfg, example1):
         cs = consistent_set(example1, cfg)
