@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .data import (Branch, ConsistentSet, DataMatrices, LtiSystem, TrajectoryData,
-                   build_data_matrices, check_image_inclusion, check_input_rank,
-                   consistent_set, load_trajectory, reachable_part,
+                   build_data_matrices, check_image_inclusion, consistent_set,
+                   input_rank_condition, load_trajectory, reachable_part,
                    recover_input_matrix, sample_consistent)
 from .errors import DataFormatError, PreconditionError, SolverFailure
 from .experiments import (ContinuousSystem, MonteCarloConfig, MonteCarloResult,

@@ -29,7 +29,7 @@ from .experiments import (MonteCarloConfig, demo_example1, demo_example2,
                           zoh_discretize)
 from .informativity import check_stabilizability_prior
 from .linalg import NumericalConfig, row_compress
-from .sdp import get_backend
+from .sdp import BACKENDS, get_backend
 from .synthesis import (FeedbackGain, GainProvenance, LmiFeasibilityProblem,
                         problem_to_json, synthesize)
 from .verification import decomposition_check, structural_nullity, verify_gain
@@ -41,7 +41,6 @@ EXIT_USAGE = 64
 
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(NumericalConfig))
 FORMATS = ("json", "csv")
-BACKENDS = ("builtin", "cvxpy")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +97,7 @@ def _settings(args) -> dict:
         "seed": _resolve(args, file_cfg, "seed", 3, _integer(lowest=0)),
         "out": _resolve(args, file_cfg, "out", "out", str),
         "fmt": _resolve(args, file_cfg, "format", "json", _choice(FORMATS)),
-        "backend_name": _resolve(args, file_cfg, "backend", "builtin", _choice(BACKENDS)),
+        "backend_name": _resolve(args, file_cfg, "backend", "builtin", _choice(tuple(BACKENDS))),
         "samples": _resolve(args, file_cfg, "samples", 200, _integer(lowest=1)),
         "scales": _resolve(args, file_cfg, "scales", (0.1, 1.0, 10.0), _parse_scales),
     }
@@ -106,7 +105,9 @@ def _settings(args) -> dict:
 
 def _integer(lowest: int):
     def cast(value) -> int:
-        if int(value) != float(value) or int(value) < lowest:
+        # compared as ints: a float cannot hold every integer above 2**53
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()) \
+                or int(value) < lowest:
             raise ValueError(f"expected an integer >= {lowest}")
         return int(value)
     return cast

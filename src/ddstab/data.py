@@ -105,28 +105,20 @@ class LtiSystem:
 
 
 @dataclass(frozen=True)
-class NullBasis:
-    """Orthonormal basis Q of the left null space of [X_minus; U_minus].
+class ConsistentSet:
+    """Affine parametrization of all systems consistent with the data.
 
+    ``Q`` is an orthonormal basis of the left null space of [X_minus; U_minus].
     Rows of any homogeneous direction [A0 B0] are combinations of Q's
     columns, so A0 X_minus + B0 U_minus = 0 by construction.
     """
 
-    Q: np.ndarray
-    d: int
-
-
-@dataclass(frozen=True)
-class ConsistentSet:
-    """Affine parametrization of all systems consistent with the data."""
-
     particular: LtiSystem
-    basis: NullBasis
-    source: DataMatrices
+    Q: np.ndarray
 
     @property
     def d(self) -> int:
-        return self.basis.d
+        return self.Q.shape[1]
 
 
 def build_data_matrices(traj: TrajectoryData) -> DataMatrices:
@@ -148,10 +140,7 @@ def consistent_set(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> Co
     """
     U, sv, Vt, r = rank_revealing_svd(D.stacked(), cfg)
     particular = _split_ab((D.x_plus @ Vt[:r].T / sv[:r]) @ U[:, :r].T, D.n)
-    Q = U[:, r:]
-    return ConsistentSet(particular=particular,
-                         basis=NullBasis(Q=Q, d=Q.shape[1]),
-                         source=D)
+    return ConsistentSet(particular=particular, Q=U[:, r:])
 
 
 def sample_consistent(cs: ConsistentSet, W: np.ndarray,
@@ -166,8 +155,8 @@ def sample_consistent(cs: ConsistentSet, W: np.ndarray,
     n = cs.particular.n
     W = np.asarray(W, dtype=float)
     if W.ndim != 3:
-        W = W.reshape(n, cs.basis.d)
-    offset = _split_ab(W @ cs.basis.Q.T, n)
+        W = W.reshape(n, cs.d)
+    offset = _split_ab(W @ cs.Q.T, n)
     member = LtiSystem(A=cs.particular.A + offset.A, B=cs.particular.B + offset.B)
     if not require_stabilizable:
         return member
@@ -208,14 +197,6 @@ def input_rank_condition(D: DataMatrices, comp: RowCompression, rank_stacked: in
     return Branch.of(D, comp) is Branch.FULL_RANK or rank_stacked == comp.r + D.m
 
 
-def check_input_rank(D: DataMatrices, comp: RowCompression,
-                     cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    """``input_rank_condition`` where it applies: on rank-deficient state data."""
-    if comp.r >= D.n:
-        raise PreconditionError("input-rank condition applies only when rank X_minus < n")
-    return input_rank_condition(D, comp, numerical_rank(D.stacked(), cfg))
-
-
 def require_prior_conditions(D: DataMatrices, comp: RowCompression,
                              cfg: NumericalConfig = DEFAULT_CONFIG) -> None:
     """Raise PreconditionError when rank-deficient data fail either condition;
@@ -224,7 +205,7 @@ def require_prior_conditions(D: DataMatrices, comp: RowCompression,
         return
     if not check_image_inclusion(D, cfg):
         raise PreconditionError("image inclusion condition fails for this data")
-    if not check_input_rank(D, comp, cfg):
+    if not input_rank_condition(D, comp, numerical_rank(D.stacked(), cfg)):
         raise PreconditionError("input-rank condition fails for this data")
 
 

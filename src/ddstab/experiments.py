@@ -4,6 +4,7 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -97,6 +98,8 @@ class MonteCarloConfig:
             raise ValueError("scenarios must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if any(T < 1 for T in self.t_list):
+            raise ValueError("every T must be >= 1")
         if any(T > self.horizon for T in self.t_list):
             raise ValueError("every T must be <= horizon")
 
@@ -162,11 +165,6 @@ def _evaluate_scenario(mc: MonteCarloConfig, index: int,
     return verdicts, failures
 
 
-def _scenario_worker(args) -> tuple[list[ScenarioVerdict], int]:
-    mc, index, cfg = args
-    return _evaluate_scenario(mc, index, cfg)
-
-
 def run_monte_carlo(mc: MonteCarloConfig,
                     cfg: NumericalConfig = DEFAULT_CONFIG) -> MonteCarloResult:
     """Informativity rates over randomly excited runs of ``mc.system``.
@@ -175,22 +173,17 @@ def run_monte_carlo(mc: MonteCarloConfig,
     only change wall time, never the result (aggregation is ordered by
     scenario index).
     """
-    all_verdicts: list[ScenarioVerdict] = []
-    failures = 0
-    if mc.workers > 1:
+    jobs = (repeat(mc), range(mc.scenarios), repeat(cfg))
+    if mc.workers == 1:
+        outcomes = list(map(_evaluate_scenario, *jobs))
+    else:
         # spawn, not fork: forked children can inherit held BLAS locks
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=mc.workers, mp_context=ctx) as pool:
-            jobs = ((mc, i, cfg) for i in range(mc.scenarios))
-            for verdicts, fail in pool.map(_scenario_worker, jobs, chunksize=16):
-                all_verdicts.extend(verdicts)
-                failures += fail
-    else:
-        for i in range(mc.scenarios):
-            verdicts, fail = _evaluate_scenario(mc, i, cfg)
-            all_verdicts.extend(verdicts)
-            failures += fail
-    return MonteCarloResult(config=mc, verdicts=all_verdicts, solver_failures=failures)
+            outcomes = list(pool.map(_evaluate_scenario, *jobs, chunksize=16))
+    return MonteCarloResult(config=mc,
+                            verdicts=[v for verdicts, _ in outcomes for v in verdicts],
+                            solver_failures=sum(fail for _, fail in outcomes))
 
 
 # ---------------------------------------------------------------------------

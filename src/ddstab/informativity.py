@@ -13,8 +13,8 @@ tests) or via an LMI feasibility solve:
 
 Each condition has one owner: ``check_identification``,
 ``check_plain_stabilization``, and in ``data`` ``check_image_inclusion``,
-``check_input_rank`` and their guard ``require_prior_conditions``;
-``Branch.of`` names the branch; both reports take ``input_rank_condition``.
+``input_rank_condition`` and their guard ``require_prior_conditions``;
+``Branch.of`` names the branch.
 The report reads the image-inclusion residual off its row compression, at
 the rank cutoff the verdict uses. A solver breakdown raises SolverFailure.
 """

@@ -157,10 +157,7 @@ def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def is_controllable(A: np.ndarray, B: np.ndarray,
                     cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    n = np.atleast_2d(A).shape[0]
-    if n == 0:
-        return True
-    return numerical_rank(controllability_matrix(A, B), cfg) == n
+    return numerical_rank(controllability_matrix(A, B), cfg) == np.atleast_2d(A).shape[0]
 
 
 def is_stabilizable(A: np.ndarray, B: np.ndarray,

@@ -257,9 +257,10 @@ class CvxpyBackend:
         return _certified(problem.blocks, x_val)
 
 
+BACKENDS = {"builtin": BarrierBackend, "cvxpy": CvxpyBackend}
+
+
 def get_backend(name: str = "builtin"):
-    if name == "builtin":
-        return BarrierBackend()
-    if name == "cvxpy":
-        return CvxpyBackend()
-    raise ValueError(f"unknown backend {name!r} (want 'builtin' or 'cvxpy')")
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r} (want {' or '.join(map(repr, BACKENDS))})")
+    return BACKENDS[name]()

@@ -58,14 +58,6 @@ class LmiFeasibilityProblem:
         if self.diag_coeff.shape != self.offdiag_coeff.shape:
             raise ValueError("coefficient matrices must have equal shapes")
 
-    @property
-    def var_rows(self) -> int:
-        return self.diag_coeff.shape[1]
-
-    @property
-    def var_cols(self) -> int:
-        return self.diag_coeff.shape[0]
-
     def assemble_block(self, theta: np.ndarray) -> np.ndarray:
         G = self.diag_coeff @ theta
         H = self.offdiag_coeff @ theta
@@ -173,6 +165,11 @@ def solve_plain_lmi(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
                                            offdiag_coeff=D.x_plus), cfg, backend)
 
 
+def _gain(D: DataMatrices, L: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """U_minus Theta (L Theta)^{-1}, the gain on the coordinates of L."""
+    return np.linalg.solve((L @ theta).T, (D.u_minus @ theta).T).T
+
+
 def gain_from_plain(D: DataMatrices, sol: LmiSolution,
                     cfg: NumericalConfig = DEFAULT_CONFIG) -> FeedbackGain:
     """K = U_minus Theta (X_minus Theta)^{-1} from a feasible no-prior solve."""
@@ -181,8 +178,7 @@ def gain_from_plain(D: DataMatrices, sol: LmiSolution,
     G = D.x_minus @ sol.theta
     if np.linalg.eigvalsh(0.5 * (G + G.T)).min() <= 0.0:
         raise PreconditionError("X_minus @ Theta is not positive definite")
-    K = np.linalg.solve(G.T, (D.u_minus @ sol.theta).T).T
-    return FeedbackGain(K=K, provenance=GainProvenance.PLAIN)
+    return FeedbackGain(K=_gain(D, D.x_minus, sol.theta), provenance=GainProvenance.PLAIN)
 
 
 def solve_stab_lmi(D: DataMatrices, comp: RowCompression,
@@ -210,11 +206,7 @@ def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
     if not sol.feasible:
         raise PreconditionError("stabilizability-prior LMI is infeasible for this data")
     r, n, m = comp.r, D.n, D.m
-    if r == 0:
-        K1 = np.zeros((m, 0))
-    else:
-        G = comp.x_hat_minus @ sol.theta
-        K1 = np.linalg.solve(G.T, (D.u_minus @ sol.theta).T).T
+    K1 = _gain(D, comp.x_hat_minus, sol.theta)
     if k2_policy is None:
         K2, policy_name = np.zeros((m, n - r)), "zero"
     else:
@@ -244,8 +236,8 @@ def synthesize(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG, backend=N
 def problem_to_json(problem: LmiFeasibilityProblem) -> str:
     """Debug dump; floats use shortest round-trip decimal form."""
     payload = {
-        "var_rows": problem.var_rows,
-        "var_cols": problem.var_cols,
+        "var_rows": problem.diag_coeff.shape[1],
+        "var_cols": problem.diag_coeff.shape[0],
         "diag_coeff": problem.diag_coeff.tolist(),
         "offdiag_coeff": problem.offdiag_coeff.tolist(),
         "objective": "maximize slack t with assembled block >= t*I",

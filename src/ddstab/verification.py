@@ -272,7 +272,7 @@ def structural_nullity(cs: ConsistentSet, gain: FeedbackGain, system: LtiSystem,
     worst = np.zeros(c_norm.shape)
     n = cs.particular.n
     for j in range(cs.d):
-        q = cs.basis.Q[:, j]
+        q = cs.Q[:, j]
         row = q[:n] + q[n:] @ gain.K
         v = row @ C
         # v @ v per member: the dot product np.linalg.norm takes of one row

@@ -1,0 +1,80 @@
+"""The names the benchmark pins still resolve in the package.
+
+The benchmark under ``bench/`` records one span per public function, named
+``module.function``, and calls the package directly. It changes apart from
+the package, so this test reads its names (and never edits them): a
+refactor that would break the benchmark fails here first.
+"""
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+PSEUDO_SPANS = {"cli.import"}  # timed by the harness, not a function
+
+
+def _parse(relative: str) -> ast.Module:
+    return ast.parse((BENCH / relative).read_text(encoding="utf-8"))
+
+
+def _expected_calls() -> list[str]:
+    """Every span name in ``EXPECTED_CALLS`` of the benchmark's layer test."""
+    for node in _parse("tests/test_layers.py").body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "EXPECTED_CALLS"
+                for target in node.targets):
+            spans = ast.literal_eval(node.value)
+            return sorted({name for names in spans.values() for name in names}
+                          - PSEUDO_SPANS)
+    raise AssertionError("bench/tests/test_layers.py defines no EXPECTED_CALLS")
+
+
+def _bench_calls() -> list[tuple[str, str, int, tuple[str, ...]]]:
+    """(module, attribute, positional count, keywords) of each call the
+    benchmark makes on a module it imports with ``from ddstab import ...``."""
+    calls = set()
+    for relative in ("workloads.py", "run.py"):
+        tree = _parse(relative)
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "ddstab"
+                   for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id in modules:
+                assert not any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = [k.arg for k in node.keywords]
+                assert None not in keywords  # no ** unpacking to bind
+                calls.add((node.func.value.id, node.func.attr, len(node.args),
+                           tuple(sorted(keywords))))
+    return sorted(calls)
+
+
+def _defined_in(module, attr: str):
+    """The public attribute ``attr`` of ``module``, defined in that module."""
+    value = getattr(module, attr, None)
+    assert value is not None, f"{module.__name__} has no attribute {attr}"
+    assert not attr.startswith("_")
+    assert getattr(value, "__module__", None) == module.__name__, \
+        f"{module.__name__}.{attr} is defined in {getattr(value, '__module__', None)}"
+    return value
+
+
+@pytest.mark.parametrize("span", _expected_calls())
+def test_traced_span_names_a_public_function(span):
+    module_name, attr = span.split(".")
+    module = importlib.import_module(f"ddstab.{module_name}")
+    if span == "sdp.solve":  # the tracer wraps the solve method of each backend
+        assert all(inspect.isfunction(cls.solve) for cls in module.BACKENDS.values())
+    else:
+        assert inspect.isfunction(_defined_in(module, attr))
+
+
+@pytest.mark.parametrize("module_name,attr,positional,keywords", _bench_calls())
+def test_benchmark_call_fits_its_signature(module_name, attr, positional, keywords):
+    value = _defined_in(importlib.import_module(f"ddstab.{module_name}"), attr)
+    assert inspect.isfunction(value) or inspect.isclass(value)
+    inspect.signature(value).bind(*[None] * positional, **dict.fromkeys(keywords))

@@ -252,6 +252,15 @@ class TestMonteCarloCommand:
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_value", ["0", "-1", "-50"])
+    def test_t_below_one_is_an_error(self, tmp_path, capsys, t_value):
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--scenarios", "1", "--T-list", t_value, "3",
+                     "--out", str(out)]) == EXIT_FAILURE
+        assert capsys.readouterr().err == \
+            "error: invalid Monte Carlo settings: every T must be >= 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenarios", ["0", "-1"])
     def test_no_scenarios_is_an_error(self, tmp_path, capsys, scenarios):
         out = tmp_path / "mc"
@@ -403,7 +412,8 @@ class TestBadOptionValues:
 
     @pytest.mark.parametrize("payload", [
         {"samples": "many"}, {"samples": 2.5}, {"seed": "x"}, {"seed": 1e400}, {"scales": []},
-        {"scales": ["abc"]}, {"format": "xml"}, {"backend": 3}, {"psd_margin": "small"}])
+        {"scales": ["abc"]}, {"format": "xml"}, {"backend": 3}, {"psd_margin": "small"},
+        {"seed": True}, {"samples": [10]}, {"backend": ["builtin"]}])
     def test_config_file(self, example1_file, tmp_path, capsys, payload):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(payload))
@@ -411,6 +421,20 @@ class TestBadOptionValues:
                      "--out", str(tmp_path / "o")]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("error: invalid ") and "config file" in err
+
+    @pytest.mark.parametrize("payload", [
+        {"seed": 2**53 + 1}, {"seed": str(2**70 + 1)}, {"samples": 10.0}])
+    def test_integral_values(self, example1_file, gain_file, tmp_path, payload):
+        # a float cannot hold these seeds exactly; they are integers all the same
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        out = tmp_path / "ver"
+        assert main(["verify", example1_file, gain_file, "--config", str(cfg_path),
+                     "--out", str(out)]) == EXIT_OK
+        report = read_json(out / "verification.json")
+        assert report["seed"] == int(payload.get("seed", 3))
+        assert report["samples_tested"] + report["rejected_unstabilizable"] \
+            == 3 * payload.get("samples", 200)
 
     def test_valid_choice_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DDSTAB_FORMAT", "csv")

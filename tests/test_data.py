@@ -45,13 +45,13 @@ class TestConsistentSet:
         assert np.allclose(cs.particular.A, [[1.0, 0.0], [0.0, 0.0]], atol=1e-10)
         assert np.allclose(cs.particular.B, [[1.0], [0.0]], atol=1e-10)
         assert cs.d == 1
-        q = cs.basis.Q[:, 0]
+        q = cs.Q[:, 0]
         assert np.allclose(np.abs(q), [0.0, 1.0, 0.0], atol=1e-10)
 
     def test_example1_members_reproduce_family(self, cfg, example1):
         cs = consistent_set(example1, cfg)
         alpha, beta = 0.7, -0.3
-        sign = np.sign(cs.basis.Q[1, 0])
+        sign = np.sign(cs.Q[1, 0])
         member = sample_consistent(cs, sign * np.array([[alpha], [beta]]), False, cfg)
         assert np.allclose(member.A, [[1.0, alpha], [0.0, beta]], atol=1e-10)
         assert np.allclose(member.B, [[1.0], [0.0]], atol=1e-10)
@@ -104,7 +104,7 @@ class TestConsistentSet:
 
     def test_rejection_filter(self, cfg, example1):
         cs = consistent_set(example1, cfg)
-        sign = np.sign(cs.basis.Q[1, 0])
+        sign = np.sign(cs.Q[1, 0])
         accepted = sample_consistent(cs, sign * np.array([[0.5], [0.9]]), True, cfg)
         assert accepted is not None
         rejected = sample_consistent(cs, sign * np.array([[0.0], [2.0]]), True, cfg)
@@ -168,7 +168,7 @@ class TestStackedSampling:
         # the second coefficient sets the uncontrollable eigenvalue, here on
         # or outside the margin in every draw
         cs = consistent_set(example1, cfg)
-        sign = np.sign(cs.basis.Q[1, 0])
+        sign = np.sign(cs.Q[1, 0])
         W = sign * np.array([[[0.0], [2.0]], [[0.7], [-1.5]],
                              [[-3.0], [1.0 - cfg.schur_margin]]])
         assert len(self.check(cs, W, cfg).A) == 0

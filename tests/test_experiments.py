@@ -135,6 +135,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             self._config(t_list=(3, 200))
 
+    @pytest.mark.parametrize("t_list", [(0, 3), (-1, 3), (-50, 3)])
+    def test_t_below_one_rejected(self, t_list):
+        with pytest.raises(ValueError, match="every T must be >= 1"):
+            self._config(t_list=t_list)
+
     @pytest.mark.parametrize("scenarios", [0, -1])
     def test_no_scenarios_rejected(self, scenarios):
         with pytest.raises(ValueError, match="scenarios"):

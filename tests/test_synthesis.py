@@ -281,7 +281,7 @@ class TestCertificateIdentities:
         assert np.linalg.eigvalsh(0.5 * (decrease + decrease.T)).min() > 0.0
 
     def test_identities_on_random_rank_deficient_data(self, cfg):
-        from ddstab import check_image_inclusion, check_input_rank
+        from ddstab import check_image_inclusion, input_rank_condition, numerical_rank
         rng = np.random.default_rng(33)
         checked = 0
         while checked < 25:
@@ -289,7 +289,9 @@ class TestCertificateIdentities:
             comp = row_compress(ds.D.x_minus, ds.D.x_plus, cfg)
             if comp.r >= ds.D.n:
                 continue
-            if not (check_image_inclusion(ds.D, cfg) and check_input_rank(ds.D, comp, cfg)):
+            rank_stacked = numerical_rank(ds.D.stacked(), cfg)
+            if not (check_image_inclusion(ds.D, cfg)
+                    and input_rank_condition(ds.D, comp, rank_stacked)):
                 continue
             sol = solve_stab_lmi(ds.D, comp, cfg)
             if not sol.feasible:
@@ -345,8 +347,8 @@ class TestUniqueInputMatrixRecovery:
     def test_recovered_b_matches_generator(self, cfg):
         # on rank-deficient informative data every consistent system shares
         # one input matrix, so recovery must reproduce the generator's B
-        from ddstab import (check_image_inclusion, check_input_rank,
-                            recover_input_matrix)
+        from ddstab import (check_image_inclusion, input_rank_condition,
+                            numerical_rank, recover_input_matrix)
         rng = np.random.default_rng(37)
         checked = 0
         while checked < 20:
@@ -354,7 +356,9 @@ class TestUniqueInputMatrixRecovery:
             comp = row_compress(ds.D.x_minus, ds.D.x_plus, cfg)
             if comp.r >= ds.D.n:
                 continue
-            if not (check_image_inclusion(ds.D, cfg) and check_input_rank(ds.D, comp, cfg)):
+            rank_stacked = numerical_rank(ds.D.stacked(), cfg)
+            if not (check_image_inclusion(ds.D, cfg)
+                    and input_rank_condition(ds.D, comp, rank_stacked)):
                 continue
             B = recover_input_matrix(ds.D, comp, cfg)
             scale = max(1.0, np.abs(ds.true_system.B).max())

@@ -125,7 +125,7 @@ def per_member_nullity(cs, gain, system):
     n = cs.particular.n
     worst = 0.0
     for j in range(cs.d):
-        q = cs.basis.Q[:, j]
+        q = cs.Q[:, j]
         row = q[:n] + q[n:] @ gain.K
         worst = max(worst, float(np.linalg.norm(row @ C) / c_norm))
     return worst
