@@ -18,7 +18,7 @@ from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      matrix_exponential, numerical_rank, pinv, row_compress,
                      spectral_radius, subspace_contained)
 from .synthesis import (FeedbackGain, GainProvenance, LmiFeasibilityProblem,
-                        LmiSolution, SolveStatus, gain_from_plain, sdp_solve,
+                        LmiSolution, gain_from_plain, lmi_problem, sdp_solve,
                         solve_plain_lmi, solve_stab_lmi, synthesize,
                         synthesize_stab)
 from .verification import (LyapunovCertificate, VerificationReport,

@@ -30,8 +30,8 @@ from .experiments import (MonteCarloConfig, demo_example1, demo_example2,
 from .informativity import check_stabilizability_prior
 from .linalg import NumericalConfig, row_compress
 from .sdp import BACKENDS, get_backend
-from .synthesis import (FeedbackGain, GainProvenance, LmiFeasibilityProblem,
-                        problem_to_json, synthesize)
+from .synthesis import (FeedbackGain, GainProvenance, lmi_problem, problem_to_json,
+                        synthesize)
 from .verification import decomposition_check, structural_nullity, verify_gain
 
 EXIT_OK = 0
@@ -198,10 +198,7 @@ def cmd_synthesize(args) -> int:
     comp = row_compress(D.x_minus, D.x_plus, numcfg)
     branch = Branch.of(D, comp)
     if args.dump_problem:
-        full = branch is Branch.FULL_RANK
-        problem = LmiFeasibilityProblem(
-            diag_coeff=D.x_minus if full else comp.x_hat_minus,
-            offdiag_coeff=D.x_plus if full else comp.x_hat_plus)
+        problem = lmi_problem(D, None if branch is Branch.FULL_RANK else comp)
         _write(settings["out"], "problem.json", problem_to_json(problem))
     try:
         gain, sol, comp = synthesize(D, numcfg, backend, comp)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, PreconditionError
-from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression, is_stabilizable,
-                     numerical_rank, rank_revealing_svd, subspace_contained)
+from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression, numerical_rank,
+                     rank_revealing_svd, subspace_contained)
 
 
 @dataclass(frozen=True)
@@ -143,27 +143,19 @@ def consistent_set(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> Co
     return ConsistentSet(particular=particular, Q=U[:, r:])
 
 
-def sample_consistent(cs: ConsistentSet, W: np.ndarray,
-                      require_stabilizable: bool = False,
-                      cfg: NumericalConfig = DEFAULT_CONFIG) -> LtiSystem | None:
-    """Member particular + split(W @ Q^T); None when the stabilizability filter rejects.
+def sample_consistent(cs: ConsistentSet, W: np.ndarray) -> LtiSystem:
+    """Member particular + split(W @ Q^T), unfiltered.
 
     ``W`` of shape (N, n, d) gives one system of (N, n, n) and (N, n, m)
-    stacks, each member equal to its own draw's, in draw order; the filter
-    leaves out the members it rejects.
+    stacks, each member equal to its own draw's, in draw order; a caller
+    that needs stabilizable members tests the stacks with ``is_stabilizable``.
     """
     n = cs.particular.n
     W = np.asarray(W, dtype=float)
     if W.ndim != 3:
         W = W.reshape(n, cs.d)
     offset = _split_ab(W @ cs.Q.T, n)
-    member = LtiSystem(A=cs.particular.A + offset.A, B=cs.particular.B + offset.B)
-    if not require_stabilizable:
-        return member
-    keep = is_stabilizable(member.A, member.B, cfg)
-    if W.ndim == 3:
-        return LtiSystem(A=member.A[keep], B=member.B[keep])
-    return member if keep else None
+    return LtiSystem(A=cs.particular.A + offset.A, B=cs.particular.B + offset.B)
 
 
 def consistency_residual(D: DataMatrices, system: LtiSystem) -> float:
@@ -299,13 +291,16 @@ def trajectory_from_csv(text: str) -> TrajectoryData:
         raise DataFormatError("empty CSV")
     header = rows[0]
     m = sum(1 for c in header if c.startswith("u_"))
-    n = sum(1 for c in header if c.startswith("x_"))
-    if m == 0 or n == 0 or header[:1] != ["t"] or len(header) != 1 + m + n:
+    n = len(header) - 1 - m
+    if m == 0 or n < 1 or header != (["t"] + [f"u_{j + 1}" for j in range(m)]
+                                     + [f"x_{j + 1}" for j in range(n)]):
         raise DataFormatError(f"header must be t,u_1..u_m,x_1..x_n, got {header!r}")
     inputs, states = [], []
     for i, row in enumerate(rows[1:]):
         if len(row) != len(header):
             raise DataFormatError(f"row {i + 1}: expected {len(header)} cells, got {len(row)}")
+        if row[0].strip() != str(i):
+            raise DataFormatError(f"row {i + 1}: t must read {i}, got {row[0]!r}")
         u_cells, x_cells = row[1:1 + m], row[1 + m:]
         try:
             states.append([float(v) for v in x_cells])

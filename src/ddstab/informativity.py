@@ -128,7 +128,7 @@ def necessary_conditions_report(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
     rng = np.random.default_rng(seed)
     members = [cs.particular]
     for _ in range(n_samples):
-        member = sample_consistent(cs, rng.normal(size=(D.n, cs.d)), False, cfg)
+        member = sample_consistent(cs, rng.normal(size=(D.n, cs.d)))
         members.append(member)
     invariance = [bool(subspace_contained(mem.A @ D.x_minus, D.x_minus, cfg))
                   for mem in members]

@@ -22,18 +22,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import Branch, DataMatrices, require_prior_conditions
 from .errors import PreconditionError
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      numerical_rank, pinv, rank_revealing_svd, row_compress)
 from .sdp import AffineLmiFeasibility, BarrierBackend
-
-
-class SolveStatus(enum.Enum):
-    FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
 
 
 class GainProvenance(enum.Enum):
@@ -70,13 +64,14 @@ class LmiFeasibilityProblem:
 
 @dataclass(frozen=True)
 class LmiSolution:
+    """Feasible iff ``theta`` holds a witness (the (T, 0) one when k = 0)."""
+
     theta: np.ndarray | None
     slack: float
-    status: SolveStatus
 
     @property
     def feasible(self) -> bool:
-        return self.status is SolveStatus.FEASIBLE
+        return self.theta is not None
 
 
 @dataclass(frozen=True)
@@ -87,12 +82,11 @@ class FeedbackGain:
     k2_policy: str | None = None
 
 
-def _symmetry_nullspace(QG: np.ndarray, k: int, rho: int) -> np.ndarray:
-    """Orthonormal basis of {Z in R^(rho x k) : QG @ Z symmetric}, row-major vec."""
-    n_constraints = k * (k - 1) // 2
-    if n_constraints == 0:
-        return np.eye(rho * k)
-    C = np.zeros((n_constraints, rho * k))
+def _symmetry_nullspace(QG: np.ndarray, k: int, rho: int,
+                        cfg: NumericalConfig) -> np.ndarray:
+    """Orthonormal basis of {Z in R^(rho x k) : QG @ Z symmetric}, row-major vec,
+    from the SVD of the constraints at the shared cutoff (the identity if k = 1)."""
+    C = np.zeros((k * (k - 1) // 2, rho * k))
     row = 0
     for i in range(k):
         for j in range(i + 1, k):
@@ -100,7 +94,8 @@ def _symmetry_nullspace(QG: np.ndarray, k: int, rho: int) -> np.ndarray:
                 C[row, a * k + j] += QG[i, a]
                 C[row, a * k + i] -= QG[j, a]
             row += 1
-    return scipy.linalg.null_space(C)
+    _, _, Vt, r = rank_revealing_svd(C, cfg)
+    return Vt[r:].T.copy()  # C order: the transposed view rounds N @ x differently
 
 
 def sdp_solve(problem: LmiFeasibilityProblem,
@@ -120,15 +115,15 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     L, P = problem.diag_coeff, problem.offdiag_coeff
     k, T = L.shape
     if k == 0:
-        return LmiSolution(theta=np.zeros((T, 0)), slack=np.inf, status=SolveStatus.FEASIBLE)
+        return LmiSolution(theta=np.zeros((T, 0)), slack=np.inf)
     V = np.vstack([L, P])
     U, sv, Vt, rho = rank_revealing_svd(V, cfg)
     Qv = U[:, :rho]
     QG, QH = Qv[:k, :], Qv[k:, :]
-    N = _symmetry_nullspace(QG, k, rho)
+    N = _symmetry_nullspace(QG, k, rho, cfg)
     d = N.shape[1]
     if d == 0:
-        return LmiSolution(theta=None, slack=0.0, status=SolveStatus.INFEASIBLE)
+        return LmiSolution(theta=None, slack=0.0)
     # coefficient i is the block at Theta-image Z_i = N[:, i] as a rho x k matrix
     Zs = N.T.reshape(d, rho, k)
     G, H = QG @ Zs, QH @ Zs
@@ -141,15 +136,21 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     result = backend.solve(AffineLmiFeasibility(
         dim=d, blocks=((np.zeros((2 * k, 2 * k)), coeffs),)))
     if result.t < cfg.psd_margin:
-        return LmiSolution(theta=None, slack=max(result.t, 0.0),
-                           status=SolveStatus.INFEASIBLE)
+        return LmiSolution(theta=None, slack=max(result.t, 0.0))
     Z = (N @ result.x).reshape(rho, k)
     theta = Vt[:rho].T @ (Z / sv[:rho, None])  # pinv(V) @ Qv @ Z
     # squeeze out the round-off so L @ theta is symmetric to working precision
     G = L @ theta
     theta = theta - pinv(L, cfg) @ (0.5 * (G - G.T))
     theta = theta / result.t
-    return LmiSolution(theta=theta, slack=result.t, status=SolveStatus.FEASIBLE)
+    return LmiSolution(theta=theta, slack=result.t)
+
+
+def lmi_problem(D: DataMatrices, comp: RowCompression | None = None) -> LmiFeasibilityProblem:
+    """The LMI ``solve_plain_lmi`` solves, or given ``comp`` the one ``solve_stab_lmi`` solves."""
+    if comp is None:
+        return LmiFeasibilityProblem(diag_coeff=D.x_minus, offdiag_coeff=D.x_plus)
+    return LmiFeasibilityProblem(diag_coeff=comp.x_hat_minus, offdiag_coeff=comp.x_hat_plus)
 
 
 def solve_plain_lmi(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
@@ -160,9 +161,8 @@ def solve_plain_lmi(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
     never be positive definite; that case short-circuits to Infeasible.
     """
     if numerical_rank(D.x_minus, cfg) < D.n:
-        return LmiSolution(theta=None, slack=0.0, status=SolveStatus.INFEASIBLE)
-    return sdp_solve(LmiFeasibilityProblem(diag_coeff=D.x_minus,
-                                           offdiag_coeff=D.x_plus), cfg, backend)
+        return LmiSolution(theta=None, slack=0.0)
+    return sdp_solve(lmi_problem(D), cfg, backend)
 
 
 def _gain(D: DataMatrices, L: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -185,8 +185,7 @@ def solve_stab_lmi(D: DataMatrices, comp: RowCompression,
                    cfg: NumericalConfig = DEFAULT_CONFIG,
                    backend=None) -> LmiSolution:
     """Feasibility of the compressed LMI on (x_hat_minus, x_hat_plus), k = r."""
-    return sdp_solve(LmiFeasibilityProblem(diag_coeff=comp.x_hat_minus,
-                                           offdiag_coeff=comp.x_hat_plus), cfg, backend)
+    return sdp_solve(lmi_problem(D, comp), cfg, backend)
 
 
 def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
@@ -243,10 +242,3 @@ def problem_to_json(problem: LmiFeasibilityProblem) -> str:
         "objective": "maximize slack t with assembled block >= t*I",
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def problem_from_json(text: str) -> LmiFeasibilityProblem:
-    payload = json.loads(text)
-    return LmiFeasibilityProblem(
-        diag_coeff=np.array(payload["diag_coeff"], dtype=float),
-        offdiag_coeff=np.array(payload["offdiag_coeff"], dtype=float))

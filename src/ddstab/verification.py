@@ -222,7 +222,7 @@ def verify_gain(cs: ConsistentSet, gain: FeedbackGain, n_samples: int = 200,
     # a draw that overflows raises below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         for W in _draws(cs.particular.n, cs.d, scales, n_samples, seed):
-            stack = sample_consistent(cs, W, cfg=cfg)
+            stack = sample_consistent(cs, W)
             finite = (np.isfinite(stack.A).all(axis=(1, 2))
                       & np.isfinite(stack.B).all(axis=(1, 2)))
             if not finite.all():

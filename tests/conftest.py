@@ -174,3 +174,15 @@ THREE_TANK_THETA_REF = np.array([
     [49.2034, 20.4120],
     [36.0139, -68.9591],
 ])
+
+
+# CSV trajectory files whose header or time column the reader must refuse:
+# each is example1 (or, for the inputs, a two-input scalar run) with its
+# columns swapped, misnamed or permuted, or its rows out of time order
+MISREAD_CSV = {
+    "states_swapped": "t,u_1,x_2,x_1\n0,1.0,1.0,0.0\n1,2.0,2.0,0.0\n2,-1.0,4.0,0.0\n3,,3.0,0.0\n",
+    "state_misnamed": "t,u_1,x_1,x_3\n0,1.0,1.0,0.0\n1,2.0,2.0,0.0\n2,-1.0,4.0,0.0\n3,,3.0,0.0\n",
+    "inputs_permuted": ("t,u_2,u_1,x_1\n0,1.0,0.0,1.0\n1,0.0,1.0,0.5\n2,1.0,1.0,2.0\n"
+                        "3,-1.0,0.5,1.0\n4,,,0.3\n"),
+    "time_out_of_order": "t,u_1,x_1,x_2\n2,1.0,1.0,0.0\n0,2.0,2.0,0.0\n1,-1.0,4.0,0.0\n3,,3.0,0.0\n",
+}

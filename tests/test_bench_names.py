@@ -2,15 +2,24 @@
 
 The benchmark under ``bench/`` records one span per public function, named
 ``module.function``, and calls the package directly. It changes apart from
-the package, so this test reads its names (and never edits them): a
-refactor that would break the benchmark fails here first.
+the package, so this test reads its names (and never edits them), and runs
+the tracer's per-span extras on what the package hands them: a refactor
+that would break the benchmark fails here first.
 """
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ddstab.data import build_data_matrices, consistent_set, sample_consistent
+from ddstab.experiments import example1_trajectory
+from ddstab.sdp import BarrierBackend
+from ddstab.synthesis import LmiFeasibilityProblem, sdp_solve
+from ddstab.verification import common_lyapunov
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 PSEUDO_SPANS = {"cli.import"}  # timed by the harness, not a function
@@ -78,3 +87,44 @@ def test_benchmark_call_fits_its_signature(module_name, attr, positional, keywor
     value = _defined_in(importlib.import_module(f"ddstab.{module_name}"), attr)
     assert inspect.isfunction(value) or inspect.isclass(value)
     inspect.signature(value).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def _load_tracer():
+    """``bench/tracer.py`` as a module of its own, read without installing it."""
+    spec = importlib.util.spec_from_file_location("_bench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _Recording(BarrierBackend):
+    """Solves as the built-in backend does and keeps each (args, result)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def solve(self, problem):
+        result = super().solve(problem)
+        self.calls.append(((self, problem), result))
+        return result
+
+
+def test_tracer_extras_read_what_the_package_hands_them():
+    """The tracer's per-span extras unpack the problem a backend is handed and
+    the result of ``sample_consistent``; a change to either fails here."""
+    extras = _load_tracer().EXTRAS
+    backend = _Recording()
+    L = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.2]])
+    sdp_solve(LmiFeasibilityProblem(diag_coeff=L, offdiag_coeff=0.5 * L), backend=backend)
+    common_lyapunov([0.5 * np.eye(2), np.array([[0.3, 0.1], [0.0, 0.4]])], backend=backend)
+    sizes = []
+    for args, result in backend.calls:
+        extra = extras["sdp.solve"](args, result)
+        assert (extra["d"], extra["t"]) == (args[1].dim, float(result.t))
+        sizes.append(extra["s"])
+    assert sizes == [4, 2]  # the 2k-order LMI block, then the n-order Lyapunov blocks
+
+    cs = consistent_set(build_data_matrices(example1_trajectory()))
+    W = np.zeros((3, cs.particular.n, cs.d))
+    assert extras["data.sample_consistent"]((cs, W), sample_consistent(cs, W)) \
+        == {"rejected": False}

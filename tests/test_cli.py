@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from ddstab import LtiSystem, simulate
+from ddstab import LtiSystem, simulate, synthesis
 from ddstab.cli import EXIT_FAILURE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, _dump_json, main
 from ddstab.data import trajectory_to_csv, trajectory_to_json
 from ddstab.experiments import example1_trajectory
+
+from conftest import MISREAD_CSV
 
 
 @pytest.fixture
@@ -42,6 +44,14 @@ class TestInformativityCommand:
         path.write_text(trajectory_to_csv(example1_trajectory()))
         out = str(tmp_path / "rep")
         assert main(["informativity", str(path), "--out", out]) == EXIT_OK
+
+    @pytest.mark.parametrize("name", sorted(MISREAD_CSV))
+    def test_misread_csv_is_an_error(self, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(MISREAD_CSV[name])
+        assert main(["informativity", str(path), "--out", str(tmp_path / "o")]) \
+            == EXIT_FAILURE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_negative_verdict(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -225,6 +235,29 @@ class TestSynthesizeAndVerify:
         dumped = read_json(os.path.join(out, "problem.json"))
         assert dumped["var_cols"] == 1
         assert dumped["var_rows"] == 3
+
+    @pytest.mark.parametrize("system", [
+        LtiSystem(A=[[1.2, 0.3], [0.1, 0.8]], B=[[1.0], [0.5]]),
+        LtiSystem(A=[[1.0, 0.0], [0.0, 2.0]], B=[[1.0], [0.0]])],
+        ids=["full_rank", "rank_deficient"])
+    def test_dump_problem_is_the_solved_problem(self, tmp_path, monkeypatch, system):
+        handed = []
+
+        def recording(problem, *args, **kwargs):
+            handed.append(problem)
+            return solve(problem, *args, **kwargs)
+
+        solve = synthesis.sdp_solve
+        monkeypatch.setattr(synthesis, "sdp_solve", recording)
+        path = tmp_path / "data.json"
+        path.write_text(trajectory_to_json(simulate(
+            system, np.array([1.0, 0.0]), np.array([[1.0], [-2.0], [0.5], [1.5]]))))
+        out = str(tmp_path / "syn")
+        assert main(["synthesize", str(path), "--out", out, "--dump-problem"]) == EXIT_OK
+        (problem,) = handed
+        dumped = read_json(os.path.join(out, "problem.json"))
+        assert dumped["diag_coeff"] == problem.diag_coeff.tolist()
+        assert dumped["offdiag_coeff"] == problem.offdiag_coeff.tolist()
 
     def test_cvxpy_backend_option(self, example1_file, tmp_path):
         pytest.importorskip("cvxpy")

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from ddstab import (DataFormatError, LtiSystem, PreconditionError, TrajectoryData,
-                    build_data_matrices, consistent_set, numerical_rank,
+                    build_data_matrices, consistent_set, is_stabilizable, numerical_rank,
                     reachable_part, recover_input_matrix, row_compress,
                     sample_consistent, simulate)
 from ddstab.data import (consistency_residual, load_trajectory, trajectory_from_csv,
                          trajectory_from_json, trajectory_to_csv, trajectory_to_json)
 
-from conftest import (THREE_TANK_TRAJ_REF, THREE_TANK_U, example1_matrices,
+from conftest import (MISREAD_CSV, THREE_TANK_TRAJ_REF, THREE_TANK_U, example1_matrices,
                       random_dataset)
 
 
@@ -52,7 +52,7 @@ class TestConsistentSet:
         cs = consistent_set(example1, cfg)
         alpha, beta = 0.7, -0.3
         sign = np.sign(cs.Q[1, 0])
-        member = sample_consistent(cs, sign * np.array([[alpha], [beta]]), False, cfg)
+        member = sample_consistent(cs, sign * np.array([[alpha], [beta]]))
         assert np.allclose(member.A, [[1.0, alpha], [0.0, beta]], atol=1e-10)
         assert np.allclose(member.B, [[1.0], [0.0]], atol=1e-10)
 
@@ -67,7 +67,7 @@ class TestConsistentSet:
         assert np.abs(cs.particular.A - system.A).max() <= 1e-8
         assert np.abs(cs.particular.B - system.B).max() <= 1e-8
         # with no free directions, every sample is the particular solution
-        member = sample_consistent(cs, np.zeros((2, 0)), False, cfg)
+        member = sample_consistent(cs, np.zeros((2, 0)))
         assert np.array_equal(member.A, cs.particular.A)
         assert np.array_equal(member.B, cs.particular.B)
 
@@ -93,22 +93,14 @@ class TestConsistentSet:
             cs = consistent_set(ds.D, cfg)
             for scale in (0.1, 1.0, 10.0):
                 W = scale * rng.normal(size=(ds.D.n, cs.d))
-                member = sample_consistent(cs, W, False, cfg)
+                member = sample_consistent(cs, W)
                 assert consistency_residual(ds.D, member) <= cfg.equality_tol
 
     def test_zero_w_returns_particular(self, cfg, example1):
         cs = consistent_set(example1, cfg)
-        member = sample_consistent(cs, np.zeros((2, 1)), False, cfg)
+        member = sample_consistent(cs, np.zeros((2, 1)))
         assert np.allclose(member.A, cs.particular.A)
         assert np.allclose(member.B, cs.particular.B)
-
-    def test_rejection_filter(self, cfg, example1):
-        cs = consistent_set(example1, cfg)
-        sign = np.sign(cs.Q[1, 0])
-        accepted = sample_consistent(cs, sign * np.array([[0.5], [0.9]]), True, cfg)
-        assert accepted is not None
-        rejected = sample_consistent(cs, sign * np.array([[0.0], [2.0]]), True, cfg)
-        assert rejected is None
 
 
 def _bits(x) -> bytes:
@@ -121,16 +113,17 @@ class TestStackedSampling:
     @staticmethod
     def check(cs, W, cfg):
         n, m = cs.particular.n, cs.particular.m
-        stack = sample_consistent(cs, W, False, cfg)
+        stack = sample_consistent(cs, W)
         assert stack.A.shape == (len(W), n, n) and stack.B.shape == (len(W), n, m)
         assert (stack.n, stack.m) == (n, m)
         for i, w in enumerate(W):
-            single = sample_consistent(cs, w, False, cfg)
+            single = sample_consistent(cs, w)
             assert _bits(stack.A[i]) == _bits(single.A)
             assert _bits(stack.B[i]) == _bits(single.B)
-        kept = sample_consistent(cs, W, True, cfg)
-        survivors = [s for s in (sample_consistent(cs, w, True, cfg) for w in W)
-                     if s is not None]
+        keep = is_stabilizable(stack.A, stack.B, cfg)
+        kept = LtiSystem(A=stack.A[keep], B=stack.B[keep])
+        survivors = [s for s in (sample_consistent(cs, w) for w in W)
+                     if is_stabilizable(s.A, s.B, cfg)]
         assert kept.A.shape == (len(survivors), n, n)
         assert kept.B.shape == (len(survivors), n, m)
         for a, b, single in zip(kept.A, kept.B, survivors):
@@ -266,6 +259,11 @@ class TestTrajectoryFiles:
         text = "t,u_1,x_1\n0,1.0,1.0\n1,,x\n"
         with pytest.raises(DataFormatError, match="row 2"):
             trajectory_from_csv(text)
+
+    @pytest.mark.parametrize("name", sorted(MISREAD_CSV))
+    def test_csv_header_and_time_must_be_exact(self, name):
+        with pytest.raises(DataFormatError, match="header must be|t must read"):
+            trajectory_from_csv(MISREAD_CSV[name])
 
     @pytest.mark.parametrize("text", ["5", "null", "[1, 2]"])
     def test_json_top_level_not_an_object(self, text):

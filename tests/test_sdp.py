@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from ddstab import (NumericalConfig, SolverFailure, check_stabilizability_prior,
-                    sdp, solve_plain_lmi, solve_stab_lmi)
+                    row_compress, sdp, solve_plain_lmi, solve_stab_lmi)
 from ddstab.linalg import rank_revealing_svd
 from ddstab.sdp import (AffineLmiFeasibility, BarrierBackend, BackendResult,
                         CvxpyBackend, get_backend)
@@ -146,7 +146,7 @@ def _reference_coefficients(problem, cfg):
     k = L.shape[0]
     U, _, _, rho = rank_revealing_svd(np.vstack([L, P]), cfg)
     QG, QH = U[:k, :rho], U[k:, :rho]
-    N = _symmetry_nullspace(QG, k, rho)
+    N = _symmetry_nullspace(QG, k, rho, cfg)
     d = N.shape[1]
     coeffs = np.zeros((d, 2 * k, 2 * k))
     for i in range(d):
@@ -292,6 +292,71 @@ class TestCoefficientOracle:
             d = _reference_coefficients(problem, cfg).shape[0]
             shapes.update({("k", k), ("rho", rho), ("d", d)})
         assert {("k", 1), ("rho", 1), ("d", 1)} <= shapes
+
+
+def _reference_nullspace(QG, k, rho):
+    """scipy's null space of the symmetry constraints, at scipy's own cutoff."""
+    C = np.zeros((k * (k - 1) // 2, rho * k))
+    row = 0
+    for i in range(k):
+        for j in range(i + 1, k):
+            for a in range(rho):
+                C[row, a * k + j] += QG[i, a]
+                C[row, a * k + i] -= QG[j, a]
+            row += 1
+    return scipy.linalg.null_space(C)
+
+
+def _suite_problems(cfg):
+    """Every problem ``solve_plain_lmi`` and ``solve_stab_lmi`` hand ``sdp_solve``
+    on the acceptance suites' datasets: the plain LMI where X_minus has rank n,
+    the compressed one where 0 < r < n.
+
+    The plain LMI of rank-deficient data is left out: the rank test decides it
+    without a solve, and on 3 of those 490 problems scipy's cutoff
+    (eps * max(shape) * sigma_max) keeps a singular value that the shared one
+    discards.
+    """
+    for seed in (101, 102, 103):
+        rng = np.random.default_rng(seed)
+        for _ in range(500):
+            D = random_dataset(rng).D
+            comp = row_compress(D.x_minus, D.x_plus, cfg)
+            if comp.r == D.n:
+                yield LmiFeasibilityProblem(diag_coeff=D.x_minus, offdiag_coeff=D.x_plus)
+            elif comp.r > 0:
+                yield LmiFeasibilityProblem(diag_coeff=comp.x_hat_minus,
+                                            offdiag_coeff=comp.x_hat_plus)
+
+
+class TestSymmetryNullspaceOracle:
+    """The null space read off the shared rank cutoff equals scipy's
+    ``null_space`` bit for bit, and so does the Theta-image ``N @ x``."""
+
+    @staticmethod
+    def check(problem, cfg, rng):
+        k = problem.diag_coeff.shape[0]
+        U, _, _, rho = rank_revealing_svd(np.vstack([problem.diag_coeff,
+                                                     problem.offdiag_coeff]), cfg)
+        QG = U[:k, :rho]
+        N = _symmetry_nullspace(QG, k, rho, cfg)
+        reference = _reference_nullspace(QG, k, rho)
+        assert N.shape == reference.shape
+        assert N.tobytes() == reference.tobytes()
+        x = rng.normal(size=N.shape[1])
+        assert (N @ x).tobytes() == (reference @ x).tobytes()
+
+    def test_coefficient_problems(self, cfg):
+        rng = np.random.default_rng(36)
+        for problem in _coefficient_problems().values():
+            self.check(problem, cfg, rng)
+
+    def test_suite_datasets(self, cfg):
+        problems = list(_suite_problems(cfg))
+        assert len(problems) > 1000
+        rng = np.random.default_rng(37)
+        for problem in problems:
+            self.check(problem, cfg, rng)
 
 
 class TestKernelCounters:

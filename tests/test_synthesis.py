@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,7 @@ from ddstab import (GainProvenance, LtiSystem, NumericalConfig, PreconditionErro
                     row_compress)
 from ddstab.data import Branch
 from ddstab.linalg import RowCompression
-from ddstab.synthesis import (LmiFeasibilityProblem, SolveStatus, problem_from_json,
-                              problem_to_json)
+from ddstab.synthesis import LmiFeasibilityProblem, problem_to_json
 
 from conftest import random_dataset, scalar_full_rank, three_tank_compressed
 
@@ -26,7 +27,7 @@ class TestSdpSolve:
         problem = LmiFeasibilityProblem(diag_coeff=np.array([[1.0, 0.0, 0.0]]),
                                         offdiag_coeff=np.array([[0.0, 0.0, 0.0]]))
         sol = sdp_solve(problem, cfg)
-        assert sol.status is SolveStatus.FEASIBLE
+        assert sol.feasible
         theta = sol.theta
         block = problem.assemble_block(theta)
         assert np.linalg.eigvalsh(block).min() >= cfg.psd_margin
@@ -40,7 +41,7 @@ class TestSdpSolve:
         assert np.allclose(block, [[4.0, 3.0], [3.0, 4.0]])
         assert np.allclose(sorted(np.linalg.eigvalsh(block)), [1.0, 7.0])
         sol = sdp_solve(problem, cfg)
-        assert sol.status is SolveStatus.FEASIBLE
+        assert sol.feasible
         assert np.linalg.eigvalsh(problem.assemble_block(sol.theta)).min() >= cfg.psd_margin
 
     def test_scalar_infeasible(self, cfg):
@@ -48,14 +49,14 @@ class TestSdpSolve:
         problem = LmiFeasibilityProblem(diag_coeff=np.array([[1.0]]),
                                         offdiag_coeff=np.array([[2.0]]))
         sol = sdp_solve(problem, cfg)
-        assert sol.status is SolveStatus.INFEASIBLE
+        assert not sol.feasible
         assert sol.theta is None
 
     def test_empty_variable(self, cfg):
         problem = LmiFeasibilityProblem(diag_coeff=np.zeros((0, 4)),
                                         offdiag_coeff=np.zeros((0, 4)))
         sol = sdp_solve(problem, cfg)
-        assert sol.status is SolveStatus.FEASIBLE
+        assert sol.feasible
         assert sol.theta.shape == (4, 0)
 
     def test_scale_invariance_of_slack(self, cfg):
@@ -73,27 +74,27 @@ class TestSdpSolve:
             problem = LmiFeasibilityProblem(diag_coeff=L, offdiag_coeff=P)
             loose = sdp_solve(problem, NumericalConfig(psd_margin=1e-7))
             tight = sdp_solve(problem, NumericalConfig(psd_margin=1e-9))
-            if loose.status is SolveStatus.FEASIBLE:
-                assert tight.status is SolveStatus.FEASIBLE
+            if loose.feasible:
+                assert tight.feasible
 
 
 class TestPlainLmi:
     def test_example1_infeasible(self, cfg, example1):
         sol = solve_plain_lmi(example1, cfg)
-        assert sol.status is SolveStatus.INFEASIBLE
+        assert not sol.feasible
 
     def test_three_tank_infeasible(self, cfg):
         from ddstab.experiments import (THREE_TANK_INPUTS, THREE_TANK_X0,
                                         three_tank_model, zoh_discretize)
         system = zoh_discretize(three_tank_model())
         D = build_data_matrices(simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS))
-        assert solve_plain_lmi(D, cfg).status is SolveStatus.INFEASIBLE
+        assert not solve_plain_lmi(D, cfg).feasible
 
     def test_scalar_feasible_and_gain(self, cfg):
         D = build_data_matrices(simulate(LtiSystem(A=[[0.5]], B=[[1.0]]),
                                          np.array([1.0]), np.array([[0.0]])))
         sol = solve_plain_lmi(D, cfg)
-        assert sol.status is SolveStatus.FEASIBLE
+        assert sol.feasible
         gain = gain_from_plain(D, sol, cfg)
         assert gain.K == pytest.approx(np.zeros((1, 1)))
         assert spectral_radius(np.array([[0.5]]) + np.array([[1.0]]) @ gain.K) == 0.5
@@ -103,8 +104,8 @@ class TestPlainLmi:
         # solver run on the raw coefficient matrices
         raw = sdp_solve(LmiFeasibilityProblem(diag_coeff=example1.x_minus,
                                               offdiag_coeff=example1.x_plus), cfg)
-        assert raw.status is SolveStatus.INFEASIBLE
-        assert solve_plain_lmi(example1, cfg).status is SolveStatus.INFEASIBLE
+        assert not raw.feasible
+        assert not solve_plain_lmi(example1, cfg).feasible
 
     def test_gain_needs_feasible_solution(self, cfg, example1):
         sol = solve_plain_lmi(example1, cfg)
@@ -118,7 +119,7 @@ class TestPlainLmi:
         D = build_data_matrices(simulate(system, rng.normal(size=2),
                                          rng.normal(size=(6, 1))))
         sol = solve_plain_lmi(D, cfg)
-        assert sol.status is SolveStatus.FEASIBLE
+        assert sol.feasible
         gain = gain_from_plain(D, sol, cfg)
         assert spectral_radius(system.A + system.B @ gain.K) < 1.0 - cfg.schur_margin
 
@@ -127,7 +128,7 @@ class TestStabLmi:
     def test_example1_feasible(self, cfg, example1):
         comp = identity_compression_example1()
         sol = solve_stab_lmi(example1, comp, cfg)
-        assert sol.status is SolveStatus.FEASIBLE
+        assert sol.feasible
 
     def test_example1_hand_theta_contract(self, cfg, example1):
         # with Theta = e3 the gain contract gives K1 = -1/4
@@ -370,9 +371,9 @@ def test_problem_json_round_trip():
     rng = np.random.default_rng(35)
     problem = LmiFeasibilityProblem(diag_coeff=rng.normal(size=(2, 5)),
                                     offdiag_coeff=rng.normal(size=(2, 5)))
-    back = problem_from_json(problem_to_json(problem))
-    assert np.array_equal(back.diag_coeff, problem.diag_coeff)
-    assert np.array_equal(back.offdiag_coeff, problem.offdiag_coeff)
+    back = json.loads(problem_to_json(problem))
+    assert np.array_equal(np.array(back["diag_coeff"]), problem.diag_coeff)
+    assert np.array_equal(np.array(back["offdiag_coeff"]), problem.offdiag_coeff)
 
 
 class TestSynthesize:

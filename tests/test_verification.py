@@ -7,7 +7,7 @@ from ddstab import (LtiSystem, PreconditionError, TrajectoryData,
                     simulate, spectral_radius, structural_nullity, verify_gain)
 from ddstab import verification
 from ddstab.data import sample_consistent
-from ddstab.linalg import RowCompression
+from ddstab.linalg import RowCompression, is_stabilizable
 from ddstab.synthesis import FeedbackGain, GainProvenance
 from ddstab.verification import VerificationReport
 
@@ -142,8 +142,8 @@ def per_draw_verify(cs, gain, n_samples, scales, seed, cfg):
         for i_draw in range(n_samples):
             rng = np.random.default_rng((seed, i_scale, i_draw))
             W = scale * rng.normal(size=(n, d))
-            member = sample_consistent(cs, W, filter_stabilizable, cfg)
-            if member is None:
+            member = sample_consistent(cs, W)
+            if filter_stabilizable and not is_stabilizable(member.A, member.B, cfg):
                 rejected += 1
                 continue
             tested += 1
@@ -168,7 +168,9 @@ def per_draw_members(cs, gain, n_samples, scales, seed, cfg):
         for i_draw in range(n_samples):
             rng = np.random.default_rng((seed, i_scale, i_draw))
             W = scale * rng.normal(size=(n, d))
-            yield sample_consistent(cs, W, filter_stabilizable, cfg)
+            member = sample_consistent(cs, W)
+            keep = not filter_stabilizable or is_stabilizable(member.A, member.B, cfg)
+            yield member if keep else None
 
 
 def bits(x) -> bytes:
