@@ -1,8 +1,6 @@
 """Simulation, the three-tank benchmark, demo scenarios, and the Monte Carlo study."""
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -102,6 +100,8 @@ class MonteCarloConfig:
             raise ValueError("every T must be >= 1")
         if any(T > self.horizon for T in self.t_list):
             raise ValueError("every T must be <= horizon")
+        if len(set(self.t_list)) != len(self.t_list):
+            raise ValueError("every T must appear once")
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,9 @@ def run_monte_carlo(mc: MonteCarloConfig,
     if mc.workers == 1:
         outcomes = list(map(_evaluate_scenario, *jobs))
     else:
+        # imported here: a serial run never loads the process pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         # spawn, not fork: forked children can inherit held BLAS locks
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=mc.workers, mp_context=ctx) as pool:

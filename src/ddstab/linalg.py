@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -220,4 +219,7 @@ def pinv(M: np.ndarray, cfg: NumericalConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 def matrix_exponential(M: np.ndarray) -> np.ndarray:
     """e^M (scaling-and-squaring Pade, via scipy)."""
+    # imported here: only zoh_discretize reaches this, and a process that
+    # never discretizes then never loads scipy
+    import scipy.linalg
     return scipy.linalg.expm(np.atleast_2d(np.asarray(M, dtype=float)))

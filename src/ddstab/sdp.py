@@ -29,6 +29,9 @@ Newton system with a nan or inf entry yields no finite step at any jitter
 and ends in SolverFailure. Both backends return through ``_certified``, so
 a solve yields the slack achieved at its final point or raises
 SolverFailure.
+
+scipy is imported by the first solve, not by this module: a process that
+never solves never loads it.
 """
 from __future__ import annotations
 
@@ -36,7 +39,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SolverFailure
 
@@ -46,8 +48,14 @@ MU_FACTOR = 100.0
 MAX_NEWTON = 400
 CVXPY_SOLVER = "CLARABEL"
 
-# LAPACK's Cholesky solve, called without scipy's per-call input checks
-_potrs, = scipy.linalg.get_lapack_funcs(("potrs",))  # float64: dpotrs
+
+@functools.cache
+def _potrs():
+    """LAPACK's Cholesky solve (float64: dpotrs), called without scipy's
+    per-call input checks; looked up on first use."""
+    import scipy.linalg
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",))
+    return potrs
 
 
 @functools.cache
@@ -113,22 +121,26 @@ class BarrierBackend:
 
         The symmetrized system is factored by ``scipy.linalg.cho_factor``
         with ``check_finite=False`` and solved by LAPACK ``potrs`` on that
-        factor. Near the central path's endgame the Hessian condition
-        number can exceed 1/eps; escalating Tikhonov jitter keeps the
-        factorization alive and every jittered step is still descent. A
-        system that fails to factor or gives a non-finite decrement at
-        every jitter, as one with a nan or inf entry does, raises
-        SolverFailure.
+        factor. scipy is imported here, not at module load, and
+        ``cho_factor`` is read off ``scipy.linalg`` at every call, so a
+        counter patched onto that module sees each one. Near the central
+        path's endgame the Hessian condition number can exceed 1/eps;
+        escalating Tikhonov jitter keeps the factorization alive and every
+        jittered step is still descent. A system that fails to factor or
+        gives a non-finite decrement at every jitter, as one with a nan or
+        inf entry does, raises SolverFailure.
         """
+        import scipy.linalg
+        potrs = _potrs()
         Hs = 0.5 * (H + H.T)
         scale = max(np.trace(Hs) / (d + 1), 1.0)
         for jitter in (0.0, 1e-14, 1e-11, 1e-8, 1e-5):
             try:  # through the module attribute: bench/ counts these calls per solve
                 c, lower = scipy.linalg.cho_factor(
                     Hs + jitter * scale * _identity(d + 1), check_finite=False)
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            except np.linalg.LinAlgError:  # scipy.linalg.LinAlgError is this class
                 continue
-            step = -_potrs(c, g, lower=lower)[0]
+            step = -potrs(c, g, lower=lower)[0]
             decrement = float(-g @ step)
             if np.isfinite(decrement) and (decrement >= 0 or jitter > 0):
                 return step, decrement
@@ -171,13 +183,14 @@ class BarrierBackend:
         if chs is None:
             raise SolverFailure("could not construct a strictly feasible start")
         mu = MU0
+        potrs = _potrs()
         for _ in range(MAX_NEWTON):
             g = np.zeros(d + 1)
             H = np.zeros((d + 1, d + 1))
             g[d] -= mu
             for (C, G), L in zip(blocks, chs):
                 s = C.shape[0]
-                Minv = _potrs(L, _identity(s), lower=True)[0]
+                Minv = potrs(L, _identity(s), lower=True)[0]
                 V = G @ Minv
                 W = Minv @ Minv
                 g[:d] -= np.einsum("iaa->i", V)

@@ -212,9 +212,12 @@ def verify_gain(cs: ConsistentSet, gain: FeedbackGain, n_samples: int = 200,
     and evaluated as one stack, and the report equals a draw-by-draw
     evaluation bit for bit, the worst member being the first maximum in
     draw order. A report with no tested draw does not pass. Raises
-    PreconditionError when a scale puts a member outside the floating-point
-    range.
+    PreconditionError when a scale is not positive or puts a member outside
+    the floating-point range.
     """
+    for scale in scales:
+        if not scale > 0:
+            raise PreconditionError(f"scale {scale!r} is not positive")
     filter_stabilizable = gain.provenance is GainProvenance.STAB_PRIOR
     drawn = tested = rejected = 0
     worst_rho, worst = -1.0, None

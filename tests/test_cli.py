@@ -154,6 +154,20 @@ class TestSynthesizeAndVerify:
                                            "not finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_verify_non_positive_scale_is_an_error(self, example1_file, tmp_path, capsys,
+                                                   scale):
+        gain_path = tmp_path / "gain.json"
+        gain_path.write_text(json.dumps(
+            {"K": [[-1.0, 0.0]], "provenance": "stabilizability_prior"}))
+        out = tmp_path / "v"
+        code = main(["verify", example1_file, str(gain_path), "--out", str(out),
+                     "--scales", f"1,{scale}"])
+        assert code == EXIT_FAILURE
+        assert capsys.readouterr().err == ("error: invalid verification settings: "
+                                           f"scale {float(scale)!r} is not positive\n")
+        assert not out.exists()
+
     def test_verify_without_a_tested_draw_fails(self, tmp_path, capsys):
         # identifiable data of an unstabilizable system: the stabilizability
         # filter rejects every draw, so nothing vouches for the gain
@@ -292,6 +306,14 @@ class TestMonteCarloCommand:
                      "--out", str(out)]) == EXIT_FAILURE
         assert capsys.readouterr().err == \
             "error: invalid Monte Carlo settings: every T must be >= 1\n"
+        assert not out.exists()
+
+    def test_repeated_t_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--scenarios", "3", "--T-list", "3", "3",
+                     "--out", str(out)]) == EXIT_FAILURE
+        assert capsys.readouterr().err == \
+            "error: invalid Monte Carlo settings: every T must appear once\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("scenarios", ["0", "-1"])
@@ -488,3 +510,59 @@ def test_console_script_installed(example1_file, tmp_path):
         capture_output=True, text=True)
     assert result.returncode == EXIT_OK
     assert "stabilizability-prior informative: True" in result.stdout
+
+
+_LAZY_MODULES = ("scipy", "scipy.linalg", "multiprocessing", "concurrent.futures")
+
+# runs each argv through main in one fresh interpreter, then reports the exit
+# codes and which of _LAZY_MODULES were loaded, as the last line of stdout
+_IMPORT_PROBE = f"""
+import json, sys
+from ddstab.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({{"codes": codes,
+                  "loaded": [m for m in {_LAZY_MODULES!r} if m in sys.modules]}}))
+"""
+
+
+class TestImportPath:
+    """scipy and the process pool are loaded by the code that uses them,
+    so a call that never solves nor discretizes never loads them."""
+
+    @staticmethod
+    def probe(calls, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
+                                cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout.strip().splitlines()[-1])
+
+    def test_import_loads_none(self, tmp_path):
+        assert self.probe([], tmp_path) == {"codes": [], "loaded": []}
+
+    def test_rank_deficient_informativity_and_verify_load_none(self, example1_file,
+                                                               tmp_path):
+        gain_path = tmp_path / "gain.json"
+        gain_path.write_text(json.dumps(
+            {"K": [[-1.0, 0.0]], "provenance": "stabilizability_prior"}))
+        calls = [["informativity", example1_file, "--out", str(tmp_path / "i")],
+                 ["verify", example1_file, str(gain_path), "--out", str(tmp_path / "v")]]
+        assert self.probe(calls, tmp_path) == {"codes": [EXIT_OK, EXIT_OK], "loaded": []}
+
+    def test_full_rank_synthesize_loads_scipy(self, tmp_path):
+        rng = np.random.default_rng(4)
+        traj = simulate(LtiSystem(A=[[1.1, 0.3], [0.0, 0.9]], B=[[0.0], [1.0]]),
+                        rng.normal(size=2), rng.normal(size=(6, 1)))
+        data = tmp_path / "full_rank.json"
+        data.write_text(trajectory_to_json(traj))
+        report = self.probe([["synthesize", str(data), "--out", str(tmp_path / "s")]],
+                            tmp_path)
+        assert report["codes"] == [EXIT_OK]
+        assert "scipy.linalg" in report["loaded"]
+
+    def test_three_tank_demo_loads_scipy(self, tmp_path):
+        report = self.probe([["demo", "three-tank", "--samples", "10",
+                              "--out", str(tmp_path / "d")]], tmp_path)
+        assert report["codes"] == [EXIT_OK]
+        assert "scipy.linalg" in report["loaded"]

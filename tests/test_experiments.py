@@ -140,6 +140,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="every T must be >= 1"):
             self._config(t_list=t_list)
 
+    @pytest.mark.parametrize("t_list", [(3, 3), (3, 4, 3)])
+    def test_repeated_t_rejected(self, t_list):
+        with pytest.raises(ValueError, match="every T must appear once"):
+            self._config(t_list=t_list)
+
     @pytest.mark.parametrize("scenarios", [0, -1])
     def test_no_scenarios_rejected(self, scenarios):
         with pytest.raises(ValueError, match="scenarios"):

@@ -222,7 +222,7 @@ class TestNewtonStepOracle:
         assert len(factors) > 500
         for L in factors:
             s = L.shape[0]
-            Minv = sdp._potrs(L, sdp._identity(s), lower=True)[0]
+            Minv = sdp._potrs()(L, sdp._identity(s), lower=True)[0]
             assert Minv.tobytes() == scipy.linalg.cho_solve((L, True), np.eye(s)).tobytes()
 
 

@@ -276,6 +276,13 @@ class TestNonFiniteDraws:
             verify_gain(cs, stab_gain([[-1.0, 0.0]]), n_samples=50, scales=scales,
                         seed=0, cfg=cfg)
 
+    @pytest.mark.parametrize("scales", [(0.0,), (1.0, -1.0)])
+    def test_non_positive_scale_is_named(self, cfg, example1, scales):
+        cs = consistent_set(example1, cfg)
+        with pytest.raises(PreconditionError, match=rf"scale {scales[-1]!r} is not positive"):
+            verify_gain(cs, stab_gain([[-1.0, 0.0]]), n_samples=50, scales=scales,
+                        seed=0, cfg=cfg)
+
     def test_finite_large_scale_still_verifies(self, cfg, example1):
         cs = consistent_set(example1, cfg)
         report = verify_gain(cs, stab_gain([[-1.0, 0.0]]), n_samples=50,
