@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import (Branch, DataMatrices, build_data_matrices, consistent_set,
+from .data import (Branch, DataMatrices, build_data_matrices, consistent_set, is_number,
                    load_trajectory, trajectory_to_csv, trajectory_to_json)
 from .errors import DataFormatError, PreconditionError, SolverFailure
 from .experiments import (MonteCarloConfig, demo_example1, demo_example2,
@@ -85,7 +85,7 @@ def _settings(args) -> dict:
     file_cfg = _load_config_file(getattr(args, "config", None))
     tol_kwargs = {}
     for name in _CONFIG_FIELDS:
-        value = _resolve(args, file_cfg, name, None, float)
+        value = _resolve(args, file_cfg, name, None, _real)
         if value is not None:
             tol_kwargs[name] = value
     try:
@@ -95,12 +95,25 @@ def _settings(args) -> dict:
     return {
         "numcfg": numcfg,
         "seed": _resolve(args, file_cfg, "seed", 3, _integer(lowest=0)),
-        "out": _resolve(args, file_cfg, "out", "out", str),
+        "out": _resolve(args, file_cfg, "out", "out", _directory),
         "fmt": _resolve(args, file_cfg, "format", "json", _choice(FORMATS)),
         "backend_name": _resolve(args, file_cfg, "backend", "builtin", _choice(tuple(BACKENDS))),
         "samples": _resolve(args, file_cfg, "samples", 200, _integer(lowest=1)),
         "scales": _resolve(args, file_cfg, "scales", (0.1, 1.0, 10.0), _parse_scales),
     }
+
+
+def _real(value) -> float:
+    """A JSON number, or the text of a flag or DDSTAB_* variable; not a boolean."""
+    if not (is_number(value) or isinstance(value, str)):
+        raise ValueError("expected a number")
+    return float(value)
+
+
+def _directory(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError("expected a non-empty path")
+    return value
 
 
 def _integer(lowest: int):
@@ -123,7 +136,7 @@ def _choice(choices: tuple[str, ...]):
 
 def _parse_scales(value) -> tuple[float, ...]:
     cells = value if isinstance(value, (list, tuple)) else str(value).split(",")
-    scales = tuple(float(v) for v in cells if str(v).strip())
+    scales = tuple(_real(v) for v in cells if str(v).strip())
     if not scales or not np.isfinite(scales).all():
         raise ValueError("expected a non-empty list of finite numbers")
     return scales
@@ -168,6 +181,8 @@ def _gain_from_file(path: str, D: DataMatrices) -> FeedbackGain:
         provenance = GainProvenance(payload.get("provenance", "plain"))
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"gain file {path}: {exc}") from exc
+    if not all(map(is_number, np.array(payload["K"], dtype=object).flat)):
+        raise DataFormatError(f"gain file {path}: K must hold numbers")
     if not np.isfinite(K).all():  # json reads NaN and Infinity as numbers
         raise DataFormatError(f"gain file {path}: K holds a non-finite entry")
     if K.shape != (D.m, D.n):
@@ -229,8 +244,7 @@ def cmd_verify(args) -> int:
     except PreconditionError as exc:
         raise DataFormatError(f"invalid verification settings: {exc}") from exc
     payload = report.to_dict()
-    payload["structural_nullity_particular"] = structural_nullity(
-        cs, gain, cs.particular, numcfg)
+    payload["structural_nullity_particular"] = structural_nullity(cs, gain, cs.particular)
     comp = row_compress(D.x_minus, D.x_plus, numcfg)
     try:
         decomp = decomposition_check(D, comp, cs.particular, numcfg)

@@ -238,6 +238,11 @@ def trajectory_to_json(traj: TrajectoryData) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def is_number(value) -> bool:
+    """True for a JSON number; a string, a boolean or a list is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def trajectory_from_json(text: str) -> TrajectoryData:
     try:
         payload = json.loads(text)
@@ -259,8 +264,8 @@ def trajectory_from_json(text: str) -> TrajectoryData:
             if not isinstance(row, list) or len(row) != width:
                 raise DataFormatError(
                     f"{name}[{i}] must be a list of {width} numbers, got {row!r}")
-            for v in row:  # a JSON number: no string, boolean or nested list
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
+            for v in row:
+                if not is_number(v):
                     raise DataFormatError(f"{name}[{i}] must hold numbers, got {v!r}")
     try:
         inputs = np.array(inputs, dtype=float).reshape(len(inputs), m)

@@ -225,10 +225,7 @@ def demo_example1(cfg: NumericalConfig = DEFAULT_CONFIG, seed: int = 0,
     return _synthesis_demo(example1_trajectory(), cfg, seed, n_samples, backend)
 
 
-def demo_example2(a_range: tuple[float, float] = (-1.0, 3.0),
-                  b1_range: tuple[float, float] = (-2.0, 2.0),
-                  points_per_axis: int = 41,
-                  cfg: NumericalConfig = DEFAULT_CONFIG) -> dict:
+def demo_example2(cfg: NumericalConfig = DEFAULT_CONFIG) -> dict:
     """Grid over the plane of scalar systems consistent with one sample.
 
     The experiment x(1) = a x(0) + b1 u1 + b2 u2 with x(0) = -1,
@@ -238,9 +235,10 @@ def demo_example2(a_range: tuple[float, float] = (-1.0, 3.0),
     """
     traj = TrajectoryData(inputs=np.array([[1.0, -1.0]]),
                           states=np.array([[-1.0], [-1.0]]))
-    # integer-step grids so the uncontrollable point is hit exactly
-    a_vals = np.round(np.linspace(*a_range, points_per_axis), 12)
-    b1_vals = np.round(np.linspace(*b1_range, points_per_axis), 12)
+    # 0.1 steps over a in [-1, 3] and b1 in [-2, 2], rounded so the
+    # uncontrollable point (a, b1) = (1, 0) is hit exactly
+    a_vals = np.round(np.linspace(-1.0, 3.0, 41), 12)
+    b1_vals = np.round(np.linspace(-2.0, 2.0, 41), 12)
     rows = []
     flagged = []
     for a in a_vals:

@@ -26,7 +26,7 @@ import numpy as np
 from .data import Branch, DataMatrices, require_prior_conditions
 from .errors import PreconditionError
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
-                     numerical_rank, pinv, rank_revealing_svd, row_compress)
+                     rank_revealing_svd, row_compress)
 from .sdp import AffineLmiFeasibility, BarrierBackend
 
 
@@ -103,6 +103,11 @@ def sdp_solve(problem: LmiFeasibilityProblem,
               backend=None) -> LmiSolution:
     """Maximize the block slack; Feasible iff the margin reaches psd_margin.
 
+    An ``L`` below full row rank k forces L @ Theta singular, so the block
+    can never be positive definite: that case is Infeasible with slack 0.0
+    and no backend call. Its rank is read off the one SVD of ``L`` that also
+    gives the pseudoinverse of the symmetry squeeze.
+
     A feasible Theta is returned scaled so the assembled block has minimum
     eigenvalue ~1 (the problem is homogeneous in Theta, so any positive
     scaling of a witness is a witness). ``slack`` is the slack achieved
@@ -116,6 +121,9 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     k, T = L.shape
     if k == 0:
         return LmiSolution(theta=np.zeros((T, 0)), slack=np.inf)
+    U_L, sv_L, Vt_L, rank_L = rank_revealing_svd(L, cfg)
+    if rank_L < k:
+        return LmiSolution(theta=None, slack=0.0)
     V = np.vstack([L, P])
     U, sv, Vt, rho = rank_revealing_svd(V, cfg)
     Qv = U[:, :rho]
@@ -141,7 +149,8 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     theta = Vt[:rho].T @ (Z / sv[:rho, None])  # pinv(V) @ Qv @ Z
     # squeeze out the round-off so L @ theta is symmetric to working precision
     G = L @ theta
-    theta = theta - pinv(L, cfg) @ (0.5 * (G - G.T))
+    pinv_L = (Vt_L[:k].T / sv_L[:k]) @ U_L[:, :k].T
+    theta = theta - pinv_L @ (0.5 * (G - G.T))
     theta = theta / result.t
     return LmiSolution(theta=theta, slack=result.t)
 
@@ -155,13 +164,8 @@ def lmi_problem(D: DataMatrices, comp: RowCompression | None = None) -> LmiFeasi
 
 def solve_plain_lmi(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
                     backend=None) -> LmiSolution:
-    """Feasibility of the no-prior synthesis LMI on (X_minus, X_plus).
-
-    Rank-deficient X_minus forces X_minus @ Theta singular, so the block can
-    never be positive definite; that case short-circuits to Infeasible.
-    """
-    if numerical_rank(D.x_minus, cfg) < D.n:
-        return LmiSolution(theta=None, slack=0.0)
+    """Feasibility of the no-prior synthesis LMI on (X_minus, X_plus), k = n;
+    ``sdp_solve`` decides rank-deficient X_minus Infeasible without a solve."""
     return sdp_solve(lmi_problem(D), cfg, backend)
 
 
@@ -170,8 +174,7 @@ def _gain(D: DataMatrices, L: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.linalg.solve((L @ theta).T, (D.u_minus @ theta).T).T
 
 
-def gain_from_plain(D: DataMatrices, sol: LmiSolution,
-                    cfg: NumericalConfig = DEFAULT_CONFIG) -> FeedbackGain:
+def gain_from_plain(D: DataMatrices, sol: LmiSolution) -> FeedbackGain:
     """K = U_minus Theta (X_minus Theta)^{-1} from a feasible no-prior solve."""
     if not sol.feasible:
         raise PreconditionError("gain extraction needs a feasible solution")
@@ -188,14 +191,12 @@ def solve_stab_lmi(D: DataMatrices, comp: RowCompression,
     return sdp_solve(lmi_problem(D, comp), cfg, backend)
 
 
-def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
-                    k2_policy=None, backend=None,
+def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG, backend=None,
                     comp: RowCompression | None = None) -> tuple[FeedbackGain, LmiSolution, RowCompression]:
     """Gain for the stabilizability-prior route: K = [K1 K2] @ S.
 
     K1 = U_minus Theta (x_hat_minus Theta)^{-1}; K2 acts only on the
-    directions the data leave free and is arbitrary: ``k2_policy(m, n - r)``
-    supplies it, default zeros.
+    directions the data leave free, where any value would do, and is zero.
     """
     comp = comp if comp is not None else row_compress(D.x_minus, D.x_plus, cfg)
     # the compressed LMI cannot see the discarded rows; the informativity
@@ -204,16 +205,10 @@ def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
     sol = solve_stab_lmi(D, comp, cfg, backend)
     if not sol.feasible:
         raise PreconditionError("stabilizability-prior LMI is infeasible for this data")
-    r, n, m = comp.r, D.n, D.m
-    K1 = _gain(D, comp.x_hat_minus, sol.theta)
-    if k2_policy is None:
-        K2, policy_name = np.zeros((m, n - r)), "zero"
-    else:
-        K2 = np.asarray(k2_policy(m, n - r), dtype=float).reshape(m, n - r)
-        policy_name = getattr(k2_policy, "__name__", repr(k2_policy))
-    K = np.hstack([K1, K2]) @ comp.S
+    K2 = np.zeros((D.m, D.n - comp.r))
+    K = np.hstack([_gain(D, comp.x_hat_minus, sol.theta), K2]) @ comp.S
     return FeedbackGain(K=K, provenance=GainProvenance.STAB_PRIOR,
-                        k2=K2, k2_policy=policy_name), sol, comp
+                        k2=K2, k2_policy="zero"), sol, comp
 
 
 def synthesize(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG, backend=None,
@@ -229,7 +224,7 @@ def synthesize(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG, backend=N
     if Branch.of(D, comp) is Branch.RANK_DEFICIENT:
         return synthesize_stab(D, cfg, backend=backend, comp=comp)
     sol = solve_plain_lmi(D, cfg, backend)
-    return gain_from_plain(D, sol, cfg), sol, comp  # raises when infeasible
+    return gain_from_plain(D, sol), sol, comp  # raises when infeasible
 
 
 def problem_to_json(problem: LmiFeasibilityProblem) -> str:

@@ -246,7 +246,7 @@ def verify_gain(cs: ConsistentSet, gain: FeedbackGain, n_samples: int = 200,
                 worst_rho = float(rho[i])
                 worst = LtiSystem(A=stack.A[i].copy(), B=stack.B[i].copy())
             if compute_structural:
-                structural.extend(structural_nullity(cs, gain, stack, cfg).tolist())
+                structural.extend(structural_nullity(cs, gain, stack).tolist())
     passed = tested > 0 and worst_rho <= 1.0 - cfg.schur_margin
     return VerificationReport(samples_tested=tested,
                               rejected_unstabilizable=rejected,
@@ -256,8 +256,8 @@ def verify_gain(cs: ConsistentSet, gain: FeedbackGain, n_samples: int = 200,
                               passed=passed, seed=seed, scales=tuple(scales))
 
 
-def structural_nullity(cs: ConsistentSet, gain: FeedbackGain, system: LtiSystem,
-                       cfg: NumericalConfig = DEFAULT_CONFIG) -> float | np.ndarray:
+def structural_nullity(cs: ConsistentSet, gain: FeedbackGain,
+                       system: LtiSystem) -> float | np.ndarray:
     """How far the homogeneous directions are from vanishing on the reachable span.
 
     For each basis column q = [a; b] of the homogeneous space, every

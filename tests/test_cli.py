@@ -141,6 +141,18 @@ class TestSynthesizeAndVerify:
             f"error: gain file {gain_path}: K holds a non-finite entry\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cells", [[[True, False]], [["-1.0", "0"]]])
+    def test_verify_rejects_gain_cells_that_are_not_numbers(self, example1_file, tmp_path,
+                                                           capsys, cells):
+        gain_path = tmp_path / "gain.json"
+        gain_path.write_text(json.dumps({"K": cells, "provenance": "stabilizability_prior"}))
+        out = tmp_path / "v"
+        code = main(["verify", example1_file, str(gain_path), "--out", str(out),
+                     "--samples", "10"])
+        assert code == EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: gain file {gain_path}: K must hold numbers\n"
+        assert not out.exists()
+
     def test_verify_overflowing_scale_is_an_error(self, example1_file, tmp_path, capsys):
         gain_path = tmp_path / "gain.json"
         gain_path.write_text(json.dumps(
@@ -468,7 +480,8 @@ class TestBadOptionValues:
     @pytest.mark.parametrize("payload", [
         {"samples": "many"}, {"samples": 2.5}, {"seed": "x"}, {"seed": 1e400}, {"scales": []},
         {"scales": ["abc"]}, {"format": "xml"}, {"backend": 3}, {"psd_margin": "small"},
-        {"seed": True}, {"samples": [10]}, {"backend": ["builtin"]}])
+        {"seed": True}, {"samples": [10]}, {"backend": ["builtin"]}, {"psd_margin": True},
+        {"scales": [True]}])
     def test_config_file(self, example1_file, tmp_path, capsys, payload):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(payload))
@@ -476,6 +489,23 @@ class TestBadOptionValues:
                      "--out", str(tmp_path / "o")]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("error: invalid ") and "config file" in err
+
+    @pytest.mark.parametrize("source", ["config file", "DDSTAB_OUT"])
+    def test_out_is_a_non_empty_path(self, example1_file, tmp_path, monkeypatch, capsys,
+                                     source):
+        # no --out flag, so the value from the source named is the one resolved
+        monkeypatch.chdir(tmp_path)
+        argv = ["informativity", example1_file]
+        if source == "DDSTAB_OUT":
+            monkeypatch.setenv("DDSTAB_OUT", "")
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"out": ["x", "y"]}))
+            argv += ["--config", "cfg.json"]
+        assert main(argv) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid out ") and err.endswith(
+            f"from {source}: expected a non-empty path\n")
+        assert set(os.listdir(tmp_path)) <= {"example1.json", "cfg.json"}  # nothing written
 
     @pytest.mark.parametrize("payload", [
         {"seed": 2**53 + 1}, {"seed": str(2**70 + 1)}, {"samples": 10.0}])

@@ -4,7 +4,8 @@ import pytest
 from ddstab import (NumericalConfig, is_controllable, is_schur, is_stabilizable,
                     matrix_exponential, numerical_rank, pinv, row_compress,
                     spectral_radius, subspace_contained)
-from ddstab import check_stabilizability_prior, consistent_set, reachable_part, sdp_solve
+from ddstab import (LtiSystem, build_data_matrices, check_stabilizability_prior,
+                    consistent_set, reachable_part, sdp_solve, simulate, solve_plain_lmi)
 from ddstab.linalg import controllability_matrix, rank_cutoff
 from ddstab.synthesis import LmiFeasibilityProblem
 
@@ -220,6 +221,15 @@ class TestOneFactorizationPerMatrix:
         L, P = np.array([[1.0, 2.0, 4.0]]), np.array([[2.0, 4.0, 3.0]])
         assert sdp_solve(LmiFeasibilityProblem(diag_coeff=L, offdiag_coeff=P), cfg).feasible
         assert _count(factorizations["svd"], np.vstack([L, P])) == 1
+        assert not factorizations["pinv"]
+
+    def test_plain_lmi_factors_x_minus_once(self, cfg, factorizations):
+        # the rank test and the pseudoinverse of the symmetry squeeze share it
+        D = build_data_matrices(simulate(
+            LtiSystem(A=[[1.2, 0.5], [0.0, 0.8]], B=[[0.0], [1.0]]),
+            np.array([1.0, -1.0]), np.array([[1.0], [-2.0], [0.5], [3.0]])))
+        assert solve_plain_lmi(D, cfg).feasible
+        assert _count(factorizations["svd"], D.x_minus) == 1
         assert not factorizations["pinv"]
 
     def test_stabilizability_prior_report(self, cfg, factorizations):

@@ -273,7 +273,8 @@ class TestCoefficientOracle:
         recorder = _Recorder()
         sdp_solve(problem, cfg, backend=recorder)
         reference = _reference_coefficients(problem, cfg)
-        if reference.shape[0] == 0:  # no unknowns: decided without the backend
+        L = problem.diag_coeff  # no unknowns, or rank L < k: decided without the backend
+        if reference.shape[0] == 0 or rank_revealing_svd(L, cfg)[3] < L.shape[0]:
             assert recorder.problems == []
             return
         (handed,) = recorder.problems
@@ -282,6 +283,17 @@ class TestCoefficientOracle:
         assert C.tobytes() == np.zeros(C.shape).tobytes()
         assert G.shape == reference.shape
         assert G.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("name", ["rho1_d1", "random_0"])
+    def test_l_below_full_row_rank_never_reaches_the_backend(self, cfg, name):
+        problem = _coefficient_problems()[name]
+        L = problem.diag_coeff
+        assert rank_revealing_svd(L, cfg)[3] < L.shape[0]
+        recorder = _Recorder()
+        sol = sdp_solve(problem, cfg, backend=recorder)
+        assert recorder.problems == []
+        assert sol.theta is None
+        assert sol.slack == 0.0
 
     def test_edge_shapes_are_covered(self, cfg):
         shapes = set()

@@ -95,7 +95,7 @@ class TestPlainLmi:
                                          np.array([1.0]), np.array([[0.0]])))
         sol = solve_plain_lmi(D, cfg)
         assert sol.feasible
-        gain = gain_from_plain(D, sol, cfg)
+        gain = gain_from_plain(D, sol)
         assert gain.K == pytest.approx(np.zeros((1, 1)))
         assert spectral_radius(np.array([[0.5]]) + np.array([[1.0]]) @ gain.K) == 0.5
 
@@ -110,7 +110,7 @@ class TestPlainLmi:
     def test_gain_needs_feasible_solution(self, cfg, example1):
         sol = solve_plain_lmi(example1, cfg)
         with pytest.raises(PreconditionError):
-            gain_from_plain(example1, sol, cfg)
+            gain_from_plain(example1, sol)
 
     def test_plain_gain_stabilizes_true_system(self, cfg):
         rng = np.random.default_rng(32)
@@ -120,7 +120,7 @@ class TestPlainLmi:
                                          rng.normal(size=(6, 1))))
         sol = solve_plain_lmi(D, cfg)
         assert sol.feasible
-        gain = gain_from_plain(D, sol, cfg)
+        gain = gain_from_plain(D, sol)
         assert spectral_radius(system.A + system.B @ gain.K) < 1.0 - cfg.schur_margin
 
 
@@ -149,15 +149,6 @@ class TestStabLmi:
         K1, K2 = gain.K[0, 0], gain.K[0, 1]
         assert abs(1.0 + K1) < 1.0
         assert K2 == 0.0
-
-    def test_k2_policy_hook(self, cfg, example1):
-        def ones_policy(m, cols):
-            return np.ones((m, cols))
-        gain, _, comp = synthesize_stab(example1, cfg, k2_policy=ones_policy,
-                                        comp=identity_compression_example1())
-        assert gain.k2_policy == "ones_policy"
-        assert np.allclose(gain.k2, [[1.0]])
-        assert gain.K[0, 1] == 1.0
 
     def test_rank_zero_gain_is_policy_output(self, cfg):
         D = build_data_matrices(simulate(LtiSystem(A=[[0.5]], B=[[0.0]]),
@@ -391,7 +382,7 @@ class TestSynthesize:
         assert comp.r == report.rank_x_minus
         if report.branch is Branch.FULL_RANK:
             assert gain.provenance is GainProvenance.PLAIN
-            reference = gain_from_plain(D, solve_plain_lmi(D, cfg), cfg)
+            reference = gain_from_plain(D, solve_plain_lmi(D, cfg))
         else:
             assert gain.provenance is GainProvenance.STAB_PRIOR
             reference, _, _ = synthesize_stab(D, cfg)

@@ -76,7 +76,7 @@ class TestVerifyGain:
             sol = solve_plain_lmi(ds.D, cfg)
             if not sol.feasible:
                 continue
-            gain = gain_from_plain(ds.D, sol, cfg)
+            gain = gain_from_plain(ds.D, sol)
             report = verify_gain(consistent_set(ds.D, cfg), gain, n_samples=100,
                                  seed=checked, cfg=cfg)
             assert report.rejected_unstabilizable == 0
@@ -257,15 +257,15 @@ class TestStackedEqualsPerDraw:
                        for _ in range(6)]
             stack = LtiSystem(A=np.stack([m.A for m in members]),
                               B=np.stack([m.B for m in members]))
-            residuals = structural_nullity(cs, gain, stack, cfg)
+            residuals = structural_nullity(cs, gain, stack)
             assert residuals.shape == (6,)
             for r, m in zip(residuals, members):
-                single = structural_nullity(cs, gain, m, cfg)
+                single = structural_nullity(cs, gain, m)
                 assert type(single) is float
                 assert bits(r) == bits(single) == bits(per_member_nullity(cs, gain, m))
             empty = LtiSystem(A=np.zeros((0, ds.D.n, ds.D.n)),
                               B=np.zeros((0, ds.D.n, ds.D.m)))
-            assert structural_nullity(cs, gain, empty, cfg).shape == (0,)
+            assert structural_nullity(cs, gain, empty).shape == (0,)
 
 
 class TestNonFiniteDraws:
@@ -382,7 +382,7 @@ class TestStructuralNullity:
         cs = consistent_set(example1, cfg)
         member = LtiSystem(A=[[1.0, 0.5], [0.0, 0.3]], B=[[1.0], [0.0]])
         for K in ([[-1.0, 0.0]], [[0.7, 2.0]], [[0.0, 0.0]]):
-            assert structural_nullity(cs, stab_gain(K), member, cfg) <= 1e-12
+            assert structural_nullity(cs, stab_gain(K), member) <= 1e-12
 
     def test_full_rank_informative_data_zero_residual(self, cfg):
         from ddstab import gain_from_plain, solve_plain_lmi
@@ -393,9 +393,9 @@ class TestStructuralNullity:
                                          rng.normal(size=(5, 1))))
         sol = solve_plain_lmi(D, cfg)
         assert sol.feasible
-        gain = gain_from_plain(D, sol, cfg)
+        gain = gain_from_plain(D, sol)
         cs = consistent_set(D, cfg)
-        assert structural_nullity(cs, gain, system, cfg) <= 1e-8
+        assert structural_nullity(cs, gain, system) <= 1e-8
 
     def test_misaligned_gain_positive_residual(self, cfg):
         # family with free input-matrix directions; pick a member whose
@@ -408,7 +408,7 @@ class TestStructuralNullity:
         from ddstab.data import consistency_residual
         assert consistency_residual(D, member) <= cfg.equality_tol
         gain = stab_gain([[1.0, 1.0]])
-        assert structural_nullity(cs, gain, member, cfg) > 1e-3
+        assert structural_nullity(cs, gain, member) > 1e-3
 
 
 class TestDecompositionCheck:
