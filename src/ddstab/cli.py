@@ -6,9 +6,9 @@ Exit codes form a stable contract:
   1   operational failure (bad file, solver breakdown)
   64  usage error
 
-Option values resolve as flag > environment (DDSTAB_*) > config file >
-built-in default. All outputs are plain JSON/CSV and byte-stable for a
-fixed config and seed.
+Each subcommand takes only the options it reads, and option values resolve
+as flag > environment (DDSTAB_*) > config file > built-in default. All
+outputs are plain JSON/CSV and byte-stable for a fixed config and seed.
 """
 from __future__ import annotations
 
@@ -50,22 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _resolve(args, file_cfg: dict, name: str, default, cast):
-    """The first value set among flag, DDSTAB_<NAME> and config file, cast;
-    a value the cast rejects raises DataFormatError."""
-    env_key = f"DDSTAB_{name.upper()}"
-    for source, value in ((f"--{name.replace('_', '-')}", getattr(args, name, None)),
-                          (env_key, os.environ.get(env_key)),
-                          ("config file", file_cfg.get(name))):
-        if value is not None:
-            try:
-                return cast(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                msg = f"invalid {name} {value!r} from {source}: {exc}"
-                raise DataFormatError(msg) from exc
-    return default
-
-
 def _load_config_file(path: str | None) -> dict:
     path = path or os.environ.get("DDSTAB_CONFIG")
     if not path:
@@ -78,29 +62,6 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(payload, dict):
         raise DataFormatError(f"config file {path}: expected a JSON object")
     return payload
-
-
-def _settings(args) -> dict:
-    """Merge flags, environment, and config file into one settings dict."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    tol_kwargs = {}
-    for name in _CONFIG_FIELDS:
-        value = _resolve(args, file_cfg, name, None, _real)
-        if value is not None:
-            tol_kwargs[name] = value
-    try:
-        numcfg = NumericalConfig(**tol_kwargs)
-    except ValueError as exc:
-        raise DataFormatError(f"invalid tolerance configuration: {exc}") from exc
-    return {
-        "numcfg": numcfg,
-        "seed": _resolve(args, file_cfg, "seed", 3, _integer(lowest=0)),
-        "out": _resolve(args, file_cfg, "out", "out", _directory),
-        "fmt": _resolve(args, file_cfg, "format", "json", _choice(FORMATS)),
-        "backend_name": _resolve(args, file_cfg, "backend", "builtin", _choice(tuple(BACKENDS))),
-        "samples": _resolve(args, file_cfg, "samples", 200, _integer(lowest=1)),
-        "scales": _resolve(args, file_cfg, "scales", (0.1, 1.0, 10.0), _parse_scales),
-    }
 
 
 def _real(value) -> float:
@@ -140,6 +101,51 @@ def _parse_scales(value) -> tuple[float, ...]:
     if not scales or not np.isfinite(scales).all():
         raise ValueError("expected a non-empty list of finite numbers")
     return scales
+
+
+# option name -> (default, cast, argparse keywords); each subcommand declares
+# the options it reads, and only those are resolved
+_OPTIONS = {
+    **{f.name: (f.default, _real, {"type": float, "help": argparse.SUPPRESS})
+       for f in dataclasses.fields(NumericalConfig)},
+    "seed": (3, _integer(lowest=0), {"type": int}),
+    "out": ("out", _directory, {"help": "output directory (default ./out)"}),
+    "format": ("json", _choice(FORMATS), {"choices": FORMATS}),
+    "backend": ("builtin", _choice(tuple(BACKENDS)), {"choices": BACKENDS}),
+    "samples": (200, _integer(lowest=1), {"type": int, "help": "verification draws per scale"}),
+    "scales": ((0.1, 1.0, 10.0), _parse_scales,
+               {"help": "comma list of sampling scales, e.g. 0.1,1,10"}),
+}
+
+
+def _resolve(args, file_cfg: dict, name: str):
+    """The first value set among flag, DDSTAB_<NAME> and config file, cast,
+    else the default; a value the cast rejects raises DataFormatError."""
+    default, cast, _ = _OPTIONS[name]
+    env_key = f"DDSTAB_{name.upper()}"
+    for source, value in ((f"--{name.replace('_', '-')}", getattr(args, name)),
+                          (env_key, os.environ.get(env_key)),
+                          ("config file", file_cfg.get(name))):
+        if value is not None:
+            try:
+                return cast(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                msg = f"invalid {name} {value!r} from {source}: {exc}"
+                raise DataFormatError(msg) from exc
+    return default
+
+
+def _settings(args) -> dict:
+    """The options the command declared, resolved; the tolerances as ``numcfg``."""
+    file_cfg = _load_config_file(args.config)
+    settings = {name: _resolve(args, file_cfg, name) for name in _OPTIONS
+                if name in vars(args)}
+    try:
+        settings["numcfg"] = NumericalConfig(
+            **{name: settings.pop(name) for name in _CONFIG_FIELDS})
+    except ValueError as exc:
+        raise DataFormatError(f"invalid tolerance configuration: {exc}") from exc
+    return settings
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
@@ -191,12 +197,11 @@ def _gain_from_file(path: str, D: DataMatrices) -> FeedbackGain:
     return FeedbackGain(K=K, provenance=provenance)
 
 
-def cmd_informativity(args) -> int:
-    settings = _settings(args)
+def cmd_informativity(args, settings: dict) -> int:
     traj = load_trajectory(args.data)
     D = build_data_matrices(traj)
     report = check_stabilizability_prior(D, settings["numcfg"],
-                                         get_backend(settings["backend_name"]))
+                                         get_backend(settings["backend"]))
     path = _write(settings["out"], "informativity.json", _dump_json(report.to_dict()))
     print(f"wrote {path}")
     print(f"stabilizability-prior informative: "
@@ -204,10 +209,9 @@ def cmd_informativity(args) -> int:
     return EXIT_OK if report.stabilization_stabilizability_prior else EXIT_NEGATIVE
 
 
-def cmd_synthesize(args) -> int:
-    settings = _settings(args)
+def cmd_synthesize(args, settings: dict) -> int:
     numcfg = settings["numcfg"]
-    backend = get_backend(settings["backend_name"])
+    backend = get_backend(settings["backend"])
     traj = load_trajectory(args.data)
     D = build_data_matrices(traj)
     comp = row_compress(D.x_minus, D.x_plus, numcfg)
@@ -231,8 +235,7 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    settings = _settings(args)
+def cmd_verify(args, settings: dict) -> int:
     numcfg = settings["numcfg"]
     traj = load_trajectory(args.data)
     D = build_data_matrices(traj)
@@ -267,8 +270,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
-def cmd_montecarlo(args) -> int:
-    settings = _settings(args)
+def cmd_montecarlo(args, settings: dict) -> int:
     system = zoh_discretize(three_tank_model())
     try:
         mc = MonteCarloConfig(system=system, scenarios=args.scenarios,
@@ -318,9 +320,9 @@ def _demo_synthesis_bundle(settings, demo) -> None:
     model and closed-loop spectrum when the demo simulates a known system."""
     bundle = demo(settings["numcfg"], seed=settings["seed"],
                   n_samples=settings["samples"],
-                  backend=get_backend(settings["backend_name"]))
+                  backend=get_backend(settings["backend"]))
     out = settings["out"]
-    if settings["fmt"] == "csv":
+    if settings["format"] == "csv":
         _write(out, "data.csv", trajectory_to_csv(bundle["trajectory"]))
     else:
         _write(out, "data.json", trajectory_to_json(bundle["trajectory"]))
@@ -346,8 +348,7 @@ def _demo_synthesis_bundle(settings, demo) -> None:
     }))
 
 
-def cmd_demo(args) -> int:
-    settings = _settings(args)
+def cmd_demo(args, settings: dict) -> int:
     if args.name == "example2":
         _demo_example2_bundle(settings)
     else:
@@ -363,48 +364,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_options(p, *names):
         p.add_argument("--config", help="JSON file with tolerances and defaults")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory (default ./out)")
-        p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument("--backend", choices=BACKENDS, default=None)
-        p.add_argument("--samples", type=int, default=None,
-                       help="verification draws per scale")
-        p.add_argument("--scales", default=None,
-                       help="comma list of sampling scales, e.g. 0.1,1,10")
-        for name in _CONFIG_FIELDS:
-            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float,
-                           default=None, help=argparse.SUPPRESS)
+        for name in ("out", *names, *_CONFIG_FIELDS):
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, **_OPTIONS[name][2])
 
     p = sub.add_parser("informativity", help="classify a dataset")
     p.add_argument("data", help="trajectory file (.json or .csv)")
-    add_common(p)
+    add_options(p, "backend")
     p.set_defaults(func=cmd_informativity)
 
     p = sub.add_parser("synthesize", help="compute a stabilizing gain")
     p.add_argument("data")
     p.add_argument("--dump-problem", action="store_true",
                    help="also write the feasibility problem as JSON")
-    add_common(p)
+    add_options(p, "backend")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("verify", help="check a gain against the consistent family")
     p.add_argument("data")
     p.add_argument("gain", help="gain file produced by synthesize")
-    add_common(p)
+    add_options(p, "seed", "samples", "scales")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("montecarlo", help="informativity rates under random excitation")
     p.add_argument("--scenarios", type=int, default=1000)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--T-list", type=int, nargs="+", default=[3, 4, 5, 10, 100])
-    add_common(p)
+    add_options(p, "seed")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("demo", help="run a bundled scenario")
     p.add_argument("name", choices=("example1", "example2", "three-tank"))
-    add_common(p)
+    add_options(p, "seed", "samples", "backend", "format")
     p.set_defaults(func=cmd_demo)
 
     return parser
@@ -414,7 +406,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _settings(args))
     except (DataFormatError, OSError, SolverFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -1,6 +1,7 @@
 """Simulation, the three-tank benchmark, demo scenarios, and the Monte Carlo study."""
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -165,6 +166,9 @@ def _evaluate_scenario(mc: MonteCarloConfig, index: int,
     return verdicts, failures
 
 
+_BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def run_monte_carlo(mc: MonteCarloConfig,
                     cfg: NumericalConfig = DEFAULT_CONFIG) -> MonteCarloResult:
     """Informativity rates over randomly excited runs of ``mc.system``.
@@ -180,10 +184,21 @@ def run_monte_carlo(mc: MonteCarloConfig,
         # imported here: a serial run never loads the process pool
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        # spawn, not fork: forked children can inherit held BLAS locks
+        # spawn, not fork: forked children can inherit held BLAS locks. The
+        # children share the cores, so each starts its BLAS with one thread:
+        # they read these variables from os.environ at spawn
         ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=mc.workers, mp_context=ctx) as pool:
-            outcomes = list(pool.map(_evaluate_scenario, *jobs, chunksize=16))
+        saved = {key: os.environ.get(key) for key in _BLAS_THREAD_VARIABLES}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
+        try:
+            with ProcessPoolExecutor(max_workers=mc.workers, mp_context=ctx) as pool:
+                outcomes = list(pool.map(_evaluate_scenario, *jobs, chunksize=16))
+        finally:
+            for key, value in saved.items():
+                if value is None:
+                    del os.environ[key]
+                else:
+                    os.environ[key] = value
     return MonteCarloResult(config=mc,
                             verdicts=[v for verdicts, _ in outcomes for v in verdicts],
                             solver_failures=sum(fail for _, fail in outcomes))

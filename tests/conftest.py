@@ -8,6 +8,8 @@ import pytest
 
 from ddstab import (DataMatrices, LtiSystem, NumericalConfig, SolverFailure,
                     TrajectoryData, build_data_matrices, row_compress, sdp, simulate)
+from ddstab.linalg import rank_revealing_svd
+from ddstab.synthesis import _symmetry_nullspace
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,32 @@ def newton_steps(monkeypatch):
         return _real(H, g, d)
     monkeypatch.setattr(sdp.BarrierBackend, "_newton_step", staticmethod(counting))
     return steps
+
+
+def reference_coefficients(problem, cfg):
+    """The (d, 2k, 2k) coefficients of the LMI block of ``problem``, built one
+    null-space direction at a time."""
+    L, P = problem.diag_coeff, problem.offdiag_coeff
+    k = L.shape[0]
+    U, _, _, rho = rank_revealing_svd(np.vstack([L, P]), cfg)
+    QG, QH = U[:k, :rho], U[k:, :rho]
+    N = _symmetry_nullspace(QG, k, rho, cfg)
+    d = N.shape[1]
+    coeffs = np.zeros((d, 2 * k, 2 * k))
+    for i in range(d):
+        Z = N[:, i].reshape(rho, k)
+        G, H = QG @ Z, QH @ Z
+        blk = np.block([[G, H], [H.T, G]])
+        coeffs[i] = 0.5 * (blk + blk.T)
+    return coeffs
+
+
+def barrier_slack(coeffs) -> float:
+    """The barrier backend's slack t on the LMI block with coefficients
+    ``coeffs``, solved directly, past every exit ``sdp_solve`` takes first."""
+    s = coeffs.shape[1]
+    problem = sdp.AffineLmiFeasibility(dim=coeffs.shape[0], blocks=((np.zeros((s, s)), coeffs),))
+    return sdp.BarrierBackend().solve(problem).t
 
 
 def three_tank_compressed():

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddstab.cli import build_parser
 from ddstab.data import build_data_matrices, consistent_set, sample_consistent
 from ddstab.experiments import example1_trajectory
 from ddstab.sdp import BarrierBackend
@@ -89,9 +90,9 @@ def test_benchmark_call_fits_its_signature(module_name, attr, positional, keywor
     inspect.signature(value).bind(*[None] * positional, **dict.fromkeys(keywords))
 
 
-def _load_tracer():
-    """``bench/tracer.py`` as a module of its own, read without installing it."""
-    spec = importlib.util.spec_from_file_location("_bench_tracer", BENCH / "tracer.py")
+def _load_bench(name: str):
+    """``bench/<name>.py`` as a module of its own, read without installing it."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -112,7 +113,7 @@ class _Recording(BarrierBackend):
 def test_tracer_extras_read_what_the_package_hands_them():
     """The tracer's per-span extras unpack the problem a backend is handed and
     the result of ``sample_consistent``; a change to either fails here."""
-    extras = _load_tracer().EXTRAS
+    extras = _load_bench("tracer").EXTRAS
     backend = _Recording()
     L = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.2]])
     sdp_solve(LmiFeasibilityProblem(diag_coeff=L, offdiag_coeff=0.5 * L), backend=backend)
@@ -128,3 +129,15 @@ def test_tracer_extras_read_what_the_package_hands_them():
     W = np.zeros((3, cs.particular.n, cs.d))
     assert extras["data.sample_consistent"]((cs, W), sample_consistent(cs, W)) \
         == {"rejected": False}
+
+
+def test_cli_workload_argv_parses(tmp_path):
+    """Every argv the cli workload sends, with the ``--out`` it appends, parses;
+    a flag the CLI stops taking fails here before it fails the benchmark."""
+    workloads = _load_bench("workloads")
+    cli = workloads.Cli(src=str(tmp_path), work=str(tmp_path))
+    cli.prepare(0)
+    parser = build_parser()
+    for command, dataset, _ in workloads.CALLS:
+        assert parser.parse_args(cli._argv(command, dataset) + ["--out", "x"]).command \
+            == command

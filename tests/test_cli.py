@@ -445,6 +445,43 @@ class TestOptionResolution:
             main(["no-such-command"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command,flag,value", [
+        *[(command, flag, value) for command in ("informativity", "synthesize")
+          for flag, value in (("--seed", "1"), ("--format", "csv"), ("--samples", "10"),
+                              ("--scales", "1"))],
+        ("verify", "--format", "csv"), ("verify", "--backend", "builtin"),
+        *[("montecarlo", flag, value) for flag, value in (
+            ("--format", "csv"), ("--backend", "builtin"), ("--samples", "10"),
+            ("--scales", "1"))],
+        ("demo", "--scales", "1")])
+    def test_option_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys,
+                                                               command, flag, value):
+        positional = {"informativity": ["data.json"], "synthesize": ["data.json"],
+                      "verify": ["data.json", "gain.json"], "montecarlo": [],
+                      "demo": ["example1"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *positional, flag, value, "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_environment_setting_informativity_does_not_read(self, example1_file, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.setenv("DDSTAB_SAMPLES", "0")  # informativity draws no samples
+        assert main(["informativity", example1_file,
+                     "--out", str(tmp_path / "i")]) == EXIT_OK
+
+    def test_config_file_setting_verify_does_not_read(self, example1_file, tmp_path):
+        gain_path = tmp_path / "gain.json"
+        gain_path.write_text(json.dumps(
+            {"K": [[-1.0, 0.0]], "provenance": "stabilizability_prior"}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"format": "xml"}))  # verify writes JSON only
+        out = tmp_path / "v"
+        assert main(["verify", example1_file, str(gain_path), "--config", str(cfg_path),
+                     "--samples", "10", "--out", str(out)]) == EXIT_OK
+        assert os.listdir(out) == ["verification.json"]
+
 
 class TestBadOptionValues:
     """A malformed option value exits 1 with an error line, whatever its source."""
@@ -469,10 +506,14 @@ class TestBadOptionValues:
         ("DDSTAB_SEED", "x"), ("DDSTAB_SEED", "-1"), ("DDSTAB_SAMPLES", "0"),
         ("DDSTAB_RANK_REL_TOL", "abc"), ("DDSTAB_BACKEND", "foo"),
         ("DDSTAB_FORMAT", "xml"), ("DDSTAB_SCALES", "")])
-    def test_environment(self, tmp_path, monkeypatch, capsys, key, value):
+    def test_environment(self, example1_file, gain_file, tmp_path, monkeypatch, capsys,
+                         key, value):
         monkeypatch.setenv(key, value)
         out = tmp_path / "demo"
-        assert main(["demo", "example1", "--out", str(out)]) == EXIT_FAILURE
+        # demo example1 reads every option here but scales, which verify reads
+        argv = ["verify", example1_file, gain_file] if key == "DDSTAB_SCALES" \
+            else ["demo", "example1"]
+        assert main(argv + ["--out", str(out)]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("error: invalid ") and key in err
         assert not out.exists()
@@ -482,11 +523,16 @@ class TestBadOptionValues:
         {"scales": ["abc"]}, {"format": "xml"}, {"backend": 3}, {"psd_margin": "small"},
         {"seed": True}, {"samples": [10]}, {"backend": ["builtin"]}, {"psd_margin": True},
         {"scales": [True]}])
-    def test_config_file(self, example1_file, tmp_path, capsys, payload):
+    def test_config_file(self, example1_file, gain_file, tmp_path, capsys, payload):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(payload))
-        assert main(["informativity", example1_file, "--config", str(cfg_path),
-                     "--out", str(tmp_path / "o")]) == EXIT_FAILURE
+        (name,) = payload  # run on a command that reads the option
+        argv = {"seed": ["demo", "example1"], "samples": ["demo", "example1"],
+                "format": ["demo", "example1"],
+                "scales": ["verify", example1_file, gain_file]}.get(
+                    name, ["informativity", example1_file])
+        assert main(argv + ["--config", str(cfg_path),
+                            "--out", str(tmp_path / "o")]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("error: invalid ") and "config file" in err
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -103,9 +105,15 @@ class TestMonteCarlo:
         r2 = run_monte_carlo(self._config(scenarios=5), cfg)
         assert r1.verdicts == r2.verdicts
 
-    def test_workers_do_not_change_result(self, cfg):
+    def test_workers_do_not_change_result(self, cfg, monkeypatch):
         serial = run_monte_carlo(self._config(scenarios=8), cfg)
+        # the pool sets one BLAS thread per child while it lives, then puts
+        # back what the parent had, set or not
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        environ = dict(os.environ)
         parallel = run_monte_carlo(self._config(scenarios=8, workers=2), cfg)
+        assert dict(os.environ) == environ
         assert serial.verdicts == parallel.verdicts
 
     def test_t3_identification_structurally_zero(self, cfg):

@@ -9,9 +9,11 @@ from ddstab import (NumericalConfig, SolverFailure, check_stabilizability_prior,
 from ddstab.linalg import rank_revealing_svd
 from ddstab.sdp import (AffineLmiFeasibility, BarrierBackend, BackendResult,
                         CvxpyBackend, get_backend)
-from ddstab.synthesis import LmiFeasibilityProblem, _symmetry_nullspace, sdp_solve
+from ddstab.synthesis import (LmiFeasibilityProblem, _symmetry_nullspace, lmi_problem,
+                              sdp_solve)
 
-from conftest import random_dataset, three_tank_compressed
+from conftest import (barrier_slack, example1_matrices, random_dataset,
+                      reference_coefficients, three_tank_compressed)
 
 try:
     import cvxpy  # noqa: F401
@@ -141,22 +143,6 @@ def _reference_newton_step(H, g, d):
     raise SolverFailure("could not factor the Newton system")
 
 
-def _reference_coefficients(problem, cfg):
-    L, P = problem.diag_coeff, problem.offdiag_coeff
-    k = L.shape[0]
-    U, _, _, rho = rank_revealing_svd(np.vstack([L, P]), cfg)
-    QG, QH = U[:k, :rho], U[k:, :rho]
-    N = _symmetry_nullspace(QG, k, rho, cfg)
-    d = N.shape[1]
-    coeffs = np.zeros((d, 2 * k, 2 * k))
-    for i in range(d):
-        Z = N[:, i].reshape(rho, k)
-        G, H = QG @ Z, QH @ Z
-        blk = np.block([[G, H], [H.T, G]])
-        coeffs[i] = 0.5 * (blk + blk.T)
-    return coeffs
-
-
 @functools.cache
 def _criterion_5_dataset(seed, index):
     rng = np.random.default_rng(seed)
@@ -272,7 +258,7 @@ class TestCoefficientOracle:
         problem = _coefficient_problems()[name]
         recorder = _Recorder()
         sdp_solve(problem, cfg, backend=recorder)
-        reference = _reference_coefficients(problem, cfg)
+        reference = reference_coefficients(problem, cfg)
         L = problem.diag_coeff  # no unknowns, or rank L < k: decided without the backend
         if reference.shape[0] == 0 or rank_revealing_svd(L, cfg)[3] < L.shape[0]:
             assert recorder.problems == []
@@ -295,13 +281,26 @@ class TestCoefficientOracle:
         assert sol.theta is None
         assert sol.slack == 0.0
 
+    @pytest.mark.parametrize("name", ["rho1_d1", "random_0", "random_2", "random_4",
+                                      "random_6", "random_8", "example1"])
+    def test_barrier_finds_l_below_full_row_rank_infeasible(self, cfg, name):
+        # sdp_solve decides these without the backend; the barrier, handed the
+        # same coefficients, must find no slack either
+        problem = lmi_problem(example1_matrices()) if name == "example1" \
+            else _coefficient_problems()[name]
+        L = problem.diag_coeff
+        assert rank_revealing_svd(L, cfg)[3] < L.shape[0]
+        coeffs = reference_coefficients(problem, cfg)
+        assert coeffs.shape[0] > 0
+        assert barrier_slack(coeffs) < cfg.psd_margin
+
     def test_edge_shapes_are_covered(self, cfg):
         shapes = set()
         for problem in _coefficient_problems().values():
             k = problem.diag_coeff.shape[0]
             rho = rank_revealing_svd(np.vstack([problem.diag_coeff,
                                                 problem.offdiag_coeff]), cfg)[3]
-            d = _reference_coefficients(problem, cfg).shape[0]
+            d = reference_coefficients(problem, cfg).shape[0]
             shapes.update({("k", k), ("rho", rho), ("d", d)})
         assert {("k", 1), ("rho", 1), ("d", 1)} <= shapes
 

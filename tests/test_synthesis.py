@@ -10,9 +10,10 @@ from ddstab import (GainProvenance, LtiSystem, NumericalConfig, PreconditionErro
                     row_compress)
 from ddstab.data import Branch
 from ddstab.linalg import RowCompression
-from ddstab.synthesis import LmiFeasibilityProblem, problem_to_json
+from ddstab.synthesis import LmiFeasibilityProblem, lmi_problem, problem_to_json
 
-from conftest import random_dataset, scalar_full_rank, three_tank_compressed
+from conftest import (barrier_slack, random_dataset, reference_coefficients, scalar_full_rank,
+                      three_tank_compressed)
 
 
 def identity_compression_example1() -> RowCompression:
@@ -101,10 +102,9 @@ class TestPlainLmi:
 
     def test_rank_shortcut_agrees_with_solver(self, cfg, example1):
         # rank-deficient data is infeasible both by the shortcut and by the
-        # solver run on the raw coefficient matrices
-        raw = sdp_solve(LmiFeasibilityProblem(diag_coeff=example1.x_minus,
-                                              offdiag_coeff=example1.x_plus), cfg)
-        assert not raw.feasible
+        # barrier run on the LMI's coefficients
+        assert barrier_slack(reference_coefficients(lmi_problem(example1), cfg)) \
+            < cfg.psd_margin
         assert not solve_plain_lmi(example1, cfg).feasible
 
     def test_gain_needs_feasible_solution(self, cfg, example1):
