@@ -395,9 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("demo", help="run a bundled scenario")
-    p.add_argument("name", choices=("example1", "example2", "three-tank"))
-    add_options(p, "seed", "samples", "backend", "format")
     p.set_defaults(func=cmd_demo)
+    demos = p.add_subparsers(dest="name", required=True)
+    # example2 draws, solves and verifies nothing, so it takes none of the
+    # synthesis demos' options
+    synthesis_demo = ("seed", "samples", "backend", "format")
+    for name, options in (("example1", synthesis_demo), ("example2", ()),
+                          ("three-tank", synthesis_demo)):
+        add_options(demos.add_parser(name), *options)
 
     return parser
 

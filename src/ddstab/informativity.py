@@ -15,6 +15,10 @@ Each condition has one owner: ``check_identification``,
 ``check_plain_stabilization``, and in ``data`` ``check_image_inclusion``,
 ``input_rank_condition`` and their guard ``require_prior_conditions``;
 ``Branch.of`` names the branch.
+The plain verdict's LMI solution is kept for the gain step: a verdict
+followed by ``synthesize`` or ``solve_plain_lmi`` on the same data and
+config solves once (with the built-in backend; an injected one is always
+called).
 The report reads the image-inclusion residual off its row compression, at
 the rank cutoff the verdict uses. A solver breakdown raises SolverFailure.
 """
@@ -28,7 +32,7 @@ from .data import (Branch, DataMatrices, check_image_inclusion, consistent_set,
                    input_rank_condition, sample_consistent)
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, numerical_rank, rank_cutoff,
                      row_compress, subspace_contained)
-from .synthesis import solve_plain_lmi
+from .synthesis import _keep_verdict_solution, solve_plain_lmi
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,14 @@ def check_identification(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG)
 
 def check_plain_stabilization(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
                               backend=None) -> tuple[bool, np.ndarray | None]:
-    """LMI feasibility on the raw data; returns the witness Theta when feasible."""
+    """LMI feasibility on the raw data; returns the witness Theta when feasible.
+
+    A solve with the built-in backend is kept for the gain step: a
+    ``solve_plain_lmi`` on the same data and config returns it unsolved.
+    """
     sol = solve_plain_lmi(D, cfg, backend)
+    if backend is None:
+        _keep_verdict_solution(D, cfg, sol)
     return sol.feasible, sol.theta
 
 

@@ -61,7 +61,8 @@ def rank_cutoff(sv: np.ndarray, shape: tuple[int, int],
                 cfg: NumericalConfig) -> float | np.ndarray:
     """Singular-value cutoff of every rank decision (inf for a zero spectrum).
 
-    ``sv`` is a descending spectrum of a matrix of the given shape; an
+    ``sv`` is a descending spectrum of a matrix of the given shape (or a
+    bound on its leading value alone, as ``is_stabilizable`` passes); an
     (N, k) stack of spectra of N such matrices gives the N cutoffs, each
     from its own row's leading value.
     """
@@ -166,7 +167,11 @@ def is_stabilizable(A: np.ndarray, B: np.ndarray,
     Stacks (N, n, n) and (N, n, m) give the N verdicts as a boolean array,
     each equal to its member's own: one stacked ``eigvals``, then one
     stacked SVD over the pencils of every (member, eigenvalue) pair on or
-    outside the margin, each ranked at its own ``rank_cutoff``.
+    outside the margin. Each pencil is ranked at the shared cutoff taken
+    relative to ``||[A B]||_F + |lambda|``, a bound on the size of its two
+    terms, not to its own largest singular value: a one-row pencil would
+    then drop rank only when it is exactly zero, so a negligible B would
+    stabilize any scalar system.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -174,17 +179,17 @@ def is_stabilizable(A: np.ndarray, B: np.ndarray,
     if not stacked:
         A, B = A[None], B[None]
     n = A.shape[-1]
+    AB = np.concatenate([A, B], axis=-1)
     lams = np.linalg.eigvals(A)
     # hypot, not np.abs: it rounds |lambda| as abs() does on one eigenvalue
-    k, j = np.nonzero(np.hypot(lams.real, lams.imag) >= 1.0 - cfg.schur_margin)
-    # each pencil [A - lambda*I, B] built in place in one complex array
-    pencils = np.empty((len(k), n, n + B.shape[-1]), dtype=complex)
-    pencils[..., :n] = A[k]
-    pencils[..., n:] = B[k]
+    modulus = np.hypot(lams.real, lams.imag)
+    k, j = np.nonzero(modulus >= 1.0 - cfg.schur_margin)
+    pencils = AB[k].astype(complex)
     diagonal = np.arange(n)
     pencils[:, diagonal, diagonal] -= lams[k, j][:, None]
+    scale = np.sqrt(np.square(AB).sum(axis=(1, 2)))[k] + modulus[k, j]
     sv = np.linalg.svd(pencils, compute_uv=False)
-    cutoff = rank_cutoff(sv, pencils.shape[1:], cfg)
+    cutoff = rank_cutoff(scale[:, None], pencils.shape[1:], cfg)
     ok = np.ones(len(A), dtype=bool)
     ok[k[np.count_nonzero(sv > cutoff[:, None], axis=-1) < n]] = False
     return ok if stacked else bool(ok[0])

@@ -14,6 +14,13 @@ depends on Theta only through (G, H) = (L Theta, P Theta), whose columns
 range over col(V). Working in an orthonormal basis of col(V) intersected
 with the symmetry constraint keeps the problem at most 2k^2-dimensional
 regardless of T and makes the maximized slack a scale-free margin.
+
+One plain-LMI certificate both decides informativity and gives the gain.
+The verdict (``informativity.check_plain_stabilization``) keeps the
+solution it solved with the built-in backend, and ``solve_plain_lmi`` on
+the same data bytes and config returns it, so a verdict followed by the
+gain step solves once. An injected backend is always called. A feasible
+Theta is read-only, since the verdict and the gain share one array.
 """
 from __future__ import annotations
 
@@ -98,6 +105,11 @@ def _symmetry_nullspace(QG: np.ndarray, k: int, rho: int,
     return Vt[r:].T.copy()  # C order: the transposed view rounds N @ x differently
 
 
+def _read_only(theta: np.ndarray) -> np.ndarray:
+    theta.flags.writeable = False
+    return theta
+
+
 def sdp_solve(problem: LmiFeasibilityProblem,
               cfg: NumericalConfig = DEFAULT_CONFIG,
               backend=None) -> LmiSolution:
@@ -120,7 +132,7 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     L, P = problem.diag_coeff, problem.offdiag_coeff
     k, T = L.shape
     if k == 0:
-        return LmiSolution(theta=np.zeros((T, 0)), slack=np.inf)
+        return LmiSolution(theta=_read_only(np.zeros((T, 0))), slack=np.inf)
     U_L, sv_L, Vt_L, rank_L = rank_revealing_svd(L, cfg)
     if rank_L < k:
         return LmiSolution(theta=None, slack=0.0)
@@ -152,7 +164,7 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     pinv_L = (Vt_L[:k].T / sv_L[:k]) @ U_L[:, :k].T
     theta = theta - pinv_L @ (0.5 * (G - G.T))
     theta = theta / result.t
-    return LmiSolution(theta=theta, slack=result.t)
+    return LmiSolution(theta=_read_only(theta), slack=result.t)
 
 
 def lmi_problem(D: DataMatrices, comp: RowCompression | None = None) -> LmiFeasibilityProblem:
@@ -162,10 +174,34 @@ def lmi_problem(D: DataMatrices, comp: RowCompression | None = None) -> LmiFeasi
     return LmiFeasibilityProblem(diag_coeff=comp.x_hat_minus, offdiag_coeff=comp.x_hat_plus)
 
 
+# (key, solution) of the last plain LMI a verdict solved with the built-in
+# backend; written only by ``_keep_verdict_solution``
+_verdict_solution: tuple | None = None
+
+
+def _plain_key(D: DataMatrices, cfg: NumericalConfig) -> tuple:
+    """The plain LMI's data as bytes: data edited in place get a new key."""
+    return (D.x_minus.shape, D.x_minus.tobytes(), D.x_plus.tobytes(), cfg)
+
+
+def _keep_verdict_solution(D: DataMatrices, cfg: NumericalConfig, sol: LmiSolution) -> None:
+    global _verdict_solution
+    _verdict_solution = (_plain_key(D, cfg), sol)
+
+
 def solve_plain_lmi(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
                     backend=None) -> LmiSolution:
     """Feasibility of the no-prior synthesis LMI on (X_minus, X_plus), k = n;
-    ``sdp_solve`` decides rank-deficient X_minus Infeasible without a solve."""
+    ``sdp_solve`` decides rank-deficient X_minus Infeasible without a solve.
+
+    With the built-in backend (``backend`` None) the solution the last
+    verdict kept is returned when it was solved for the same data bytes and
+    config; otherwise, and with any injected backend, the LMI is solved.
+    """
+    if backend is None:
+        kept = _verdict_solution
+        if kept is not None and kept[0] == _plain_key(D, cfg):
+            return kept[1]
     return sdp_solve(lmi_problem(D), cfg, backend)
 
 

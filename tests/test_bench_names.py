@@ -15,9 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddstab import synthesis
 from ddstab.cli import build_parser
-from ddstab.data import build_data_matrices, consistent_set, sample_consistent
+from ddstab.data import Branch, build_data_matrices, consistent_set, sample_consistent
 from ddstab.experiments import example1_trajectory
+from ddstab.linalg import row_compress
 from ddstab.sdp import BarrierBackend
 from ddstab.synthesis import LmiFeasibilityProblem, sdp_solve
 from ddstab.verification import common_lyapunov
@@ -141,3 +143,27 @@ def test_cli_workload_argv_parses(tmp_path):
     for command, dataset, _ in workloads.CALLS:
         assert parser.parse_args(cli._argv(command, dataset) + ["--out", "x"]).command \
             == command
+
+
+def test_pipeline_solves_each_plain_lmi_once(monkeypatch):
+    """The pipeline workload's gain step reuses the plain solve of its verdict:
+    on the first 30 corpus datasets the barrier runs once per full-rank
+    dataset (the verdict) and once per informative rank-deficient one (the
+    compressed LMI), and never twice for one dataset's plain LMI."""
+    pipeline = _load_bench("workloads").Pipeline()
+    pipeline.prepare(0)
+    solves = []
+    real = BarrierBackend.solve
+
+    def counting(backend, problem):
+        solves.append(problem)
+        return real(backend, problem)
+    monkeypatch.setattr(BarrierBackend, "solve", counting)
+    monkeypatch.setattr(synthesis, "_verdict_solution", None)
+    full_rank = informative_rank_deficient = 0
+    for D in pipeline.datasets[:30]:
+        outcome = pipeline._run(D)
+        full_rank += Branch.of(D, row_compress(D.x_minus, D.x_plus)) is Branch.FULL_RANK
+        informative_rank_deficient += outcome == Branch.RANK_DEFICIENT.value
+    assert full_rank and informative_rank_deficient
+    assert len(solves) == full_rank + informative_rank_deficient

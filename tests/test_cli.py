@@ -390,6 +390,27 @@ class TestDemoCommand:
                      "--samples", "10"]) == EXIT_FAILURE
         assert "fake breakdown" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "1"), ("--samples", "10"),
+                                            ("--backend", "builtin"), ("--format", "csv")])
+    def test_example2_option_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        # example2 draws, solves and verifies nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "example2", flag, value, "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_example2_reads_no_synthesis_setting(self, tmp_path, monkeypatch):
+        for key, value in (("DDSTAB_SEED", "x"), ("DDSTAB_SAMPLES", "0"),
+                           ("DDSTAB_BACKEND", "foo"), ("DDSTAB_FORMAT", "xml")):
+            monkeypatch.setenv(key, value)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": -1, "samples": "many", "format": "xml"}))
+        out = tmp_path / "d2"
+        assert main(["demo", "example2", "--config", str(cfg_path),
+                     "--out", str(out)]) == EXIT_OK
+        assert sorted(os.listdir(out)) == ["plane_grid.csv", "summary.json"]
+
     def test_unknown_name_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["demo", "example99", "--out", str(tmp_path / "x")])

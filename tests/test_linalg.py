@@ -277,12 +277,15 @@ def _bits(x) -> bytes:
 
 
 def per_eigenvalue_stabilizable(A, B, cfg) -> bool:
-    """Oracle: the Hautus test one eigenvalue and one pencil at a time."""
+    """Oracle: the Hautus test one eigenvalue and one pencil at a time, each
+    pencil ranked relative to ||[A B]||_F + |lambda|."""
     n = A.shape[0]
+    size = np.linalg.norm(np.hstack([A, B]))
     for lam in np.linalg.eigvals(A):
         if abs(lam) >= 1.0 - cfg.schur_margin:
             pencil = np.hstack([A - lam * np.eye(n), B.astype(complex)])
-            if numerical_rank(pencil, cfg) < n:
+            cutoff = cfg.rank_rel_tol * max(pencil.shape) * (size + abs(lam))
+            if np.count_nonzero(np.linalg.svd(pencil, compute_uv=False) > cutoff) < n:
                 return False
     return True
 
@@ -296,7 +299,8 @@ def concatenated_pencils(A, B, cfg):
     lam = lams[k, j][:, None, None]
     pencils = np.concatenate([A[k] - lam * np.eye(n), B[k].astype(complex)], axis=-1)
     sv = np.linalg.svd(pencils, compute_uv=False)
-    cutoff = rank_cutoff(sv, pencils.shape[1:], cfg)
+    size = np.linalg.norm(np.concatenate([A, B], axis=-1), axis=(1, 2))
+    cutoff = cfg.rank_rel_tol * max(pencils.shape[1:]) * (size[k] + np.abs(lams[k, j]))
     ok = np.ones(len(A), dtype=bool)
     ok[k[np.count_nonzero(sv > cutoff[:, None], axis=-1) < n]] = False
     return pencils, ok, lams[k, j]
@@ -403,7 +407,7 @@ class TestStackedKernels:
 
     def test_is_stabilizable_cutoff_per_pencil(self, cfg):
         # a large member next to one whose pencil has a small but clear
-        # singular value: the cutoff must come from each pencil's own spectrum
+        # singular value: the cutoff must come from each pencil's own member
         A = np.array([np.diag([1e6, 0.5]), np.diag([2.0, 0.5])])
         B = np.array([[[1.0], [0.0]], [[1e-4], [0.0]]])
         ok = self.check_is_stabilizable(A, B, cfg)
@@ -435,6 +439,32 @@ class TestStackedKernels:
                 if n >= 2:
                     assert np.count_nonzero(lams.imag) > 0
         assert at_edge > 0
+
+    def test_negligible_input_leaves_an_unstable_mode(self, cfg):
+        # a one-row pencil [a - lambda, b] is ranked against |a| + |b| + |lambda|,
+        # not against its own largest singular value |b|
+        assert not is_stabilizable([[2.0]], [[1e-17]], cfg)
+        assert not is_stabilizable([[-1.5]], [[0.0, 1e-14]], cfg)
+        assert not is_stabilizable(np.diag([2.0, 0.5]), [[1e-17], [1.0]], cfg)
+        assert is_stabilizable([[2.0]], [[1e-6]], cfg)
+        assert is_stabilizable([[0.5]], [[1e-17]], cfg)
+        A = np.array([[[2.0]], [[2.0]], [[0.5]]])
+        B = np.array([[[1e-17]], [[1.0]], [[1e-17]]])
+        assert self.check_is_stabilizable(A, B, cfg).tolist() == [False, True, True]
+
+    def test_is_stabilizable_with_shrunk_inputs(self, cfg):
+        # B scaled by 10^-20 .. 1 puts pencils on both sides of the cutoff;
+        # the stacked verdicts equal the per-eigenvalue loop on every member
+        rng = np.random.default_rng(65)
+        for n in range(1, 6):
+            for m in (1, 2):
+                A, B = self.stacks(rng, 60, n, m)
+                A *= 1.5 / np.abs(np.linalg.eigvals(A)).max(axis=-1)[:, None, None]
+                B *= 10.0 ** rng.uniform(-20, 0, size=(60, 1, 1))
+                ok = self.check_is_stabilizable(A, B, cfg)
+                if n == 1:  # an unstable scalar with |b| below the cutoff
+                    tiny = np.abs(B[:, 0]).max(axis=-1) < 1e-12
+                    assert tiny.any() and not ok[tiny].any()
 
     def test_is_stabilizable_empty(self, cfg):
         ok = is_stabilizable(np.zeros((0, 3, 3)), np.zeros((0, 3, 2)), cfg)

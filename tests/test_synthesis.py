@@ -5,9 +5,9 @@ import pytest
 
 from ddstab import (GainProvenance, LtiSystem, NumericalConfig, PreconditionError,
                     SolverFailure, TrajectoryData, build_data_matrices,
-                    check_stabilizability_prior, gain_from_plain, sdp_solve, simulate, solve_plain_lmi,
-                    solve_stab_lmi, spectral_radius, synthesize, synthesize_stab,
-                    row_compress)
+                    check_plain_stabilization, check_stabilizability_prior, gain_from_plain,
+                    sdp, sdp_solve, simulate, solve_plain_lmi, solve_stab_lmi,
+                    spectral_radius, synthesis, synthesize, synthesize_stab, row_compress)
 from ddstab.data import Branch
 from ddstab.linalg import RowCompression
 from ddstab.synthesis import LmiFeasibilityProblem, lmi_problem, problem_to_json
@@ -405,6 +405,91 @@ class TestSynthesize:
         outcomes = {self._check(random_dataset(rng).D, cfg) for _ in range(150)}
         # every branch meets both verdicts, so each path of the dispatch ran
         assert len(outcomes) == 4
+
+
+def _full_rank_informative():
+    system = LtiSystem(A=np.array([[1.2, 0.3], [0.1, 0.8]]), B=np.array([[1.0], [0.5]]))
+    rng = np.random.default_rng(32)
+    return build_data_matrices(simulate(system, rng.normal(size=2), rng.normal(size=(6, 1))))
+
+
+class TestVerdictHandOff:
+    """The plain verdict's LMI solution reaches the gain step unsolved, and
+    only when it was solved for the same data bytes, config and backend."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Every ``BarrierBackend.solve`` call, with no solution kept before."""
+        calls = []
+        real = sdp.BarrierBackend.solve
+
+        def counting(backend, problem):
+            calls.append(problem)
+            return real(backend, problem)
+        monkeypatch.setattr(sdp.BarrierBackend, "solve", counting)
+        monkeypatch.setattr(synthesis, "_verdict_solution", None)
+        return calls
+
+    @staticmethod
+    def _bytes(sol):
+        theta = None if sol.theta is None else (sol.theta.shape, sol.theta.tobytes())
+        return sol.feasible, np.float64(sol.slack).tobytes(), theta
+
+    def test_kept_solution_equals_a_fresh_solve(self, cfg, solves):
+        seen = feasible = 0
+        for seed in (101, 102, 103):
+            rng = np.random.default_rng(seed)
+            for _ in range(500):
+                D = random_dataset(rng).D
+                if Branch.of(D, row_compress(D.x_minus, D.x_plus, cfg)) is not Branch.FULL_RANK:
+                    continue
+                check_plain_stabilization(D, cfg)
+                before = len(solves)
+                kept = solve_plain_lmi(D, cfg)
+                assert len(solves) == before
+                fresh = solve_plain_lmi(D, cfg, backend=sdp.BarrierBackend())
+                assert self._bytes(kept) == self._bytes(fresh)
+                seen += 1
+                feasible += kept.feasible
+        assert seen >= 300 and 0 < feasible < seen
+
+    def test_verdict_then_gain_solves_once(self, cfg, solves):
+        D = _full_rank_informative()
+        report = check_stabilizability_prior(D, cfg)
+        assert report.branch is Branch.FULL_RANK and report.stabilization_stabilizability_prior
+        sol = solve_plain_lmi(D, cfg)
+        assert len(solves) == 1
+        gain, synthesized, _ = synthesize(D, cfg)
+        assert len(solves) == 1 and synthesized is sol
+        assert spectral_radius(np.array([[1.2, 0.3], [0.1, 0.8]])
+                               + np.array([[1.0], [0.5]]) @ gain.K) < 1.0
+
+    @pytest.mark.parametrize("case", ["injected_backend", "verdict_backend", "other_config",
+                                      "data_edited", "no_verdict"])
+    def test_fresh_solve(self, cfg, solves, case):
+        D = _full_rank_informative()
+        verdict_backend = sdp.BarrierBackend() if case == "verdict_backend" else None
+        if case != "no_verdict":
+            check_plain_stabilization(D, cfg, verdict_backend)
+        else:
+            solve_plain_lmi(D, cfg)
+        backend = sdp.BarrierBackend() if case == "injected_backend" else None
+        if case == "other_config":
+            cfg = NumericalConfig(psd_margin=2 * cfg.psd_margin)
+        if case == "data_edited":
+            D.x_plus[0, 0] += 0.25
+        sol = solve_plain_lmi(D, cfg, backend)
+        assert len(solves) == 2
+        assert self._bytes(sol) == self._bytes(solve_plain_lmi(D, cfg, sdp.BarrierBackend()))
+
+    def test_feasible_theta_is_read_only(self, cfg):
+        sol = solve_plain_lmi(_full_rank_informative(), cfg)
+        assert sol.feasible
+        with pytest.raises(ValueError):
+            sol.theta[0, 0] = 1.0
+        empty = sdp_solve(LmiFeasibilityProblem(diag_coeff=np.zeros((0, 3)),
+                                                offdiag_coeff=np.zeros((0, 3))), cfg)
+        assert empty.feasible and not empty.theta.flags.writeable
 
 
 class TestSolverFailurePropagates:
