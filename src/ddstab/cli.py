@@ -29,7 +29,6 @@ from .experiments import (MonteCarloConfig, demo_example1, demo_example2,
                           zoh_discretize)
 from .informativity import check_stabilizability_prior
 from .linalg import NumericalConfig, row_compress
-from .sdp import BACKENDS, get_backend
 from .synthesis import (FeedbackGain, GainProvenance, lmi_problem, problem_to_json,
                         synthesize)
 from .verification import decomposition_check, structural_nullity, verify_gain
@@ -111,7 +110,6 @@ _OPTIONS = {
     "seed": (3, _integer(lowest=0), {"type": int}),
     "out": ("out", _directory, {"help": "output directory (default ./out)"}),
     "format": ("json", _choice(FORMATS), {"choices": FORMATS}),
-    "backend": ("builtin", _choice(tuple(BACKENDS)), {"choices": BACKENDS}),
     "samples": (200, _integer(lowest=1), {"type": int, "help": "verification draws per scale"}),
     "scales": ((0.1, 1.0, 10.0), _parse_scales,
                {"help": "comma list of sampling scales, e.g. 0.1,1,10"}),
@@ -200,8 +198,7 @@ def _gain_from_file(path: str, D: DataMatrices) -> FeedbackGain:
 def cmd_informativity(args, settings: dict) -> int:
     traj = load_trajectory(args.data)
     D = build_data_matrices(traj)
-    report = check_stabilizability_prior(D, settings["numcfg"],
-                                         get_backend(settings["backend"]))
+    report = check_stabilizability_prior(D, settings["numcfg"])
     path = _write(settings["out"], "informativity.json", _dump_json(report.to_dict()))
     print(f"wrote {path}")
     print(f"stabilizability-prior informative: "
@@ -211,7 +208,6 @@ def cmd_informativity(args, settings: dict) -> int:
 
 def cmd_synthesize(args, settings: dict) -> int:
     numcfg = settings["numcfg"]
-    backend = get_backend(settings["backend"])
     traj = load_trajectory(args.data)
     D = build_data_matrices(traj)
     comp = row_compress(D.x_minus, D.x_plus, numcfg)
@@ -220,7 +216,7 @@ def cmd_synthesize(args, settings: dict) -> int:
         problem = lmi_problem(D, None if branch is Branch.FULL_RANK else comp)
         _write(settings["out"], "problem.json", problem_to_json(problem))
     try:
-        gain, sol, comp = synthesize(D, numcfg, backend, comp)
+        gain, sol, comp = synthesize(D, numcfg, comp)
     except PreconditionError:
         _write(settings["out"], "gain.json",
                _dump_json({"informative": False, "branch": branch.value}))
@@ -319,8 +315,7 @@ def _demo_synthesis_bundle(settings, demo) -> None:
     """Trajectory, report, gain and verification of a synthesis demo, plus the
     model and closed-loop spectrum when the demo simulates a known system."""
     bundle = demo(settings["numcfg"], seed=settings["seed"],
-                  n_samples=settings["samples"],
-                  backend=get_backend(settings["backend"]))
+                  n_samples=settings["samples"])
     out = settings["out"]
     if settings["format"] == "csv":
         _write(out, "data.csv", trajectory_to_csv(bundle["trajectory"]))
@@ -371,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("informativity", help="classify a dataset")
     p.add_argument("data", help="trajectory file (.json or .csv)")
-    add_options(p, "backend")
+    add_options(p)
     p.set_defaults(func=cmd_informativity)
 
     p = sub.add_parser("synthesize", help="compute a stabilizing gain")
     p.add_argument("data")
     p.add_argument("--dump-problem", action="store_true",
                    help="also write the feasibility problem as JSON")
-    add_options(p, "backend")
+    add_options(p)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("verify", help="check a gain against the consistent family")
@@ -399,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     demos = p.add_subparsers(dest="name", required=True)
     # example2 draws, solves and verifies nothing, so it takes none of the
     # synthesis demos' options
-    synthesis_demo = ("seed", "samples", "backend", "format")
+    synthesis_demo = ("seed", "samples", "format")
     for name, options in (("example1", synthesis_demo), ("example2", ()),
                           ("three-tank", synthesis_demo)):
         add_options(demos.add_parser(name), *options)

@@ -215,11 +215,11 @@ def example1_trajectory() -> TrajectoryData:
 
 
 def _synthesis_demo(traj: TrajectoryData, cfg: NumericalConfig, seed: int,
-                    n_samples: int, backend) -> dict:
+                    n_samples: int) -> dict:
     """Report, gain and sampled verification for one trajectory."""
     D = build_data_matrices(traj)
-    report = check_stabilizability_prior(D, cfg, backend)
-    gain, sol, comp = synthesize(D, cfg, backend)
+    report = check_stabilizability_prior(D, cfg)
+    gain, sol, comp = synthesize(D, cfg)
     verification = verify_gain(consistent_set(D, cfg), gain, n_samples=n_samples,
                                seed=seed, cfg=cfg)
     return {
@@ -234,10 +234,10 @@ def _synthesis_demo(traj: TrajectoryData, cfg: NumericalConfig, seed: int,
 
 
 def demo_example1(cfg: NumericalConfig = DEFAULT_CONFIG, seed: int = 0,
-                  n_samples: int = 200, backend=None) -> dict:
+                  n_samples: int = 200) -> dict:
     """Dataset where no gain covers every consistent system, yet one covers
     all stabilizable ones."""
-    return _synthesis_demo(example1_trajectory(), cfg, seed, n_samples, backend)
+    return _synthesis_demo(example1_trajectory(), cfg, seed, n_samples)
 
 
 def demo_example2(cfg: NumericalConfig = DEFAULT_CONFIG) -> dict:
@@ -271,12 +271,12 @@ THREE_TANK_INPUTS = np.array([[1.0], [0.0], [-1.0], [0.0], [1.0]])
 
 
 def demo_three_tank(cfg: NumericalConfig = DEFAULT_CONFIG, seed: int = 0,
-                    n_samples: int = 200, backend=None) -> dict:
+                    n_samples: int = 200) -> dict:
     """Discretize the cascade, run the length-5 experiment, synthesize and verify."""
     continuous = three_tank_model()
     system = zoh_discretize(continuous)
     bundle = _synthesis_demo(simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS),
-                             cfg, seed, n_samples, backend)
+                             cfg, seed, n_samples)
     closed_loop = system.A + system.B @ bundle["gain"].K
     return {
         "continuous": continuous,

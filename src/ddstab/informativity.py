@@ -17,8 +17,7 @@ Each condition has one owner: ``check_identification``,
 ``Branch.of`` names the branch.
 The plain verdict's LMI solution is kept for the gain step: a verdict
 followed by ``synthesize`` or ``solve_plain_lmi`` on the same data and
-config solves once (with the built-in backend; an injected one is always
-called).
+config solves once. Every solve runs the built-in barrier.
 The report reads the image-inclusion residual off its row compression, at
 the rank cutoff the verdict uses. A solver breakdown raises SolverFailure.
 """
@@ -56,23 +55,21 @@ def check_identification(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG)
     return numerical_rank(D.stacked(), cfg) == D.n + D.m
 
 
-def check_plain_stabilization(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
-                              backend=None) -> tuple[bool, np.ndarray | None]:
+def check_plain_stabilization(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG
+                              ) -> tuple[bool, np.ndarray | None]:
     """LMI feasibility on the raw data; returns the witness Theta when feasible.
 
-    A solve with the built-in backend is kept for the gain step: a
-    ``solve_plain_lmi`` on the same data and config returns it unsolved.
+    The solution is kept for the gain step: a ``solve_plain_lmi`` on the
+    same data and config returns it unsolved.
     """
-    sol = solve_plain_lmi(D, cfg, backend)
-    if backend is None:
-        _keep_verdict_solution(D, cfg, sol)
+    sol = solve_plain_lmi(D, cfg)
+    _keep_verdict_solution(D, cfg, sol)
     return sol.feasible, sol.theta
 
 
-def check_controllability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
-                                backend=None) -> bool:
+def check_controllability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
     """Controllability prior knowledge never changes the verdict; delegate."""
-    verdict, _ = check_plain_stabilization(D, cfg, backend)
+    verdict, _ = check_plain_stabilization(D, cfg)
     return verdict
 
 
@@ -85,8 +82,8 @@ def _rank_margin_diagnostics(sv: np.ndarray | None, shape, cfg: NumericalConfig)
     return {"marginal_rank": marginal, "singular_values": sv.tolist()}
 
 
-def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
-                                backend=None) -> InformativityReport:
+def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG
+                                ) -> InformativityReport:
     """Full report with the stabilizability-prior verdict and its ingredients.
 
     Verdicts presume the generating system actually satisfies the assumed
@@ -102,7 +99,7 @@ def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
     }
     input_ok = input_rank_condition(D, comp, rank_stacked)
     if branch is Branch.FULL_RANK:
-        plain, _ = check_plain_stabilization(D, cfg, backend)
+        plain, _ = check_plain_stabilization(D, cfg)
         image_ok = True  # col(X_minus) is the whole state space
         prior = plain
     else:

@@ -31,8 +31,8 @@ class NumericalConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not getattr(self, f.name) > 0.0:
-                raise ValueError(f"{f.name} must be strictly positive")
+            if not 0.0 < getattr(self, f.name) < np.inf:
+                raise ValueError(f"{f.name} must be finite and strictly positive")
         if not self.schur_margin < 1.0:
             raise ValueError("schur_margin must be < 1")
 

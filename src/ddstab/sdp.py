@@ -1,4 +1,4 @@
-"""Small dense semidefinite feasibility solves behind a pluggable backend.
+"""Small dense semidefinite feasibility solves.
 
 The shared problem shape is
 
@@ -13,15 +13,17 @@ built from orthonormal bases the optimal ``t`` is a scale-free margin in
 [0, sqrt(2)] and the verdict "t >= psd_margin" does not depend on the
 scaling of the raw data.
 
-The built-in backend is a log-det barrier path-following method. Problems
-here are tiny (a few dozen unknowns, blocks of order <= 2n), so a dense
-Newton iteration is both faster and lighter than an external conic solver;
-a cvxpy-based backend is provided for cross-checking when cvxpy is
-installed. ``GAP_TOL``, ``MU0``, ``MU_FACTOR`` and ``MAX_NEWTON`` fix the
-barrier's schedule. Every barrier stage follows one rule: it ends when its
-half Newton decrement is within 0.25 or when the line search finds no point
-other than the current one, and a solve that spends ``MAX_NEWTON`` steps
-raises SolverFailure, whatever its stage. Each Newton step factors the
+The solver is a log-det barrier path-following method. Problems here are
+tiny (a few dozen unknowns, blocks of order <= 2n), so a dense Newton
+iteration is both faster and lighter than an external conic solver.
+``CvxpyBackend`` solves the same problem through cvxpy. It serves only as
+the barrier's test oracle: tests hand it to ``sdp_solve`` or
+``common_lyapunov`` when cvxpy is installed. ``GAP_TOL``, ``MU0``,
+``MU_FACTOR`` and ``MAX_NEWTON`` fix the barrier's schedule. Every barrier
+stage follows one rule: it ends when its half Newton decrement is within
+0.25 or when the line search finds no point other than the current one,
+and a solve that spends ``MAX_NEWTON`` steps raises SolverFailure,
+whatever its stage. Each Newton step factors the
 system with ``scipy.linalg.cho_factor`` (no finiteness check) and solves
 with LAPACK ``potrs`` on that factor; each block inverse is ``potrs`` on
 the block's ``numpy.linalg.cholesky`` factor against a cached identity. A
@@ -234,7 +236,8 @@ class BarrierBackend:
 
 
 class CvxpyBackend:
-    """Same contract, modeled through cvxpy (for cross-checks and larger sizes).
+    """Same contract, modeled through cvxpy: the barrier's test oracle, which
+    no command or verdict selects.
 
     The slack comes from ``_certified`` at the returned point, not from the
     solver objective (solver feasibility tolerances can otherwise overstate
@@ -268,12 +271,3 @@ class CvxpyBackend:
         if norm > 1.0:
             x_val = x_val / norm
         return _certified(problem.blocks, x_val)
-
-
-BACKENDS = {"builtin": BarrierBackend, "cvxpy": CvxpyBackend}
-
-
-def get_backend(name: str = "builtin"):
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r} (want {' or '.join(map(repr, BACKENDS))})")
-    return BACKENDS[name]()

@@ -17,10 +17,11 @@ regardless of T and makes the maximized slack a scale-free margin.
 
 One plain-LMI certificate both decides informativity and gives the gain.
 The verdict (``informativity.check_plain_stabilization``) keeps the
-solution it solved with the built-in backend, and ``solve_plain_lmi`` on
-the same data bytes and config returns it, so a verdict followed by the
-gain step solves once. An injected backend is always called. A feasible
-Theta is read-only, since the verdict and the gain share one array.
+solution it solved, and ``solve_plain_lmi`` on the same data bytes and
+config returns it, so a verdict followed by the gain step solves once. A
+feasible Theta is read-only, since the verdict and the gain share one array.
+
+Every solve runs the built-in barrier, ``sdp.BarrierBackend``.
 """
 from __future__ import annotations
 
@@ -126,7 +127,8 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     at the point the backend returns: the least block eigenvalue there on
     the normalized image ball, a scale-free conditioning measure in
     (0, sqrt(2)] (clamped at 0 when infeasible), not a solver objective. A solver
-    breakdown raises SolverFailure.
+    breakdown raises SolverFailure. ``backend`` defaults to the barrier; tests
+    hand in a fake or the cvxpy oracle ``sdp.CvxpyBackend()``.
     """
     backend = backend or BarrierBackend()
     L, P = problem.diag_coeff, problem.offdiag_coeff
@@ -174,8 +176,8 @@ def lmi_problem(D: DataMatrices, comp: RowCompression | None = None) -> LmiFeasi
     return LmiFeasibilityProblem(diag_coeff=comp.x_hat_minus, offdiag_coeff=comp.x_hat_plus)
 
 
-# (key, solution) of the last plain LMI a verdict solved with the built-in
-# backend; written only by ``_keep_verdict_solution``
+# (key, solution) of the last plain LMI a verdict solved; written only by
+# ``_keep_verdict_solution``
 _verdict_solution: tuple | None = None
 
 
@@ -189,20 +191,17 @@ def _keep_verdict_solution(D: DataMatrices, cfg: NumericalConfig, sol: LmiSoluti
     _verdict_solution = (_plain_key(D, cfg), sol)
 
 
-def solve_plain_lmi(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
-                    backend=None) -> LmiSolution:
+def solve_plain_lmi(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> LmiSolution:
     """Feasibility of the no-prior synthesis LMI on (X_minus, X_plus), k = n;
     ``sdp_solve`` decides rank-deficient X_minus Infeasible without a solve.
 
-    With the built-in backend (``backend`` None) the solution the last
-    verdict kept is returned when it was solved for the same data bytes and
-    config; otherwise, and with any injected backend, the LMI is solved.
+    The solution the last verdict kept is returned when it was solved for
+    the same data bytes and config; otherwise the LMI is solved.
     """
-    if backend is None:
-        kept = _verdict_solution
-        if kept is not None and kept[0] == _plain_key(D, cfg):
-            return kept[1]
-    return sdp_solve(lmi_problem(D), cfg, backend)
+    kept = _verdict_solution
+    if kept is not None and kept[0] == _plain_key(D, cfg):
+        return kept[1]
+    return sdp_solve(lmi_problem(D), cfg)
 
 
 def _gain(D: DataMatrices, L: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -221,13 +220,12 @@ def gain_from_plain(D: DataMatrices, sol: LmiSolution) -> FeedbackGain:
 
 
 def solve_stab_lmi(D: DataMatrices, comp: RowCompression,
-                   cfg: NumericalConfig = DEFAULT_CONFIG,
-                   backend=None) -> LmiSolution:
+                   cfg: NumericalConfig = DEFAULT_CONFIG) -> LmiSolution:
     """Feasibility of the compressed LMI on (x_hat_minus, x_hat_plus), k = r."""
-    return sdp_solve(lmi_problem(D, comp), cfg, backend)
+    return sdp_solve(lmi_problem(D, comp), cfg)
 
 
-def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG, backend=None,
+def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
                     comp: RowCompression | None = None) -> tuple[FeedbackGain, LmiSolution, RowCompression]:
     """Gain for the stabilizability-prior route: K = [K1 K2] @ S.
 
@@ -238,7 +236,7 @@ def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG, back
     # the compressed LMI cannot see the discarded rows; the informativity
     # conditions are what make its gain valid for the whole family
     require_prior_conditions(D, comp, cfg)
-    sol = solve_stab_lmi(D, comp, cfg, backend)
+    sol = solve_stab_lmi(D, comp, cfg)
     if not sol.feasible:
         raise PreconditionError("stabilizability-prior LMI is infeasible for this data")
     K2 = np.zeros((D.m, D.n - comp.r))
@@ -247,7 +245,7 @@ def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG, back
                         k2=K2, k2_policy="zero"), sol, comp
 
 
-def synthesize(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG, backend=None,
+def synthesize(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
                comp: RowCompression | None = None) -> tuple[FeedbackGain, LmiSolution, RowCompression]:
     """Gain from the branch the data select.
 
@@ -258,8 +256,8 @@ def synthesize(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG, backend=N
     """
     comp = comp if comp is not None else row_compress(D.x_minus, D.x_plus, cfg)
     if Branch.of(D, comp) is Branch.RANK_DEFICIENT:
-        return synthesize_stab(D, cfg, backend=backend, comp=comp)
-    sol = solve_plain_lmi(D, cfg, backend)
+        return synthesize_stab(D, cfg, comp=comp)
+    sol = solve_plain_lmi(D, cfg)
     return gain_from_plain(D, sol), sol, comp  # raises when infeasible
 
 

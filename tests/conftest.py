@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ddstab import (DataMatrices, LtiSystem, NumericalConfig, SolverFailure,
-                    TrajectoryData, build_data_matrices, row_compress, sdp, simulate)
+                    TrajectoryData, build_data_matrices, row_compress, sdp, simulate,
+                    synthesis)
 from ddstab.linalg import rank_revealing_svd
 from ddstab.synthesis import _symmetry_nullspace
 
@@ -25,26 +26,30 @@ def cfg() -> NumericalConfig:
     return NumericalConfig()
 
 
-class RaisingBackend:
-    """A backend whose solve breaks down."""
-
-    def solve(self, problem):
-        raise SolverFailure("fake breakdown")
+def raising_solve(backend, problem):
+    """A barrier solve that breaks down."""
+    raise SolverFailure("fake breakdown")
 
 
-class NanPointBackend:
-    """A backend that ends its solve at a point with a nan entry and returns
-    it through the certification every backend shares."""
-
-    def solve(self, problem):
-        x = np.zeros(problem.dim)
-        x[0] = np.nan
-        return sdp._certified(problem.blocks, x)
+def nan_point_solve(backend, problem):
+    """A barrier solve that ends at a point with a nan entry and returns it
+    through the certification every solver shares."""
+    x = np.zeros(problem.dim)
+    x[0] = np.nan
+    return sdp._certified(problem.blocks, x)
 
 
-@pytest.fixture(params=[RaisingBackend, NanPointBackend], ids=["raises", "nan_point"])
-def broken_backend(request):
-    return request.param()
+@pytest.fixture(autouse=True)
+def no_kept_verdict(monkeypatch):
+    """Every plain verdict keeps its solution for the gain step; one kept by
+    an earlier test would skip a solve that this test patches or counts."""
+    monkeypatch.setattr(synthesis, "_verdict_solution", None)
+
+
+@pytest.fixture(params=[raising_solve, nan_point_solve], ids=["raises", "nan_point"])
+def broken_backend(request, monkeypatch):
+    """Every barrier solve of the test breaks down."""
+    monkeypatch.setattr(sdp.BarrierBackend, "solve", request.param)
 
 
 @pytest.fixture

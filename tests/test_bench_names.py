@@ -80,7 +80,8 @@ def test_traced_span_names_a_public_function(span):
     module_name, attr = span.split(".")
     module = importlib.import_module(f"ddstab.{module_name}")
     if span == "sdp.solve":  # the tracer wraps the solve method of each backend
-        assert all(inspect.isfunction(cls.solve) for cls in module.BACKENDS.values())
+        assert all(inspect.isfunction(cls.solve)
+                   for cls in (module.BarrierBackend, module.CvxpyBackend))
     else:
         assert inspect.isfunction(_defined_in(module, attr))
 

@@ -6,12 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from ddstab import LtiSystem, simulate, synthesis
+from ddstab import LtiSystem, sdp, simulate, synthesis
 from ddstab.cli import EXIT_FAILURE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, _dump_json, main
 from ddstab.data import trajectory_to_csv, trajectory_to_json
 from ddstab.experiments import example1_trajectory
 
-from conftest import MISREAD_CSV
+from conftest import MISREAD_CSV, raising_solve
 
 
 @pytest.fixture
@@ -285,12 +285,6 @@ class TestSynthesizeAndVerify:
         assert dumped["diag_coeff"] == problem.diag_coeff.tolist()
         assert dumped["offdiag_coeff"] == problem.offdiag_coeff.tolist()
 
-    def test_cvxpy_backend_option(self, example1_file, tmp_path):
-        pytest.importorskip("cvxpy")
-        out = str(tmp_path / "syn")
-        assert main(["synthesize", example1_file, "--out", out,
-                     "--backend", "cvxpy"]) == EXIT_OK
-
 
 class TestMonteCarloCommand:
     def test_small_run(self, tmp_path):
@@ -382,13 +376,12 @@ class TestDemoCommand:
         model = read_json(os.path.join(out, "model.json"))
         assert np.array(model["A"]).shape == (3, 3)
 
-    def test_uses_the_resolved_backend(self, tmp_path, monkeypatch, capsys):
-        from ddstab import cli
-        from conftest import RaisingBackend
-        monkeypatch.setattr(cli, "get_backend", lambda name: RaisingBackend())
+    def test_solver_breakdown_is_an_operational_failure(self, tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.setattr(sdp.BarrierBackend, "solve", raising_solve)
         assert main(["demo", "example1", "--out", str(tmp_path / "d"),
                      "--samples", "10"]) == EXIT_FAILURE
-        assert "fake breakdown" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: fake breakdown\n"
 
     @pytest.mark.parametrize("flag,value", [("--seed", "1"), ("--samples", "10"),
                                             ("--backend", "builtin"), ("--format", "csv")])
@@ -461,6 +454,29 @@ class TestOptionResolution:
                      "--out", str(tmp_path / "o")]) == EXIT_FAILURE
         assert "schur_margin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["--subspace-tol", "DDSTAB_SUBSPACE_TOL", "config file"])
+    def test_infinite_tolerance_rejected(self, tmp_path, monkeypatch, capsys, source):
+        # example1 with a second state that moves once is not informative; an
+        # infinite subspace_tol would take col(X_plus) as inside col(X_minus)
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"n": 2, "m": 1, "inputs": [[1.0], [2.0], [-1.0]],
+                                    "states": [[1.0, 0.0], [2.0, 0.0], [4.0, 0.0],
+                                               [3.0, 0.5]]}))
+        argv = ["informativity", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_NEGATIVE
+        capsys.readouterr()
+        if source == "--subspace-tol":
+            argv += [source, "inf"]
+        elif source == "DDSTAB_SUBSPACE_TOL":
+            monkeypatch.setenv(source, "inf")
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text('{"subspace_tol": Infinity}')
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == EXIT_FAILURE
+        assert capsys.readouterr().err.startswith(
+            "error: invalid tolerance configuration: subspace_tol")
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -474,14 +490,16 @@ class TestOptionResolution:
         *[("montecarlo", flag, value) for flag, value in (
             ("--format", "csv"), ("--backend", "builtin"), ("--samples", "10"),
             ("--scales", "1"))],
-        ("demo", "--scales", "1")])
+        ("demo", "--scales", "1"),
+        *[(command, "--backend", "builtin")
+          for command in ("informativity", "synthesize", "demo", "demo three-tank")]])
     def test_option_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys,
                                                                command, flag, value):
         positional = {"informativity": ["data.json"], "synthesize": ["data.json"],
                       "verify": ["data.json", "gain.json"], "montecarlo": [],
-                      "demo": ["example1"]}[command]
+                      "demo": ["example1"], "demo three-tank": []}[command]
         with pytest.raises(SystemExit) as exc:
-            main([command, *positional, flag, value, "--out", str(tmp_path / "o")])
+            main([*command.split(), *positional, flag, value, "--out", str(tmp_path / "o")])
         assert exc.value.code == EXIT_USAGE
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -491,6 +509,28 @@ class TestOptionResolution:
         monkeypatch.setenv("DDSTAB_SAMPLES", "0")  # informativity draws no samples
         assert main(["informativity", example1_file,
                      "--out", str(tmp_path / "i")]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [["informativity"], ["synthesize"],
+                                      ["demo", "example1"], ["demo", "three-tank"]], ids=" ".join)
+    def test_backend_setting_is_not_read(self, example1_file, tmp_path, monkeypatch,
+                                         capsys, argv):
+        """No command has a solver to choose: DDSTAB_BACKEND and a config
+        file's ``backend`` key leave the exit code and every byte unchanged."""
+        argv = argv + (["--samples", "10"] if argv[0] == "demo" else [example1_file])
+        out = tmp_path / "o"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"backend": 3}))
+
+        def run(*extra):
+            code = main(argv + ["--out", str(out), *extra])
+            files = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+            return code, capsys.readouterr(), files
+
+        plain = run()
+        assert plain[0] in (EXIT_OK, EXIT_NEGATIVE)
+        assert run("--config", str(cfg_path)) == plain
+        monkeypatch.setenv("DDSTAB_BACKEND", "cvxpy")
+        assert run() == plain
 
     def test_config_file_setting_verify_does_not_read(self, example1_file, tmp_path):
         gain_path = tmp_path / "gain.json"
@@ -525,8 +565,7 @@ class TestBadOptionValues:
 
     @pytest.mark.parametrize("key,value", [
         ("DDSTAB_SEED", "x"), ("DDSTAB_SEED", "-1"), ("DDSTAB_SAMPLES", "0"),
-        ("DDSTAB_RANK_REL_TOL", "abc"), ("DDSTAB_BACKEND", "foo"),
-        ("DDSTAB_FORMAT", "xml"), ("DDSTAB_SCALES", "")])
+        ("DDSTAB_RANK_REL_TOL", "abc"), ("DDSTAB_FORMAT", "xml"), ("DDSTAB_SCALES", "")])
     def test_environment(self, example1_file, gain_file, tmp_path, monkeypatch, capsys,
                          key, value):
         monkeypatch.setenv(key, value)
@@ -541,9 +580,8 @@ class TestBadOptionValues:
 
     @pytest.mark.parametrize("payload", [
         {"samples": "many"}, {"samples": 2.5}, {"seed": "x"}, {"seed": 1e400}, {"scales": []},
-        {"scales": ["abc"]}, {"format": "xml"}, {"backend": 3}, {"psd_margin": "small"},
-        {"seed": True}, {"samples": [10]}, {"backend": ["builtin"]}, {"psd_margin": True},
-        {"scales": [True]}])
+        {"scales": ["abc"]}, {"format": "xml"}, {"psd_margin": "small"},
+        {"seed": True}, {"samples": [10]}, {"psd_margin": True}, {"scales": [True]}])
     def test_config_file(self, example1_file, gain_file, tmp_path, capsys, payload):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(payload))

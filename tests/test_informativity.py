@@ -301,4 +301,4 @@ class TestInputRankAtFullRank:
 
 def test_solver_failure_propagates_through_report(cfg, broken_backend):
     with pytest.raises(SolverFailure):
-        check_stabilizability_prior(scalar_full_rank(), cfg, backend=broken_backend)
+        check_stabilizability_prior(scalar_full_rank(), cfg)

@@ -262,6 +262,10 @@ def test_config_invariants():
         NumericalConfig(psd_margin=0.0)
     with pytest.raises(ValueError):
         NumericalConfig(rank_rel_tol=-1e-9)
+    for name in ("rank_rel_tol", "subspace_tol", "schur_margin", "psd_margin", "equality_tol"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=name):
+                NumericalConfig(**{name: value})
 
 
 def test_controllability_matrix_shape():

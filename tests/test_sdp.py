@@ -1,14 +1,17 @@
 import functools
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import ddstab
 from ddstab import (NumericalConfig, SolverFailure, check_stabilizability_prior,
                     row_compress, sdp, solve_plain_lmi, solve_stab_lmi)
 from ddstab.linalg import rank_revealing_svd
-from ddstab.sdp import (AffineLmiFeasibility, BarrierBackend, BackendResult,
-                        CvxpyBackend, get_backend)
+from ddstab.sdp import AffineLmiFeasibility, BarrierBackend, BackendResult, CvxpyBackend
 from ddstab.synthesis import (LmiFeasibilityProblem, _symmetry_nullspace, lmi_problem,
                               sdp_solve)
 
@@ -95,11 +98,17 @@ class TestCrossBackend:
             assert t_builtin == pytest.approx(t_external, abs=5e-5)
 
 
-def test_get_backend():
-    assert isinstance(get_backend("builtin"), BarrierBackend)
-    assert isinstance(get_backend("cvxpy"), CvxpyBackend)
-    with pytest.raises(ValueError):
-        get_backend("nope")
+def test_only_the_lmi_builders_take_a_backend():
+    """Every solve runs the barrier, except where a test hands one of the two
+    functions that build an ``AffineLmiFeasibility`` a fake or the oracle."""
+    takers = set()
+    for info in pkgutil.iter_modules(ddstab.__path__):
+        module = importlib.import_module(f"ddstab.{info.name}")
+        for name, value in vars(module).items():
+            if inspect.isfunction(value) and value.__module__ == module.__name__ \
+                    and "backend" in inspect.signature(value).parameters:
+                takers.add(f"{info.name}.{name}")
+    assert takers == {"synthesis.sdp_solve", "verification.common_lyapunov"}
 
 
 def test_no_blocks_leave_the_slack_unbounded():

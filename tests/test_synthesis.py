@@ -7,7 +7,7 @@ from ddstab import (GainProvenance, LtiSystem, NumericalConfig, PreconditionErro
                     SolverFailure, TrajectoryData, build_data_matrices,
                     check_plain_stabilization, check_stabilizability_prior, gain_from_plain,
                     sdp, sdp_solve, simulate, solve_plain_lmi, solve_stab_lmi,
-                    spectral_radius, synthesis, synthesize, synthesize_stab, row_compress)
+                    spectral_radius, synthesize, synthesize_stab, row_compress)
 from ddstab.data import Branch
 from ddstab.linalg import RowCompression
 from ddstab.synthesis import LmiFeasibilityProblem, lmi_problem, problem_to_json
@@ -321,11 +321,11 @@ class TestBackendParityOnDatasets:
             comp = row_compress(ds.D.x_minus, ds.D.x_plus, cfg)
             if comp.r == ds.D.n:
                 a = solve_plain_lmi(ds.D, cfg)
-                b = solve_plain_lmi(ds.D, cfg, backend=external)
+                b = sdp_solve(lmi_problem(ds.D), cfg, backend=external)
                 plain += 1
             else:
                 a = solve_stab_lmi(ds.D, comp, cfg)
-                b = solve_stab_lmi(ds.D, comp, cfg, backend=external)
+                b = sdp_solve(lmi_problem(ds.D, comp), cfg, backend=external)
                 stab += 1
             if a.feasible != b.feasible:
                 # both certified slacks hugging the acceptance threshold is
@@ -415,11 +415,11 @@ def _full_rank_informative():
 
 class TestVerdictHandOff:
     """The plain verdict's LMI solution reaches the gain step unsolved, and
-    only when it was solved for the same data bytes, config and backend."""
+    only when it was solved for the same data bytes and config."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """Every ``BarrierBackend.solve`` call, with no solution kept before."""
+        """Every ``BarrierBackend.solve`` call."""
         calls = []
         real = sdp.BarrierBackend.solve
 
@@ -427,7 +427,6 @@ class TestVerdictHandOff:
             calls.append(problem)
             return real(backend, problem)
         monkeypatch.setattr(sdp.BarrierBackend, "solve", counting)
-        monkeypatch.setattr(synthesis, "_verdict_solution", None)
         return calls
 
     @staticmethod
@@ -447,7 +446,7 @@ class TestVerdictHandOff:
                 before = len(solves)
                 kept = solve_plain_lmi(D, cfg)
                 assert len(solves) == before
-                fresh = solve_plain_lmi(D, cfg, backend=sdp.BarrierBackend())
+                fresh = sdp_solve(lmi_problem(D), cfg)
                 assert self._bytes(kept) == self._bytes(fresh)
                 seen += 1
                 feasible += kept.feasible
@@ -464,23 +463,20 @@ class TestVerdictHandOff:
         assert spectral_radius(np.array([[1.2, 0.3], [0.1, 0.8]])
                                + np.array([[1.0], [0.5]]) @ gain.K) < 1.0
 
-    @pytest.mark.parametrize("case", ["injected_backend", "verdict_backend", "other_config",
-                                      "data_edited", "no_verdict"])
+    @pytest.mark.parametrize("case", ["other_config", "data_edited", "no_verdict"])
     def test_fresh_solve(self, cfg, solves, case):
         D = _full_rank_informative()
-        verdict_backend = sdp.BarrierBackend() if case == "verdict_backend" else None
         if case != "no_verdict":
-            check_plain_stabilization(D, cfg, verdict_backend)
+            check_plain_stabilization(D, cfg)
         else:
             solve_plain_lmi(D, cfg)
-        backend = sdp.BarrierBackend() if case == "injected_backend" else None
         if case == "other_config":
             cfg = NumericalConfig(psd_margin=2 * cfg.psd_margin)
         if case == "data_edited":
             D.x_plus[0, 0] += 0.25
-        sol = solve_plain_lmi(D, cfg, backend)
+        sol = solve_plain_lmi(D, cfg)
         assert len(solves) == 2
-        assert self._bytes(sol) == self._bytes(solve_plain_lmi(D, cfg, sdp.BarrierBackend()))
+        assert self._bytes(sol) == self._bytes(sdp_solve(lmi_problem(D), cfg))
 
     def test_feasible_theta_is_read_only(self, cfg):
         sol = solve_plain_lmi(_full_rank_informative(), cfg)
@@ -497,20 +493,19 @@ class TestSolverFailurePropagates:
 
     def test_solve_plain_lmi(self, cfg, broken_backend):
         with pytest.raises(SolverFailure):
-            solve_plain_lmi(scalar_full_rank(), cfg, backend=broken_backend)
+            solve_plain_lmi(scalar_full_rank(), cfg)
 
     def test_solve_stab_lmi(self, cfg, example1, broken_backend):
         with pytest.raises(SolverFailure):
-            solve_stab_lmi(example1, identity_compression_example1(), cfg,
-                           backend=broken_backend)
+            solve_stab_lmi(example1, identity_compression_example1(), cfg)
 
     @pytest.mark.parametrize("branch", ["rank_deficient", "full_rank"])
     def test_synthesize(self, cfg, example1, broken_backend, branch):
         D = example1 if branch == "rank_deficient" else scalar_full_rank()
         with pytest.raises(SolverFailure):
-            synthesize(D, cfg, backend=broken_backend)
+            synthesize(D, cfg)
 
     def test_common_lyapunov(self, cfg, broken_backend):
         from ddstab import common_lyapunov
         with pytest.raises(SolverFailure):
-            common_lyapunov([np.array([[0.5]])], cfg, backend=broken_backend)
+            common_lyapunov([np.array([[0.5]])], cfg)
