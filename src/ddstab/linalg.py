@@ -21,6 +21,12 @@ class NumericalConfig:
     rank_rel_tol is scaled internally by max(rows, cols) of the matrix under
     test, so the effective singular-value cutoff is
     ``rank_rel_tol * max(shape) * sigma_max``.
+
+    Every field is finite and positive. ``rank_rel_tol``, ``subspace_tol``
+    and ``schur_margin`` are also below 1: at ``rank_rel_tol >= 1`` every
+    rank is 0, at ``subspace_tol >= 1`` every containment holds (the
+    residual never exceeds ``max(1, ||M||)``), and at ``schur_margin >= 1``
+    no nonzero spectral radius passes.
     """
 
     rank_rel_tol: float = 1e-9
@@ -33,8 +39,9 @@ class NumericalConfig:
         for f in fields(self):
             if not 0.0 < getattr(self, f.name) < np.inf:
                 raise ValueError(f"{f.name} must be finite and strictly positive")
-        if not self.schur_margin < 1.0:
-            raise ValueError("schur_margin must be < 1")
+        for name in ("rank_rel_tol", "subspace_tol", "schur_margin"):
+            if not getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be < 1")
 
 
 DEFAULT_CONFIG = NumericalConfig()

@@ -23,7 +23,11 @@ the barrier's test oracle: tests hand it to ``sdp_solve`` or
 stage follows one rule: it ends when its half Newton decrement is within
 0.25 or when the line search finds no point other than the current one,
 and a solve that spends ``MAX_NEWTON`` steps raises SolverFailure,
-whatever its stage. Each Newton step factors the
+whatever its stage. The objective ``-mu*t`` is linear, so the Newton
+Hessian does not depend on mu: ``_newton_system`` builds the system once
+per iterate, a mu increase changes only the gradient's ``t`` entry, and
+the line search starts from the barrier value of the point it last
+accepted. Each Newton step factors the
 system with ``scipy.linalg.cho_factor`` (no finiteness check) and solves
 with LAPACK ``potrs`` on that factor; each block inverse is ``potrs`` on
 the block's ``numpy.linalg.cholesky`` factor against a cached identity. A
@@ -114,6 +118,10 @@ class BarrierBackend:
     last stage centers, sets the accuracy, and ``_certified`` measures the
     slack at the returned point, so the last stage centers like the others.
     A solve that spends ``MAX_NEWTON`` steps raises SolverFailure.
+    The Newton system is built once per iterate: the Hessian and the
+    mu-free gradient are rebuilt only after the line search moves, and mu
+    enters only the gradient's ``t`` entry. The barrier value of an
+    accepted trial serves the next Armijo test at the same mu.
     Deterministic: no randomness, fixed schedule; ``_certified`` reports t.
     """
 
@@ -156,14 +164,15 @@ class BarrierBackend:
             return _certified(blocks, np.zeros(d))
         t0 = min(np.linalg.eigvalsh(C).min() for C, _ in blocks) - 1.0
 
-        flats = [(C, G.reshape(d, -1)) for C, G in blocks]
+        coeffs = [(C, G, G.reshape(d, -1), _identity(C.shape[0])) for C, G in blocks]
+        two_eye = 2.0 * _identity(d)
 
-        def chol_all(x, t):
+        def chol_all(x, t, xx):
             """Cholesky factors of every block, or None outside the domain."""
-            if x @ x >= 1.0:
+            if xx >= 1.0:
                 return None
             chs = []
-            for C, Gf in flats:
+            for C, _, Gf, _ in coeffs:
                 s = C.shape[0]
                 M = C + (x @ Gf).reshape(s, s)
                 M.flat[:: s + 1] -= t
@@ -173,39 +182,30 @@ class BarrierBackend:
                     return None
             return chs
 
-        def barrier_value(x, t, mu, chs):
-            val = -mu * t - np.log(1.0 - x @ x)
+        def barrier_value(t, xx, mu, chs):
+            val = -mu * t - np.log(1.0 - xx)
             for L in chs:
                 val -= 2.0 * np.log(L.diagonal()).sum()
             return val
 
         nu = sum(C.shape[0] for C, _ in blocks) + 2.0
         x, t = np.zeros(d), t0
-        chs = chol_all(x, t)
+        xx = x @ x
+        chs = chol_all(x, t, xx)
         if chs is None:
             raise SolverFailure("could not construct a strictly feasible start")
         mu = MU0
-        potrs = _potrs()
+        # the Newton system of (x, t) without mu, and the barrier value there
+        # at the current mu; each is None until needed again
+        system = val = None
         for _ in range(MAX_NEWTON):
-            g = np.zeros(d + 1)
-            H = np.zeros((d + 1, d + 1))
-            g[d] -= mu
-            for (C, G), L in zip(blocks, chs):
-                s = C.shape[0]
-                Minv = potrs(L, _identity(s), lower=True)[0]
-                V = G @ Minv
-                W = Minv @ Minv
-                g[:d] -= np.einsum("iaa->i", V)
-                g[d] += np.trace(Minv)
-                Vm = V.reshape(d, s * s)
-                VTm = np.transpose(V, (0, 2, 1)).reshape(d, s * s)
-                H[:d, :d] += Vm @ VTm.T
-                H[:d, d] -= G.reshape(d, s * s) @ W.T.ravel()
-                H[d, d] += np.trace(W)
-            H[d, :d] = H[:d, d]
-            q = 1.0 - x @ x
-            g[:d] += 2.0 * x / q
-            H[:d, :d] += 2.0 * _identity(d) / q + 4.0 * (x[:, None] * x[None, :]) / q**2
+            if system is None:
+                system = _newton_system(coeffs, chs, x, 1.0 - xx, two_eye)
+            H, g_x, traces = system
+            g = g_x.copy()
+            g[d] = -mu
+            for tr in traces:
+                g[d] += tr
             step, decrement = self._newton_step(H, g, d)
             # a half-decrement within 0.25 (tiny negative values included:
             # centered to rounding noise) ends the stage without a step
@@ -213,26 +213,68 @@ class BarrierBackend:
             if decrement / 2.0 > 0.25:
                 # full step when it works, else the short step 1/(1+lambda)
                 # that self-concordance guarantees feasible, then halve
-                val = barrier_value(x, t, mu, chs)
+                if val is None:
+                    val = barrier_value(t, xx, mu, chs)
                 alpha = 1.0
                 short = 1.0 / (1.0 + np.sqrt(decrement))
                 while alpha > 1e-14:
                     xn, tn = x + alpha * step[:d], t + alpha * step[d]
-                    chn = chol_all(xn, tn)
-                    if chn is not None and \
-                            barrier_value(xn, tn, mu, chn) <= val + 0.01 * alpha * (g @ step):
-                        # a step lost to rounding lands on (x, t) itself; the
-                        # next step would be the same, so that ends the stage too
-                        moved = not (tn == t and np.array_equal(xn, x))
-                        x, t, chs = xn, tn, chn
-                        break
+                    xxn = xn @ xn
+                    chn = chol_all(xn, tn, xxn)
+                    if chn is not None:
+                        valn = barrier_value(tn, xxn, mu, chn)
+                        if valn <= val + 0.01 * alpha * (g @ step):
+                            # a step lost to rounding lands on (x, t) itself,
+                            # bit for bit (x and t never hold -0.0); the
+                            # next step would be the same, so that ends the
+                            # stage too and (x, t) keeps its system
+                            moved = not (tn == t and np.array_equal(xn, x))
+                            if moved:
+                                x, t, xx, chs, val = xn, tn, xxn, chn, valn
+                                system = None
+                            break
                     alpha = short if alpha > short else alpha * 0.5
             if not moved:
                 # centered, or at numerical precision, for this mu
                 if nu / mu < GAP_TOL:
                     return _certified(blocks, x)
                 mu *= MU_FACTOR
+                val = None
         raise SolverFailure("Newton iteration budget exhausted")
+
+
+def _newton_system(coeffs, chs, x: np.ndarray, q: float,
+                   two_eye: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Hessian and gradient of the barrier at ``(x, t)`` without its ``-mu*t``.
+
+    ``coeffs`` holds ``(C, G, G flattened to (d, s*s), I_s)`` per block,
+    ``chs`` the blocks' Cholesky factors at ``(x, t)`` and ``q`` is
+    ``1 - x.x``. The objective is linear, so the Hessian does not depend on
+    mu and mu enters the gradient only in its ``t`` entry: that entry is
+    returned as 0, with the blocks' inverse traces to be added to ``-mu``
+    in block order.
+    """
+    d = x.size
+    potrs = _potrs()
+    g = np.zeros(d + 1)
+    H = np.zeros((d + 1, d + 1))
+    traces = []
+    for (C, G, Gf, eye), L in zip(coeffs, chs):
+        s = C.shape[0]
+        Minv = potrs(L, eye, lower=True)[0]
+        V = G @ Minv
+        W = Minv @ Minv
+        g[:d] -= np.einsum("iaa->i", V)
+        traces.append(Minv.trace())
+        Vm = V.reshape(d, s * s)
+        VTm = np.transpose(V, (0, 2, 1)).reshape(d, s * s)
+        H[:d, :d] += Vm @ VTm.T
+        H[:d, d] -= Gf @ W.T.ravel()
+        H[d, d] += W.trace()
+    H[d, :d] = H[:d, d]
+    g[:d] += 2.0 * x / q
+    H[:d, :d] += two_eye / q + 4.0 * (x[:, None] * x[None, :]) / q**2
+    return H, g, traces
 
 
 class CvxpyBackend:

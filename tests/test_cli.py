@@ -477,6 +477,30 @@ class TestOptionResolution:
         assert capsys.readouterr().err.startswith(
             "error: invalid tolerance configuration: subspace_tol")
 
+    @pytest.mark.parametrize("field", ["subspace_tol", "rank_rel_tol"])
+    @pytest.mark.parametrize("source", ["flag", "environment", "config file"])
+    def test_tolerance_of_one_or_more_rejected(self, tmp_path, monkeypatch, capsys,
+                                               field, source):
+        # at subspace_tol 1e10 every containment holds, so the dataset of the
+        # test above would pass; at rank_rel_tol 1e10 every rank is 0
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"n": 2, "m": 1, "inputs": [[1.0], [2.0], [-1.0]],
+                                    "states": [[1.0, 0.0], [2.0, 0.0], [4.0, 0.0],
+                                               [3.0, 0.5]]}))
+        argv = ["informativity", str(path), "--out", str(tmp_path / "o")]
+        if source == "flag":
+            argv += ["--" + field.replace("_", "-"), "1e10"]
+        elif source == "environment":
+            monkeypatch.setenv("DDSTAB_" + field.upper(), "1e10")
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({field: 1e10}))
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == EXIT_FAILURE
+        assert capsys.readouterr().err == \
+            f"error: invalid tolerance configuration: {field} must be < 1\n"
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

@@ -266,6 +266,13 @@ def test_config_invariants():
         for value in (np.inf, np.nan):
             with pytest.raises(ValueError, match=name):
                 NumericalConfig(**{name: value})
+    # rank_rel_tol 5 would rank I_3 as 0; subspace_tol 1e10 would call
+    # [0; 1] contained in span([1; 0])
+    for name in ("rank_rel_tol", "subspace_tol", "schur_margin"):
+        for value in (1.0, 5.0, 1e10):
+            with pytest.raises(ValueError, match=f"{name} must be < 1"):
+                NumericalConfig(**{name: value})
+        assert getattr(NumericalConfig(**{name: 0.999}), name) == 0.999
 
 
 def test_controllability_matrix_shape():

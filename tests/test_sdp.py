@@ -9,7 +9,8 @@ import scipy.linalg
 
 import ddstab
 from ddstab import (NumericalConfig, SolverFailure, check_stabilizability_prior,
-                    row_compress, sdp, solve_plain_lmi, solve_stab_lmi)
+                    common_lyapunov, experiments, row_compress, sdp, solve_plain_lmi,
+                    solve_stab_lmi)
 from ddstab.linalg import rank_revealing_svd
 from ddstab.sdp import AffineLmiFeasibility, BarrierBackend, BackendResult, CvxpyBackend
 from ddstab.synthesis import (LmiFeasibilityProblem, _symmetry_nullspace, lmi_problem,
@@ -219,6 +220,170 @@ class TestNewtonStepOracle:
             s = L.shape[0]
             Minv = sdp._potrs()(L, sdp._identity(s), lower=True)[0]
             assert Minv.tobytes() == scipy.linalg.cho_solve((L, True), np.eye(s)).tobytes()
+
+
+def _reference_solve(problem, counts=None):
+    """The barrier as it was when every step rebuilt its Newton system and
+    every line search evaluated the barrier at its starting point; block
+    inverses through ``cho_solve``. ``counts`` gets its Newton steps and mu
+    increases."""
+    counts = {} if counts is None else counts
+    counts.update(steps=0, mu_increases=0)
+    d = problem.dim
+    blocks = [(np.asarray(C, dtype=float), np.asarray(G, dtype=float))
+              for C, G in problem.blocks]
+    t0 = min(np.linalg.eigvalsh(C).min() for C, _ in blocks) - 1.0
+    flats = [(C, G.reshape(d, -1)) for C, G in blocks]
+
+    def chol_all(x, t):
+        if x @ x >= 1.0:
+            return None
+        chs = []
+        for C, Gf in flats:
+            s = C.shape[0]
+            M = C + (x @ Gf).reshape(s, s)
+            M.flat[:: s + 1] -= t
+            try:
+                chs.append(np.linalg.cholesky(M))
+            except np.linalg.LinAlgError:
+                return None
+        return chs
+
+    def barrier_value(x, t, mu, chs):
+        val = -mu * t - np.log(1.0 - x @ x)
+        for L in chs:
+            val -= 2.0 * np.log(L.diagonal()).sum()
+        return val
+
+    nu = sum(C.shape[0] for C, _ in blocks) + 2.0
+    x, t = np.zeros(d), t0
+    chs = chol_all(x, t)
+    mu = sdp.MU0
+    for _ in range(sdp.MAX_NEWTON):
+        counts["steps"] += 1
+        g = np.zeros(d + 1)
+        H = np.zeros((d + 1, d + 1))
+        g[d] -= mu
+        for (C, G), L in zip(blocks, chs):
+            s = C.shape[0]
+            Minv = scipy.linalg.cho_solve((L, True), np.eye(s))
+            V = G @ Minv
+            W = Minv @ Minv
+            g[:d] -= np.einsum("iaa->i", V)
+            g[d] += np.trace(Minv)
+            Vm = V.reshape(d, s * s)
+            VTm = np.transpose(V, (0, 2, 1)).reshape(d, s * s)
+            H[:d, :d] += Vm @ VTm.T
+            H[:d, d] -= G.reshape(d, s * s) @ W.T.ravel()
+            H[d, d] += np.trace(W)
+        H[d, :d] = H[:d, d]
+        q = 1.0 - x @ x
+        g[:d] += 2.0 * x / q
+        H[:d, :d] += 2.0 * np.eye(d) / q + 4.0 * (x[:, None] * x[None, :]) / q**2
+        step, decrement = _reference_newton_step(H, g, d)
+        moved = False
+        if decrement / 2.0 > 0.25:
+            val = barrier_value(x, t, mu, chs)
+            alpha = 1.0
+            short = 1.0 / (1.0 + np.sqrt(decrement))
+            while alpha > 1e-14:
+                xn, tn = x + alpha * step[:d], t + alpha * step[d]
+                chn = chol_all(xn, tn)
+                if chn is not None and \
+                        barrier_value(xn, tn, mu, chn) <= val + 0.01 * alpha * (g @ step):
+                    moved = not (tn == t and np.array_equal(xn, x))
+                    x, t, chs = xn, tn, chn
+                    break
+                alpha = short if alpha > short else alpha * 0.5
+        if not moved:
+            if nu / mu < sdp.GAP_TOL:
+                return sdp._certified(blocks, x)
+            mu *= sdp.MU_FACTOR
+            counts["mu_increases"] += 1
+    raise SolverFailure("Newton iteration budget exhausted")
+
+
+@pytest.fixture(scope="module")
+def barrier_problems():
+    """The problems handed to the barrier by the three-tank compressed solve,
+    the verdicts of random datasets until 20 have reached it, the four criterion-5 plain solves and the
+    montecarlo windows of scenarios 0-9 at seed 3, then two-block random
+    problems and one common Lyapunov problem."""
+    cfg = NumericalConfig()
+    problems = {}
+    real_solve = BarrierBackend.solve
+
+    def recording_solve(self, problem):
+        problems.setdefault(label, []).append(problem)
+        return real_solve(self, problem)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BarrierBackend, "solve", recording_solve)
+        label = "three_tank_compressed"
+        D, comp = three_tank_compressed()
+        solve_stab_lmi(D, comp, cfg)
+        label = "random_datasets"
+        rng = np.random.default_rng(31)
+        while len(problems.get(label, ())) < 20:
+            check_stabilizability_prior(random_dataset(rng).D, cfg)
+        label = "criterion_5"
+        for seed, index in ((102, 20), (102, 311), (103, 112), (103, 279)):
+            solve_plain_lmi(_criterion_5_dataset(seed, index), cfg)
+        label = "montecarlo"
+        system = experiments.zoh_discretize(experiments.three_tank_model())
+        experiments.run_monte_carlo(experiments.MonteCarloConfig(
+            system=system, scenarios=10, seed=3, workers=1))
+    rng = np.random.default_rng(38)
+    problems["two_blocks"] = [_random_problem(rng, n_blocks=2) for _ in range(6)]
+    recorder = _Recorder()
+    common_lyapunov([0.5 * np.eye(2), np.array([[0.3, 0.1], [0.0, 0.4]]),
+                     np.array([[0.2, -0.6], [0.1, 0.5]])], cfg, backend=recorder)
+    problems["common_lyapunov"] = recorder.problems
+    return problems
+
+
+class TestSolveOracle:
+    """The barrier reaches the reference loop's point bit for bit: building
+    each Newton system once per iterate and keeping the accepted trial's
+    barrier value change no iterate."""
+
+    @pytest.mark.parametrize("label,count", [
+        ("three_tank_compressed", 1), ("random_datasets", 20), ("criterion_5", 4),
+        ("montecarlo", 10), ("two_blocks", 6), ("common_lyapunov", 1)])
+    def test_solves_match_the_reference_bitwise(self, barrier_problems, label, count):
+        problems = barrier_problems[label]
+        assert len(problems) >= count
+        for problem in problems:
+            result = BarrierBackend().solve(problem)
+            reference = _reference_solve(problem)
+            assert result.t == reference.t
+            assert result.x.tobytes() == reference.x.tobytes()
+
+    def test_multi_block_problems_are_covered(self, barrier_problems):
+        for label in ("two_blocks", "common_lyapunov"):
+            assert all(len(p.blocks) >= 2 for p in barrier_problems[label])
+
+    @pytest.mark.parametrize("label", ["three_tank_compressed", "montecarlo"])
+    def test_one_newton_system_per_iterate(self, barrier_problems, monkeypatch, label):
+        # a mu increase leaves (x, t) where it is, so its step reuses the system
+        problem = barrier_problems[label][0]
+        counts = {}
+        _reference_solve(problem, counts)
+        assert counts["mu_increases"] > 0
+        calls = {"system": 0, "step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(sdp, "_newton_system", counted("system", sdp._newton_system))
+        monkeypatch.setattr(BarrierBackend, "_newton_step",
+                            staticmethod(counted("step", BarrierBackend._newton_step)))
+        BarrierBackend().solve(problem)
+        assert calls["step"] == counts["steps"]
+        assert calls["system"] == counts["steps"] - counts["mu_increases"]
 
 
 class _Recorder:
