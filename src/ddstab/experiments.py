@@ -97,6 +97,10 @@ class MonteCarloConfig:
             raise ValueError("scenarios must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not 0.0 <= self.poisson_lambda < np.inf:
+            raise ValueError("poisson_lambda must be finite and >= 0")
+        if not self.t_list:
+            raise ValueError("t_list must hold at least one T")
         if any(T < 1 for T in self.t_list):
             raise ValueError("every T must be >= 1")
         if any(T > self.horizon for T in self.t_list):

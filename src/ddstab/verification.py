@@ -8,15 +8,13 @@ reachable subspace, block decomposition under the compression) are the
 constructive complement: they hold exactly for gains produced by the
 synthesis route.
 
-Each sampled draw reads NumPy's stream for ``default_rng((seed, scale
-index, draw index))``. Only the seeding is vectorized: SeedSequence's hash
-and PCG64's seeding are integer arithmetic, computed here for a whole
-chunk of draws at once, and each scale's first state is checked against
-NumPy's own seeding.
+Each verification scale draws from one NumPy generator of its own,
+``default_rng((seed, scale index))``, one member after another. This
+stream replaced one generator per draw, ``default_rng((seed, scale index,
+draw index))``, once, so sampled reports changed their bytes then.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,129 +67,24 @@ class LyapunovCertificate:
 # the stacks that verify_gain holds at once.
 VERIFY_CHUNK = 256
 
-# NumPy's SeedSequence: a pool of four 32-bit words and its hash constants;
-# PCG64 seeds its 128-bit LCG with this multiplier.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
-
-
-def _words(value: int) -> list[int]:
-    """The little-endian 32-bit words SeedSequence reads off a non-negative int."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _hasher(hash_const: int, mult: int):
-    """SeedSequence's hashmix on uint32 arrays, which wrap as its C code does;
-    the multiplier advances call by call."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * mult & _MASK32
-        value = value * hash_const
-        return value ^ (value >> 16)
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> 16)
-
-
-def _pcg64_seeding(entropy: list[np.ndarray]) -> list[tuple[int, int]]:
-    """PCG64's (state, inc) for each column of the uint32 entropy rows.
-
-    SeedSequence's pool and its ``generate_state(4, uint64)`` run on every
-    column at once; PCG64's ``srandom`` then runs on Python ints.
-    """
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    zeros = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    out = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    # generate_state pairs the words little-endian into four uint64; PCG64
-    # takes the first two as its initial state, the last two as its sequence
-    state_hi, state_lo, seq_hi, seq_lo = ((out[2 * k] | out[2 * k + 1] << 32).tolist()
-                                          for k in range(4))
-    seeded = []
-    for s_hi, s_lo, q_hi, q_lo in zip(state_hi, state_lo, seq_hi, seq_lo):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        seeded.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return seeded
-
-
-def _pcg64_states(seed: int, i_scale: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """(state, inc) of ``np.random.default_rng((seed, i_scale, i))``'s PCG64
-    for every i in range(start, stop), seeded in one vectorized pass.
-
-    ``seed``, ``i_scale`` and the draw indices are non-negative ints of any
-    size; the indices with as many 32-bit words as each other share a pass.
-    """
-    prefix = _words(operator.index(seed)) + _words(i_scale)
-    seeded = []
-    lo = start
-    while lo < stop:
-        lo_words = _words(lo)
-        hi = min(stop, 1 << 32 * len(lo_words))
-        # the words of lo + offset, the carry running from word to word
-        carry = np.arange(hi - lo, dtype=np.uint64)
-        index_words = []
-        for word in lo_words:
-            total = carry + word
-            index_words.append((total & _MASK32).astype(np.uint32))
-            carry = total >> 32
-        seeded += _pcg64_seeding([np.full(hi - lo, w, dtype=np.uint32) for w in prefix]
-                                 + index_words)
-        lo = hi
-    return seeded
-
-
 def _draws(n: int, d: int, scales: tuple[float, ...], n_samples: int, seed: int):
-    """The stacked (k, n, d) coefficient matrices W of each chunk, in draw order.
+    """Each chunk's scale and stacked (k, n, d) coefficient matrices W, in draw order.
 
     A chunk holds up to ``VERIFY_CHUNK`` consecutive draws of one scale.
-    Draw ``i_draw`` of scale ``i_scale`` is, bit for bit,
-    ``scale * np.random.default_rng((seed, i_scale, i_draw)).normal(size=(n, d))``:
-    the stream is NumPy's, only its seeding is vectorized. The PCG64 states
-    of a chunk are computed in one pass, and one generator draws from each
-    in turn. Each scale's first state is checked against NumPy's own
-    seeding, which also raises NumPy's errors for a seed it refuses; a
-    mismatch raises RuntimeError.
+    Scale ``i_scale`` draws from its own generator,
+    ``np.random.default_rng((seed, i_scale))``, and its draws are
+    ``scale * normal(size=(n, d))`` in turn: one ``normal`` call per chunk
+    reads the same numbers as one call per draw, so the draws do not depend
+    on the chunk size, and the first N of a scale are the same for any
+    ``n_samples >= N``. A run with no draws builds no generator.
     """
-    rng = None
+    if n_samples == 0:
+        return
     for i_scale, scale in enumerate(scales):
+        rng = np.random.default_rng((seed, i_scale))
         for start in range(0, n_samples, VERIFY_CHUNK):
-            if start == 0:
-                reference = np.random.PCG64(np.random.SeedSequence((seed, i_scale, 0)))
-                expected = reference.state["state"]
-                if rng is None:
-                    rng = np.random.Generator(reference)
-            seeded = _pcg64_states(seed, i_scale, start, min(n_samples, start + VERIFY_CHUNK))
-            if start == 0 and seeded[0] != (expected["state"], expected["inc"]):
-                raise RuntimeError("vectorized seeding disagrees with NumPy's PCG64 "
-                                   f"seeding for seed {seed!r}, scale index {i_scale}")
-            W = np.empty((len(seeded), n, d))
-            for W_i, (state, inc) in zip(W, seeded):
-                rng.bit_generator.state = {"bit_generator": "PCG64",
-                                           "state": {"state": state, "inc": inc},
-                                           "has_uint32": 0, "uinteger": 0}
-                W_i[...] = rng.normal(size=(n, d))
-            W *= scale
-            yield W
+            k = min(VERIFY_CHUNK, n_samples - start)
+            yield scale, scale * rng.normal(size=(k, n, d))
 
 
 def verify_gain(cs: ConsistentSet, gain: FeedbackGain, n_samples: int = 200,
@@ -202,36 +95,38 @@ def verify_gain(cs: ConsistentSet, gain: FeedbackGain, n_samples: int = 200,
 
     Gains carrying the stabilizability prior are only required to stabilize
     the stabilizable members, so non-stabilizable draws are rejected (and
-    counted); plain gains face every member. Each draw owns its own RNG
-    stream, ``np.random.default_rng((seed, scale index, draw index))``, so
-    the report is reproducible under any evaluation order. The stream is
-    unchanged; only its seeding is vectorized, and each scale's first state
-    is checked against NumPy's (RuntimeError if they differ; a seed NumPy
-    refuses raises NumPy's own error). Draws are taken in chunks of up to
-    ``VERIFY_CHUNK`` of one scale: each chunk is seeded, sampled, filtered
-    and evaluated as one stack, and the report equals a draw-by-draw
-    evaluation bit for bit, the worst member being the first maximum in
-    draw order. A report with no tested draw does not pass. Raises
-    PreconditionError when a scale is not positive or puts a member outside
-    the floating-point range.
+    counted); plain gains face every member. Each scale draws from its own
+    generator, ``np.random.default_rng((seed, scale index))``, one member
+    after another; a seed NumPy refuses raises NumPy's own error, and a run
+    with no draws seeds nothing. (This stream replaced one generator per
+    draw, ``default_rng((seed, scale index, draw index))``, once, which
+    changed the bytes of every sampled report.) Draws are taken in chunks
+    of up to ``VERIFY_CHUNK`` of one scale: each chunk is sampled, filtered
+    and evaluated as one stack, and the report is deterministic, does not
+    depend on ``VERIFY_CHUNK`` and equals a draw-by-draw evaluation bit for
+    bit, the worst member being the first maximum in draw order. The first
+    N draws of a scale are the same for any ``n_samples >= N``. A report
+    with no tested draw does not pass. Raises PreconditionError when
+    ``n_samples`` is negative, or when a scale is not positive or puts a
+    member outside the floating-point range.
     """
     for scale in scales:
         if not scale > 0:
             raise PreconditionError(f"scale {scale!r} is not positive")
+    if n_samples < 0:
+        raise PreconditionError(f"n_samples {n_samples!r} is negative")
     filter_stabilizable = gain.provenance is GainProvenance.STAB_PRIOR
-    drawn = tested = rejected = 0
+    tested = rejected = 0
     worst_rho, worst = -1.0, None
     structural: list[float] = []
     # a draw that overflows raises below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        for W in _draws(cs.particular.n, cs.d, scales, n_samples, seed):
+        for scale, W in _draws(cs.particular.n, cs.d, scales, n_samples, seed):
             stack = sample_consistent(cs, W)
             finite = (np.isfinite(stack.A).all(axis=(1, 2))
                       & np.isfinite(stack.B).all(axis=(1, 2)))
             if not finite.all():
-                scale = scales[(drawn + int(np.argmin(finite))) // n_samples]
                 raise PreconditionError(f"scale {scale!r} draws members that are not finite")
-            drawn += len(W)
             if filter_stabilizable:
                 keep = is_stabilizable(stack.A, stack.B, cfg)
                 stack = LtiSystem(A=stack.A[keep], B=stack.B[keep])

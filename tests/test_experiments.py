@@ -163,6 +163,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="workers"):
             self._config(workers=workers)
 
+    def test_empty_t_list_rejected(self):
+        with pytest.raises(ValueError, match="t_list must hold at least one T"):
+            self._config(t_list=())
+
+    @pytest.mark.parametrize("poisson_lambda", [-1.0, np.nan, np.inf])
+    def test_bad_poisson_lambda_rejected(self, poisson_lambda):
+        with pytest.raises(ValueError, match="poisson_lambda must be finite and >= 0"):
+            self._config(poisson_lambda=poisson_lambda)
+
 
 class TestDemos:
     def test_example1_bundle(self, cfg):

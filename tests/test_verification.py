@@ -111,6 +111,12 @@ class TestNoDrawTested:
         assert report.samples_tested == 0
         assert not report.passed
 
+    @pytest.mark.parametrize("n_samples", [-1, -5])
+    def test_negative_draw_count_is_refused(self, cfg, example1, n_samples):
+        with pytest.raises(PreconditionError, match=rf"n_samples {n_samples} is negative"):
+            verify_gain(consistent_set(example1, cfg), stab_gain([[-1.0, 0.0]]),
+                        n_samples=n_samples, seed=0, cfg=cfg)
+
 
 def per_member_nullity(cs, gain, system):
     """structural_nullity of one member, as a scalar loop."""
@@ -131,27 +137,31 @@ def per_member_nullity(cs, gain, system):
     return worst
 
 
+def per_draw_coefficients(n, d, n_samples, scales, seed):
+    """Each draw's W, one at a time from its scale's own generator."""
+    for i_scale, scale in enumerate(scales):
+        rng = np.random.default_rng((seed, i_scale)) if n_samples else None
+        for _ in range(n_samples):
+            yield scale * rng.normal(size=(n, d))
+
+
 def per_draw_verify(cs, gain, n_samples, scales, seed, cfg):
     """Oracle: verify_gain evaluated one draw at a time."""
     filter_stabilizable = gain.provenance is GainProvenance.STAB_PRIOR
-    n, d = cs.particular.n, cs.d
     tested = rejected = 0
     worst_rho, worst = -1.0, None
     structural = []
-    for i_scale, scale in enumerate(scales):
-        for i_draw in range(n_samples):
-            rng = np.random.default_rng((seed, i_scale, i_draw))
-            W = scale * rng.normal(size=(n, d))
-            member = sample_consistent(cs, W)
-            if filter_stabilizable and not is_stabilizable(member.A, member.B, cfg):
-                rejected += 1
-                continue
-            tested += 1
-            closed = member.A + member.B @ gain.K
-            rho = float(np.max(np.abs(np.linalg.eigvals(closed))))
-            if rho > worst_rho:
-                worst_rho, worst = rho, member
-            structural.append(per_member_nullity(cs, gain, member))
+    for W in per_draw_coefficients(cs.particular.n, cs.d, n_samples, scales, seed):
+        member = sample_consistent(cs, W)
+        if filter_stabilizable and not is_stabilizable(member.A, member.B, cfg):
+            rejected += 1
+            continue
+        tested += 1
+        closed = member.A + member.B @ gain.K
+        rho = float(np.max(np.abs(np.linalg.eigvals(closed))))
+        if rho > worst_rho:
+            worst_rho, worst = rho, member
+        structural.append(per_member_nullity(cs, gain, member))
     return VerificationReport(
         samples_tested=tested, rejected_unstabilizable=rejected,
         max_spectral_radius=worst_rho, worst_member=worst,
@@ -163,14 +173,10 @@ def per_draw_verify(cs, gain, n_samples, scales, seed, cfg):
 def per_draw_members(cs, gain, n_samples, scales, seed, cfg):
     """Each draw's member in draw order, None where the filter rejects it."""
     filter_stabilizable = gain.provenance is GainProvenance.STAB_PRIOR
-    n, d = cs.particular.n, cs.d
-    for i_scale, scale in enumerate(scales):
-        for i_draw in range(n_samples):
-            rng = np.random.default_rng((seed, i_scale, i_draw))
-            W = scale * rng.normal(size=(n, d))
-            member = sample_consistent(cs, W)
-            keep = not filter_stabilizable or is_stabilizable(member.A, member.B, cfg)
-            yield member if keep else None
+    for W in per_draw_coefficients(cs.particular.n, cs.d, n_samples, scales, seed):
+        member = sample_consistent(cs, W)
+        keep = not filter_stabilizable or is_stabilizable(member.A, member.B, cfg)
+        yield member if keep else None
 
 
 def bits(x) -> bytes:
@@ -290,37 +296,42 @@ class TestNonFiniteDraws:
         assert report.samples_tested + report.rejected_unstabilizable == 50
 
 
-def numpy_pcg64_state(seed, i_scale, i_draw) -> tuple[int, int]:
-    state = np.random.PCG64(np.random.SeedSequence((seed, i_scale, i_draw))).state
-    return state["state"]["state"], state["state"]["inc"]
-
-
 LARGE_SEED = 2**70 + 1
 
 
 class TestVectorizedSeeding:
-    """The draws' PCG64 states are NumPy's, computed for a chunk at once."""
+    """Each scale's draws come from one generator, default_rng((seed, scale
+    index)), read in draw order whatever the chunk size."""
 
-    @pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 7])
-    def test_states_match_numpy(self, seed):
-        for i_scale in range(4):
-            states = verification._pcg64_states(seed, i_scale, 0, 257)
-            for i_draw in (0, 1, 255, 256):
-                assert states[i_draw] == numpy_pcg64_state(seed, i_scale, i_draw)
-            # the draw index gains a second 32-bit word inside this range
-            states = verification._pcg64_states(seed, i_scale, 2**32 - 1, 2**32 + 1)
-            assert states == [numpy_pcg64_state(seed, i_scale, 2**32 - 1),
-                              numpy_pcg64_state(seed, i_scale, 2**32)]
-
-    @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("seed", [0, LARGE_SEED])
-    def test_draws_match_default_rng(self, monkeypatch, chunk, seed):
+    def test_reports_do_not_depend_on_chunk_size(self, cfg, monkeypatch, seed):
+        rng = np.random.default_rng(60)
+        for _ in range(2):
+            ds = random_dataset(rng)
+            cs = consistent_set(ds.D, cfg)
+            K = rng.normal(size=(ds.D.m, ds.D.n))
+            for provenance in GainProvenance:
+                gain = FeedbackGain(K=K, provenance=provenance)
+                reports = []
+                for chunk in (1, 7, 256):
+                    monkeypatch.setattr(verification, "VERIFY_CHUNK", chunk)
+                    reports.append(verify_gain(cs, gain, n_samples=300, seed=seed, cfg=cfg))
+                for report in reports[1:]:
+                    assert_bitwise_equal(report, reports[0])
+
+    @pytest.mark.parametrize("chunk", [7, 256])
+    @pytest.mark.parametrize("seed", [0, LARGE_SEED])
+    def test_first_draws_do_not_depend_on_n_samples(self, monkeypatch, chunk, seed):
         monkeypatch.setattr(verification, "VERIFY_CHUNK", chunk)
         scales = (0.1, 1.0, 10.0)
-        got = np.concatenate(list(verification._draws(3, 2, scales, 10, seed)))
-        want = [scale * np.random.default_rng((seed, i_scale, i_draw)).normal(size=(3, 2))
-                for i_scale, scale in enumerate(scales) for i_draw in range(10)]
-        assert got.shape == (30, 3, 2) and bits(got) == bits(want)
+
+        def per_scale(n_samples):
+            chunks = list(verification._draws(3, 2, scales, n_samples, seed))
+            return [np.concatenate([W for s, W in chunks if s == scale]) for scale in scales]
+
+        for short, long in zip(per_scale(150), per_scale(300)):
+            assert short.shape == (150, 3, 2) and long.shape == (300, 3, 2)
+            assert bits(short) == bits(long[:150])
 
     @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("seed", [0, LARGE_SEED])
@@ -350,31 +361,25 @@ class TestVectorizedSeeding:
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_refused_seed_raises_numpys_error(self, cfg, example1, seed):
         with pytest.raises((TypeError, ValueError)) as numpy_error:
-            np.random.default_rng((seed, 0, 0))
+            np.random.default_rng((seed, 0))
         with pytest.raises(type(numpy_error.value)) as error:
             verify_gain(consistent_set(example1, cfg), stab_gain([[-1.0, 0.0]]),
                         n_samples=5, seed=seed, cfg=cfg)
         assert str(error.value) == str(numpy_error.value)
 
-    def test_disagreement_with_numpy_raises(self, cfg, example1, monkeypatch):
-        monkeypatch.setattr(verification, "_PCG64_MULT", verification._PCG64_MULT + 2)
-        with pytest.raises(RuntimeError, match="seed 0, scale index 0"):
-            verify_gain(consistent_set(example1, cfg), stab_gain([[-1.0, 0.0]]),
-                        n_samples=5, seed=0, cfg=cfg)
+    def test_one_default_rng_per_scale(self, cfg, example1, monkeypatch):
+        real, calls = np.random.default_rng, []
 
-    def test_one_seed_sequence_per_scale(self, cfg, example1, monkeypatch):
-        # the check's SeedSequence is the only one: no draw builds its own
-        calls = {"SeedSequence": 0, "default_rng": 0}
-        for name in calls:
-            def counting(*args, _real=getattr(np.random, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(np.random, name, counting)
+        def counting(seed):
+            calls.append(seed)
+            return real(seed)
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        # 300 draws are two chunks per scale, and still one generator each
         scales = (0.1, 1.0, 10.0)
         report = verify_gain(consistent_set(example1, cfg), stab_gain([[-1.0, 0.0]]),
-                             n_samples=200, scales=scales, seed=3, cfg=cfg)
-        assert report.samples_tested + report.rejected_unstabilizable == 600
-        assert calls == {"SeedSequence": len(scales), "default_rng": 0}
+                             n_samples=300, scales=scales, seed=3, cfg=cfg)
+        assert report.samples_tested + report.rejected_unstabilizable == 900
+        assert calls == [(3, i_scale) for i_scale in range(len(scales))]
 
 
 class TestStructuralNullity:
