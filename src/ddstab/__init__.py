@@ -15,8 +15,8 @@ from .informativity import (InformativityReport, check_controllability_prior,
                             check_stabilizability_prior, necessary_conditions_report)
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      is_controllable, is_schur, is_stabilizable,
-                     matrix_exponential, numerical_rank, pinv, row_compress,
-                     spectral_radius, subspace_contained)
+                     matrix_exponential, numerical_rank, pencil_full_rank, pinv,
+                     row_compress, spectral_radius, subspace_contained)
 from .synthesis import (FeedbackGain, GainProvenance, LmiFeasibilityProblem,
                         LmiSolution, gain_from_plain, lmi_problem, sdp_solve,
                         solve_plain_lmi, solve_stab_lmi, synthesize,

@@ -8,8 +8,7 @@ from itertools import repeat
 import numpy as np
 
 from .data import LtiSystem, TrajectoryData, build_data_matrices, consistent_set
-from .errors import SolverFailure
-from .informativity import check_identification, check_stabilizability_prior
+from .informativity import check_stabilizability_prior
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, is_controllable,
                      matrix_exponential, spectral_radius)
 from .synthesis import synthesize
@@ -97,6 +96,8 @@ class MonteCarloConfig:
             raise ValueError("scenarios must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 <= self.poisson_lambda < np.inf:
             raise ValueError("poisson_lambda must be finite and >= 0")
         if not self.t_list:
@@ -120,6 +121,13 @@ class ScenarioVerdict:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
+    """Every window's verdicts, in scenario order.
+
+    ``solver_failures`` is 0 by construction: the report decides every
+    verdict by rank, subspace and pencil tests and calls no solver. It stays
+    in the result and in ``montecarlo.json`` for the readers of that file.
+    """
+
     config: MonteCarloConfig
     verdicts: list[ScenarioVerdict]
     solver_failures: int
@@ -149,25 +157,17 @@ def _scenario_trajectory(mc: MonteCarloConfig, index: int) -> TrajectoryData:
 
 
 def _evaluate_scenario(mc: MonteCarloConfig, index: int,
-                       cfg: NumericalConfig) -> tuple[list[ScenarioVerdict], int]:
+                       cfg: NumericalConfig) -> list[ScenarioVerdict]:
     traj = _scenario_trajectory(mc, index)
-    verdicts, failures = [], 0
+    verdicts = []
     for T in mc.t_list:
         window = TrajectoryData(inputs=traj.inputs[:T], states=traj.states[:T + 1])
-        D = build_data_matrices(window)
-        try:
-            report = check_stabilizability_prior(D, cfg)
-            ident = report.identification
-            plain = report.stabilization
-            prior = report.stabilization_stabilizability_prior
-        except SolverFailure:
-            failures += 1
-            ident = check_identification(D, cfg)
-            plain = prior = False
-        verdicts.append(ScenarioVerdict(scenario=index, T=T, identification=ident,
-                                        stabilization=plain,
-                                        stabilization_stabilizability_prior=prior))
-    return verdicts, failures
+        report = check_stabilizability_prior(build_data_matrices(window), cfg)
+        verdicts.append(ScenarioVerdict(
+            scenario=index, T=T, identification=report.identification,
+            stabilization=report.stabilization,
+            stabilization_stabilizability_prior=report.stabilization_stabilizability_prior))
+    return verdicts
 
 
 _BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -204,8 +204,8 @@ def run_monte_carlo(mc: MonteCarloConfig,
                 else:
                     os.environ[key] = value
     return MonteCarloResult(config=mc,
-                            verdicts=[v for verdicts, _ in outcomes for v in verdicts],
-                            solver_failures=sum(fail for _, fail in outcomes))
+                            verdicts=[v for verdicts in outcomes for v in verdicts],
+                            solver_failures=0)
 
 
 # ---------------------------------------------------------------------------

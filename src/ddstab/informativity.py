@@ -1,7 +1,7 @@
 """Decision procedures: what do the data license us to conclude?
 
-Four questions about one dataset, each decided exactly (rank / subspace
-tests) or via an LMI feasibility solve:
+Four questions about one dataset, each decided exactly by rank, subspace
+and pencil tests:
 
   * identification: is the consistent set a single system?
   * stabilization: does one gain stabilize every consistent system?
@@ -11,15 +11,18 @@ tests) or via an LMI feasibility solve:
     full-rank state data this again equals the plain verdict, on
     rank-deficient data it reduces to two checkable subspace conditions.
 
-Each condition has one owner: ``check_identification``,
-``check_plain_stabilization``, and in ``data`` ``check_image_inclusion``,
-``input_rank_condition`` and their guard ``require_prior_conditions``;
-``Branch.of`` names the branch.
-The plain verdict's LMI solution is kept for the gain step: a verdict
-followed by ``synthesize`` or ``solve_plain_lmi`` on the same data and
-config solves once. Every solve runs the built-in barrier.
+Each condition has one owner: ``check_identification``, the Hautus test of
+the data pencil ``linalg.pencil_full_rank`` for plain stabilization, and in
+``data`` ``check_image_inclusion``, ``input_rank_condition`` and their guard
+``require_prior_conditions``; ``Branch.of`` names the branch.
+The plain verdict needs no LMI solve: the data are informative iff X_minus
+has full row rank and X_plus - lambda*X_minus keeps full row rank at every
+eigenvalue on or outside the margin (van Waarde et al., 2020). Only
+``check_plain_stabilization``, whose contract returns the witness Theta,
+solves the LMI, on the built-in barrier; a breakdown there raises
+SolverFailure.
 The report reads the image-inclusion residual off its row compression, at
-the rank cutoff the verdict uses. A solver breakdown raises SolverFailure.
+the rank cutoff the verdict uses.
 """
 from __future__ import annotations
 
@@ -29,9 +32,9 @@ import numpy as np
 
 from .data import (Branch, DataMatrices, check_image_inclusion, consistent_set,
                    input_rank_condition, sample_consistent)
-from .linalg import (DEFAULT_CONFIG, NumericalConfig, numerical_rank, rank_cutoff,
-                     row_compress, subspace_contained)
-from .synthesis import _keep_verdict_solution, solve_plain_lmi
+from .linalg import (DEFAULT_CONFIG, NumericalConfig, numerical_rank, pencil_full_rank,
+                     rank_cutoff, row_compress, subspace_contained)
+from .synthesis import solve_plain_lmi
 
 
 @dataclass(frozen=True)
@@ -59,18 +62,17 @@ def check_plain_stabilization(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CO
                               ) -> tuple[bool, np.ndarray | None]:
     """LMI feasibility on the raw data; returns the witness Theta when feasible.
 
-    The solution is kept for the gain step: a ``solve_plain_lmi`` on the
-    same data and config returns it unsolved.
+    ``check_controllability_prior`` decides the same verdict by the pencil
+    test, without a solve; this solves the LMI for its witness.
     """
     sol = solve_plain_lmi(D, cfg)
-    _keep_verdict_solution(D, cfg, sol)
     return sol.feasible, sol.theta
 
 
 def check_controllability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    """Controllability prior knowledge never changes the verdict; delegate."""
-    verdict, _ = check_plain_stabilization(D, cfg)
-    return verdict
+    """Controllability prior knowledge never changes the plain verdict, which
+    the pencil test decides without a solve."""
+    return pencil_full_rank(D.x_minus, D.x_plus, cfg)
 
 
 def _rank_margin_diagnostics(sv: np.ndarray | None, shape, cfg: NumericalConfig) -> dict:
@@ -99,7 +101,7 @@ def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
     }
     input_ok = input_rank_condition(D, comp, rank_stacked)
     if branch is Branch.FULL_RANK:
-        plain, _ = check_plain_stabilization(D, cfg)
+        plain = pencil_full_rank(D.x_minus, D.x_plus, cfg)
         image_ok = True  # col(X_minus) is the whole state space
         prior = plain
     else:

@@ -1,11 +1,12 @@
 """Dense matrix numerics shared by every other module.
 
-Rank decisions, row compression, spectra, subspace inclusion, and the
-system-theoretic predicates (Schur / controllable / stabilizable). All
-functions are pure and operate on plain 2-D numpy arrays;
-``spectral_radius``, ``controllability_matrix`` and ``is_stabilizable``
-also take (N, ., .) stacks and treat each member as if it were passed
-alone, and ``rank_cutoff`` takes an (N, k) stack of spectra.
+Rank decisions, row compression, spectra, subspace inclusion, the Hautus
+test of a pencil and the system-theoretic predicates (Schur / controllable
+/ stabilizable). All functions are pure and operate on plain 2-D numpy
+arrays; ``spectral_radius``, ``controllability_matrix``,
+``pencil_full_rank`` and ``is_stabilizable`` also take (N, ., .) stacks and
+treat each member as if it were passed alone, and ``rank_cutoff`` takes an
+(N, k) stack of spectra.
 """
 from __future__ import annotations
 
@@ -167,39 +168,79 @@ def is_controllable(A: np.ndarray, B: np.ndarray,
     return numerical_rank(controllability_matrix(A, B), cfg) == np.atleast_2d(A).shape[0]
 
 
+def pencil_full_rank(L: np.ndarray, P: np.ndarray,
+                     cfg: NumericalConfig = DEFAULT_CONFIG) -> bool | np.ndarray:
+    """Hautus test of the k x T pencil P - lambda*L: L has full row rank k and
+    rank(P - lambda*L) = k at every eigenvalue lambda of F = P L^+ with
+    |lambda| >= 1 - schur_margin.
+
+    With (L, P) = (X_minus, X_plus) this decides whether the data are
+    informative for stabilization (van Waarde, Eising, Camlibel & Trentelman,
+    "Data informativity", IEEE TAC 2020); with (L, P) = ([I 0], [A B]), where
+    F = A, it is the stabilizability of (A, B).
+
+    L's rank, at the shared cutoff, and its pseudoinverse are read off one
+    thin SVD of L. An L with orthonormal rows, as [I 0], needs none: L^+ =
+    L^T and every singular value is 1, so ``is_stabilizable`` factors only
+    its pencils. Each pencil is ranked at the shared cutoff taken
+    relative to ||P||_F + |lambda| sigma_1(L), a bound on the size of its two
+    terms, not to its own largest singular value: a one-row pencil would then
+    drop rank only when it is exactly zero, so a negligible B would stabilize
+    any scalar system.
+
+    Stacks (N, k, T) give the N verdicts as a boolean array, each equal to its
+    member's own: one stacked ``eigvals``, then one stacked SVD over the
+    pencils of every (member, eigenvalue) pair on or outside the margin.
+    """
+    L = np.atleast_2d(np.asarray(L, dtype=float))
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    stacked = L.ndim == 3
+    if not stacked:
+        L, P = L[None], P[None]
+    k, T = L.shape[1:]
+    if k == 0 or T < k or not len(L):
+        # no eigenvalue to test: rank k = 0 is full, a wide L^T is not
+        ok = np.full(len(L), k == 0)
+        return ok if stacked else bool(ok[0])
+    Lt = L.transpose(0, 2, 1)
+    if (L @ Lt == np.eye(k)).all():
+        full, sv, F = np.arange(len(L)), np.ones((len(L), k)), P @ Lt
+    else:
+        U, sv, Vt = np.linalg.svd(L, full_matrices=False)
+        full = np.flatnonzero(sv[:, -1] > rank_cutoff(sv, (k, T), cfg))
+        F = P[full] @ (Vt[full].transpose(0, 2, 1) / sv[full, None, :]) \
+            @ U[full].transpose(0, 2, 1)
+    ok = np.zeros(len(L), dtype=bool)
+    ok[full] = True
+    lams = np.linalg.eigvals(F)
+    # hypot, not np.abs: it rounds |lambda| as abs() does on one eigenvalue
+    modulus = np.hypot(lams.real, lams.imag)
+    i, j = np.nonzero(modulus >= 1.0 - cfg.schur_margin)
+    members = full[i]
+    pencils = np.multiply(L[members], lams[i, j][:, None, None], dtype=complex)
+    np.subtract(P[members], pencils, out=pencils)
+    scale = np.sqrt(np.square(P).sum(axis=(1, 2)))[members] + modulus[i, j] * sv[members, 0]
+    pencil_sv = np.linalg.svd(pencils, compute_uv=False)
+    cutoff = rank_cutoff(scale[:, None], pencils.shape[1:], cfg)
+    ok[members[np.count_nonzero(pencil_sv > cutoff[:, None], axis=-1) < k]] = False
+    return ok if stacked else bool(ok[0])
+
+
 def is_stabilizable(A: np.ndarray, B: np.ndarray,
                     cfg: NumericalConfig = DEFAULT_CONFIG) -> bool | np.ndarray:
     """Eigenvalue test: rank [A - lambda*I, B] = n at every |lambda| >= 1 - margin.
 
-    Stacks (N, n, n) and (N, n, m) give the N verdicts as a boolean array,
-    each equal to its member's own: one stacked ``eigvals``, then one
-    stacked SVD over the pencils of every (member, eigenvalue) pair on or
-    outside the margin. Each pencil is ranked at the shared cutoff taken
-    relative to ``||[A B]||_F + |lambda|``, a bound on the size of its two
-    terms, not to its own largest singular value: a one-row pencil would
-    then drop rank only when it is exactly zero, so a negligible B would
-    stabilize any scalar system.
+    The pencil test of ``pencil_full_rank`` with (L, P) = ([I 0], [A B]):
+    there F = A and sigma_1(L) = 1, so each pencil [A - lambda*I, B] is ranked
+    relative to ||[A B]||_F + |lambda|. Stacks (N, n, n) and (N, n, m) give
+    the N verdicts as a boolean array, each equal to its member's own.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    stacked = A.ndim == 3
-    if not stacked:
-        A, B = A[None], B[None]
     n = A.shape[-1]
-    AB = np.concatenate([A, B], axis=-1)
-    lams = np.linalg.eigvals(A)
-    # hypot, not np.abs: it rounds |lambda| as abs() does on one eigenvalue
-    modulus = np.hypot(lams.real, lams.imag)
-    k, j = np.nonzero(modulus >= 1.0 - cfg.schur_margin)
-    pencils = AB[k].astype(complex)
-    diagonal = np.arange(n)
-    pencils[:, diagonal, diagonal] -= lams[k, j][:, None]
-    scale = np.sqrt(np.square(AB).sum(axis=(1, 2)))[k] + modulus[k, j]
-    sv = np.linalg.svd(pencils, compute_uv=False)
-    cutoff = rank_cutoff(scale[:, None], pencils.shape[1:], cfg)
-    ok = np.ones(len(A), dtype=bool)
-    ok[k[np.count_nonzero(sv > cutoff[:, None], axis=-1) < n]] = False
-    return ok if stacked else bool(ok[0])
+    L = np.zeros(B.shape[:-2] + (n, n + B.shape[-1]))
+    L[..., :n] = np.eye(n)
+    return pencil_full_rank(L, np.concatenate([A, B], axis=-1), cfg)
 
 
 def subspace_contained(M: np.ndarray, N: np.ndarray,

@@ -15,13 +15,12 @@ range over col(V). Working in an orthonormal basis of col(V) intersected
 with the symmetry constraint keeps the problem at most 2k^2-dimensional
 regardless of T and makes the maximized slack a scale-free margin.
 
-One plain-LMI certificate both decides informativity and gives the gain.
-The verdict (``informativity.check_plain_stabilization``) keeps the
-solution it solved, and ``solve_plain_lmi`` on the same data bytes and
-config returns it, so a verdict followed by the gain step solves once. A
-feasible Theta is read-only, since the verdict and the gain share one array.
-
-Every solve runs the built-in barrier, ``sdp.BarrierBackend``.
+The LMI is solved only where its certificate Theta is returned: the gain
+step and ``informativity.check_plain_stabilization``. The informativity
+report decides the plain verdict by the pencil test
+``linalg.pencil_full_rank`` and solves nothing, so the gain step solves each
+dataset's LMI once. Every solve runs the built-in barrier,
+``sdp.BarrierBackend``.
 """
 from __future__ import annotations
 
@@ -106,11 +105,6 @@ def _symmetry_nullspace(QG: np.ndarray, k: int, rho: int,
     return Vt[r:].T.copy()  # C order: the transposed view rounds N @ x differently
 
 
-def _read_only(theta: np.ndarray) -> np.ndarray:
-    theta.flags.writeable = False
-    return theta
-
-
 def sdp_solve(problem: LmiFeasibilityProblem,
               cfg: NumericalConfig = DEFAULT_CONFIG,
               backend=None) -> LmiSolution:
@@ -134,7 +128,7 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     L, P = problem.diag_coeff, problem.offdiag_coeff
     k, T = L.shape
     if k == 0:
-        return LmiSolution(theta=_read_only(np.zeros((T, 0))), slack=np.inf)
+        return LmiSolution(theta=np.zeros((T, 0)), slack=np.inf)
     U_L, sv_L, Vt_L, rank_L = rank_revealing_svd(L, cfg)
     if rank_L < k:
         return LmiSolution(theta=None, slack=0.0)
@@ -166,7 +160,7 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     pinv_L = (Vt_L[:k].T / sv_L[:k]) @ U_L[:, :k].T
     theta = theta - pinv_L @ (0.5 * (G - G.T))
     theta = theta / result.t
-    return LmiSolution(theta=_read_only(theta), slack=result.t)
+    return LmiSolution(theta=theta, slack=result.t)
 
 
 def lmi_problem(D: DataMatrices, comp: RowCompression | None = None) -> LmiFeasibilityProblem:
@@ -176,31 +170,9 @@ def lmi_problem(D: DataMatrices, comp: RowCompression | None = None) -> LmiFeasi
     return LmiFeasibilityProblem(diag_coeff=comp.x_hat_minus, offdiag_coeff=comp.x_hat_plus)
 
 
-# (key, solution) of the last plain LMI a verdict solved; written only by
-# ``_keep_verdict_solution``
-_verdict_solution: tuple | None = None
-
-
-def _plain_key(D: DataMatrices, cfg: NumericalConfig) -> tuple:
-    """The plain LMI's data as bytes: data edited in place get a new key."""
-    return (D.x_minus.shape, D.x_minus.tobytes(), D.x_plus.tobytes(), cfg)
-
-
-def _keep_verdict_solution(D: DataMatrices, cfg: NumericalConfig, sol: LmiSolution) -> None:
-    global _verdict_solution
-    _verdict_solution = (_plain_key(D, cfg), sol)
-
-
 def solve_plain_lmi(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> LmiSolution:
     """Feasibility of the no-prior synthesis LMI on (X_minus, X_plus), k = n;
-    ``sdp_solve`` decides rank-deficient X_minus Infeasible without a solve.
-
-    The solution the last verdict kept is returned when it was solved for
-    the same data bytes and config; otherwise the LMI is solved.
-    """
-    kept = _verdict_solution
-    if kept is not None and kept[0] == _plain_key(D, cfg):
-        return kept[1]
+    ``sdp_solve`` decides rank-deficient X_minus Infeasible without a solve."""
     return sdp_solve(lmi_problem(D), cfg)
 
 

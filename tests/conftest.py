@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from ddstab import (DataMatrices, LtiSystem, NumericalConfig, SolverFailure,
-                    TrajectoryData, build_data_matrices, row_compress, sdp, simulate,
-                    synthesis)
+                    TrajectoryData, build_data_matrices, row_compress, sdp, simulate)
 from ddstab.linalg import rank_revealing_svd
 from ddstab.synthesis import _symmetry_nullspace
 
@@ -37,13 +36,6 @@ def nan_point_solve(backend, problem):
     x = np.zeros(problem.dim)
     x[0] = np.nan
     return sdp._certified(problem.blocks, x)
-
-
-@pytest.fixture(autouse=True)
-def no_kept_verdict(monkeypatch):
-    """Every plain verdict keeps its solution for the gain step; one kept by
-    an earlier test would skip a solve that this test patches or counts."""
-    monkeypatch.setattr(synthesis, "_verdict_solution", None)
 
 
 @pytest.fixture(params=[raising_solve, nan_point_solve], ids=["raises", "nan_point"])
@@ -99,6 +91,20 @@ def three_tank_compressed():
     system = zoh_discretize(three_tank_model())
     D = build_data_matrices(simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS))
     return D, row_compress(D.x_minus, D.x_plus, NumericalConfig())
+
+
+def montecarlo_windows(seed: int, scenarios: int):
+    """The data of every window (T in the default list) of the first
+    ``scenarios`` three-tank Monte Carlo runs at ``seed``."""
+    from ddstab.experiments import (MonteCarloConfig, _scenario_trajectory,
+                                    three_tank_model, zoh_discretize)
+    mc = MonteCarloConfig(system=zoh_discretize(three_tank_model()),
+                          scenarios=scenarios, seed=seed)
+    for index in range(scenarios):
+        traj = _scenario_trajectory(mc, index)
+        for T in mc.t_list:
+            yield build_data_matrices(TrajectoryData(inputs=traj.inputs[:T],
+                                                     states=traj.states[:T + 1]))
 
 
 def scalar_full_rank() -> DataMatrices:

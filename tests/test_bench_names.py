@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddstab import synthesis
 from ddstab.cli import build_parser
 from ddstab.data import Branch, build_data_matrices, consistent_set, sample_consistent
 from ddstab.experiments import example1_trajectory
@@ -147,10 +146,10 @@ def test_cli_workload_argv_parses(tmp_path):
 
 
 def test_pipeline_solves_each_plain_lmi_once(monkeypatch):
-    """The pipeline workload's gain step reuses the plain solve of its verdict:
-    on the first 30 corpus datasets the barrier runs once per full-rank
-    dataset (the verdict) and once per informative rank-deficient one (the
-    compressed LMI), and never twice for one dataset's plain LMI."""
+    """The pipeline workload's verdict solves nothing: on the first 30 corpus
+    datasets the barrier runs once per informative dataset, the plain LMI of
+    a full-rank one and the compressed LMI of a rank-deficient one, and
+    never twice for one dataset."""
     pipeline = _load_bench("workloads").Pipeline()
     pipeline.prepare(0)
     solves = []
@@ -160,11 +159,11 @@ def test_pipeline_solves_each_plain_lmi_once(monkeypatch):
         solves.append(problem)
         return real(backend, problem)
     monkeypatch.setattr(BarrierBackend, "solve", counting)
-    monkeypatch.setattr(synthesis, "_verdict_solution", None)
-    full_rank = informative_rank_deficient = 0
+    full_rank = informative_full_rank = informative_rank_deficient = 0
     for D in pipeline.datasets[:30]:
         outcome = pipeline._run(D)
         full_rank += Branch.of(D, row_compress(D.x_minus, D.x_plus)) is Branch.FULL_RANK
+        informative_full_rank += outcome == Branch.FULL_RANK.value
         informative_rank_deficient += outcome == Branch.RANK_DEFICIENT.value
-    assert full_rank and informative_rank_deficient
-    assert len(solves) == full_rank + informative_rank_deficient
+    assert full_rank > informative_full_rank > 0 and informative_rank_deficient
+    assert len(solves) == informative_full_rank + informative_rank_deficient

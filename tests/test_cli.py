@@ -709,6 +709,17 @@ class TestImportPath:
                  ["verify", example1_file, str(gain_path), "--out", str(tmp_path / "v")]]
         assert self.probe(calls, tmp_path) == {"codes": [EXIT_OK, EXIT_OK], "loaded": []}
 
+    def test_full_rank_informativity_loads_none(self, tmp_path):
+        # the pencil test decides the plain verdict without a solve
+        rng = np.random.default_rng(4)
+        traj = simulate(LtiSystem(A=[[1.1, 0.3], [0.0, 0.9]], B=[[0.0], [1.0]]),
+                        rng.normal(size=2), rng.normal(size=(6, 1)))
+        data = tmp_path / "full_rank.json"
+        data.write_text(trajectory_to_json(traj))
+        report = self.probe([["informativity", str(data), "--out", str(tmp_path / "i")]],
+                            tmp_path)
+        assert report == {"codes": [EXIT_OK], "loaded": []}
+
     def test_full_rank_synthesize_loads_scipy(self, tmp_path):
         rng = np.random.default_rng(4)
         traj = simulate(LtiSystem(A=[[1.1, 0.3], [0.0, 0.9]], B=[[0.0], [1.0]]),

@@ -163,6 +163,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="workers"):
             self._config(workers=workers)
 
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 70)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            self._config(seed=seed)
+
+    def test_seed_zero_runs(self, cfg):
+        result = run_monte_carlo(self._config(scenarios=2, seed=0), cfg)
+        assert len(result.verdicts) == 2 * 4
+
     def test_empty_t_list_rejected(self):
         with pytest.raises(ValueError, match="t_list must hold at least one T"):
             self._config(t_list=())

@@ -6,11 +6,14 @@ from ddstab import (DataMatrices, LtiSystem, SolverFailure,
                     check_identification, check_image_inclusion,
                     check_plain_stabilization, check_stabilizability_prior,
                     consistent_set, input_rank_condition, necessary_conditions_report,
-                    numerical_rank, row_compress, simulate, verify_gain, synthesize_stab)
+                    numerical_rank, row_compress, run_monte_carlo, simulate, verify_gain,
+                    synthesize, synthesize_stab)
 from ddstab.informativity import Branch
-from ddstab.synthesis import FeedbackGain, GainProvenance
+from ddstab.linalg import pencil_full_rank
+from ddstab.sdp import BarrierBackend
+from ddstab.synthesis import FeedbackGain, GainProvenance, lmi_problem, sdp_solve
 
-from conftest import random_dataset, scalar_full_rank
+from conftest import montecarlo_windows, random_dataset, scalar_full_rank
 
 
 def corrupted_example1():
@@ -195,6 +198,62 @@ class TestVerdictEquivalences:
             assert (not report.stabilization) or report.stabilization_stabilizability_prior
 
 
+class TestPencilAgainstSdp:
+    """Two routes to the plain verdict: the pencil test the report takes and
+    the LMI the gain step solves agree on every dataset."""
+
+    @staticmethod
+    def _disagreements(datasets, cfg):
+        decided = disagree = 0
+        for D in datasets:
+            if row_compress(D.x_minus, D.x_plus, cfg).r < D.n:
+                continue  # both routes exit on the rank of X_minus
+            pencil = pencil_full_rank(D.x_minus, D.x_plus, cfg)
+            disagree += pencil != sdp_solve(lmi_problem(D), cfg).feasible
+            decided += 1
+        return decided, disagree
+
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_random_suites(self, cfg, seed):
+        rng = np.random.default_rng(seed)
+        decided, disagree = self._disagreements(
+            (random_dataset(rng).D for _ in range(500)), cfg)
+        assert decided >= 300 and disagree == 0
+
+    def test_montecarlo_windows(self, cfg):
+        decided, disagree = self._disagreements(montecarlo_windows(3, 200), cfg)
+        assert decided >= 500 and disagree == 0
+
+
+class TestVerdictsSolveNothing:
+    """The report, the controllability-prior verdict and the Monte Carlo
+    decide without reaching the barrier."""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def refuse(backend, problem):
+            raise AssertionError("a verdict reached the barrier")
+        monkeypatch.setattr(BarrierBackend, "solve", refuse)
+
+    def test_reports(self, cfg, no_solve):
+        rng = np.random.default_rng(48)
+        verdicts = set()
+        for _ in range(150):
+            D = random_dataset(rng).D
+            report = check_stabilizability_prior(D, cfg)
+            assert check_controllability_prior(D, cfg) == report.stabilization
+            verdicts.add((report.branch, report.stabilization))
+        assert (Branch.FULL_RANK, True) in verdicts
+        assert (Branch.FULL_RANK, False) in verdicts
+
+    def test_monte_carlo(self, cfg, no_solve):
+        from ddstab.experiments import MonteCarloConfig, three_tank_model, zoh_discretize
+        result = run_monte_carlo(MonteCarloConfig(
+            system=zoh_discretize(three_tank_model()), scenarios=20, seed=3), cfg)
+        assert result.solver_failures == 0
+        assert any(v.stabilization for v in result.verdicts)
+
+
 class TestRankDeficientSoundness:
     def test_informative_implies_synthesizable_and_verified(self, cfg):
         # constructive direction: a positive rank-deficient verdict must be
@@ -300,5 +359,14 @@ class TestInputRankAtFullRank:
 
 
 def test_solver_failure_propagates_through_report(cfg, broken_backend):
+    # the functions that return Theta solve, and a breakdown raises there;
+    # the report decides the same data by the pencil test and never solves
+    D = scalar_full_rank()
     with pytest.raises(SolverFailure):
-        check_stabilizability_prior(scalar_full_rank(), cfg)
+        check_plain_stabilization(D, cfg)
+    with pytest.raises(SolverFailure):
+        synthesize(D, cfg)
+    report = check_stabilizability_prior(D, cfg)
+    assert report.branch is Branch.FULL_RANK
+    assert report.stabilization and report.stabilization_stabilizability_prior
+    assert check_controllability_prior(D, cfg)

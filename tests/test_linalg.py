@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ddstab import (NumericalConfig, is_controllable, is_schur, is_stabilizable,
-                    matrix_exponential, numerical_rank, pinv, row_compress,
-                    spectral_radius, subspace_contained)
+                    matrix_exponential, numerical_rank, pencil_full_rank, pinv,
+                    row_compress, spectral_radius, subspace_contained)
 from ddstab import (LtiSystem, build_data_matrices, check_stabilizability_prior,
                     consistent_set, reachable_part, sdp_solve, simulate, solve_plain_lmi)
 from ddstab.linalg import controllability_matrix, rank_cutoff
@@ -491,3 +491,99 @@ class TestStackedKernels:
         assert cut.shape == (6,)
         for row, c in zip(sv, cut):
             assert _bits(c) == _bits(rank_cutoff(row, (3, 5), cfg))
+
+
+def per_eigenvalue_pencil(L, P, cfg) -> bool:
+    """Oracle: the rank of L from its SVD, F = P pinv(L), then one eigenvalue
+    and one pencil P - lambda*L at a time, each ranked relative to
+    ||P||_F + |lambda| sigma_1(L)."""
+    k, T = L.shape
+    sv = np.linalg.svd(L, compute_uv=False)
+    if np.count_nonzero(sv > cfg.rank_rel_tol * max(k, T) * sv[0]) < k or not sv[0]:
+        return False
+    size = np.linalg.norm(P)
+    for lam in np.linalg.eigvals(P @ np.linalg.pinv(L)):
+        if abs(lam) >= 1.0 - cfg.schur_margin:
+            pencil = P - lam * L
+            cutoff = cfg.rank_rel_tol * max(k, T) * (size + abs(lam) * sv[0])
+            if np.count_nonzero(np.linalg.svd(pencil, compute_uv=False) > cutoff) < k:
+                return False
+    return True
+
+
+class TestPencilFullRank:
+    """An (N, k, T) stack of data pencils gives each member's own verdict,
+    and that verdict is the per-eigenvalue loop's."""
+
+    @staticmethod
+    def data(rng, N, n, m, T, cfg):
+        """(X_minus, X_plus) of N runs; every other system hides its last
+        state from the input, at a mode inside, on or outside the circle, and
+        every fifth run starts with that state at 0, so X_minus drops rank."""
+        L, P = np.empty((N, n, T)), np.empty((N, n, T))
+        for i in range(N):
+            A = rng.normal(size=(n, n))
+            A *= rng.uniform(0.5, 1.5) / np.abs(np.linalg.eigvals(A)).max()
+            B = rng.normal(size=(n, m))
+            x = rng.normal(size=n)
+            if i % 2 and n >= 2:
+                A[-1, :-1] = 0.0
+                A[-1, -1] = rng.choice([1.0 - 2 * cfg.schur_margin, 1.0, -1.0, 1.5, 0.5])
+                B[-1] = 0.0
+                if i % 5 == 1:
+                    x[-1] = 0.0
+            states = [x]
+            for _ in range(T):
+                states.append(A @ states[-1] + B @ rng.normal(size=m))
+            L[i] = np.array(states[:-1]).T
+            P[i] = np.array(states[1:]).T
+        return L, P
+
+    def check(self, L, P, cfg):
+        ok = pencil_full_rank(L, P, cfg)
+        assert ok.dtype == bool and ok.shape == (len(L),)
+        for i in range(len(L)):
+            single = pencil_full_rank(L[i], P[i], cfg)
+            assert type(single) is bool
+            assert ok[i] == single == per_eigenvalue_pencil(L[i], P[i], cfg)
+        return ok
+
+    def test_stacks_match_single_members_and_the_loop(self, cfg):
+        rng = np.random.default_rng(66)
+        verdicts = []
+        for n in range(1, 6):
+            for m in (1, 2):
+                for T in (n, n + m, 2 * (n + m) + 2):
+                    L, P = self.data(rng, 20, n, m, T, cfg)
+                    verdicts.extend(self.check(L, P, cfg))
+        assert any(verdicts) and not all(verdicts)
+
+    def test_orthonormal_rows(self, cfg):
+        # ([I 0], [A B]) with its columns permuted and negated: L keeps
+        # orthonormal rows, F is still A, and the verdict is (A, B)'s
+        rng = np.random.default_rng(67)
+        for n in range(1, 5):
+            for m in (1, 2):
+                A, B = TestStackedKernels.stacks(rng, 12, n, m)
+                A[1::2, -1] = 0.0
+                A[1::2, -1, -1] = rng.choice([1.0, -1.5, 0.5], size=6)
+                B[1::2, -1] = 0.0
+                mix = np.eye(n + m)[rng.permutation(n + m)] * rng.choice([-1.0, 1.0], n + m)
+                L = np.hstack([np.eye(n), np.zeros((n, m))]) @ mix
+                ok = self.check(np.broadcast_to(L, (12, n, n + m)),
+                                np.concatenate([A, B], axis=-1) @ mix, cfg)
+                assert ok.tolist() == is_stabilizable(A, B, cfg).tolist()
+
+    def test_rank_deficient_l_fails(self, cfg):
+        L = np.array([[[1.0, 2.0, 4.0], [0.0, 0.0, 0.0]], np.zeros((2, 3))])
+        P = np.array([[[2.0, 4.0, 3.0], [0.0, 0.0, 0.0]], np.zeros((2, 3))])
+        assert self.check(L, P, cfg).tolist() == [False, False]
+        # fewer samples than states: L cannot have full row rank
+        assert not pencil_full_rank(np.ones((2, 1)), np.ones((2, 1)), cfg)
+        assert pencil_full_rank(np.ones((3, 2, 1)), np.ones((3, 2, 1)), cfg).tolist() \
+            == [False] * 3
+
+    def test_empty(self, cfg):
+        assert pencil_full_rank(np.zeros((0, 3)), np.zeros((0, 3)), cfg) is True
+        ok = pencil_full_rank(np.zeros((0, 2, 3)), np.zeros((0, 2, 3)), cfg)
+        assert ok.dtype == bool and ok.shape == (0,)

@@ -8,15 +8,14 @@ import pytest
 import scipy.linalg
 
 import ddstab
-from ddstab import (NumericalConfig, SolverFailure, check_stabilizability_prior,
-                    common_lyapunov, experiments, row_compress, sdp, solve_plain_lmi,
-                    solve_stab_lmi)
+from ddstab import (NumericalConfig, SolverFailure, common_lyapunov,
+                    row_compress, sdp, solve_plain_lmi, solve_stab_lmi)
 from ddstab.linalg import rank_revealing_svd
 from ddstab.sdp import AffineLmiFeasibility, BarrierBackend, BackendResult, CvxpyBackend
 from ddstab.synthesis import (LmiFeasibilityProblem, _symmetry_nullspace, lmi_problem,
                               sdp_solve)
 
-from conftest import (barrier_slack, example1_matrices, random_dataset,
+from conftest import (barrier_slack, example1_matrices, montecarlo_windows, random_dataset,
                       reference_coefficients, three_tank_compressed)
 
 try:
@@ -185,7 +184,7 @@ def recorded():
         solve_stab_lmi(D, comp, cfg)
         rng = np.random.default_rng(31)
         for _ in range(20):
-            check_stabilizability_prior(random_dataset(rng).D, cfg)
+            solve_plain_lmi(random_dataset(rng).D, cfg)
         for seed, index in ((102, 20), (102, 311), (103, 112), (103, 279)):
             solve_plain_lmi(_criterion_5_dataset(seed, index), cfg)
     return systems, factors
@@ -306,9 +305,10 @@ def _reference_solve(problem, counts=None):
 @pytest.fixture(scope="module")
 def barrier_problems():
     """The problems handed to the barrier by the three-tank compressed solve,
-    the verdicts of random datasets until 20 have reached it, the four criterion-5 plain solves and the
-    montecarlo windows of scenarios 0-9 at seed 3, then two-block random
-    problems and one common Lyapunov problem."""
+    the plain LMIs of random datasets until 20 have reached it, the four
+    criterion-5 plain solves and the plain LMIs of the montecarlo windows of
+    scenarios 0-9 at seed 3, then two-block random problems and one common
+    Lyapunov problem."""
     cfg = NumericalConfig()
     problems = {}
     real_solve = BarrierBackend.solve
@@ -325,14 +325,13 @@ def barrier_problems():
         label = "random_datasets"
         rng = np.random.default_rng(31)
         while len(problems.get(label, ())) < 20:
-            check_stabilizability_prior(random_dataset(rng).D, cfg)
+            solve_plain_lmi(random_dataset(rng).D, cfg)
         label = "criterion_5"
         for seed, index in ((102, 20), (102, 311), (103, 112), (103, 279)):
             solve_plain_lmi(_criterion_5_dataset(seed, index), cfg)
         label = "montecarlo"
-        system = experiments.zoh_discretize(experiments.three_tank_model())
-        experiments.run_monte_carlo(experiments.MonteCarloConfig(
-            system=system, scenarios=10, seed=3, workers=1))
+        for D in montecarlo_windows(3, 10):
+            solve_plain_lmi(D, cfg)
     rng = np.random.default_rng(38)
     problems["two_blocks"] = [_random_problem(rng, n_blocks=2) for _ in range(6)]
     recorder = _Recorder()

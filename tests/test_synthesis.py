@@ -5,9 +5,9 @@ import pytest
 
 from ddstab import (GainProvenance, LtiSystem, NumericalConfig, PreconditionError,
                     SolverFailure, TrajectoryData, build_data_matrices,
-                    check_plain_stabilization, check_stabilizability_prior, gain_from_plain,
-                    sdp, sdp_solve, simulate, solve_plain_lmi, solve_stab_lmi,
-                    spectral_radius, synthesize, synthesize_stab, row_compress)
+                    check_stabilizability_prior, gain_from_plain, sdp_solve, simulate,
+                    solve_plain_lmi, solve_stab_lmi, spectral_radius, synthesize,
+                    synthesize_stab, row_compress)
 from ddstab.data import Branch
 from ddstab.linalg import RowCompression
 from ddstab.synthesis import LmiFeasibilityProblem, lmi_problem, problem_to_json
@@ -180,16 +180,20 @@ class TestNoNewtonStall:
 
     def test_monte_carlo_window(self, cfg, newton_steps):
         # scenario 4 of the default-seed stream at T = 3 spent all MAX_NEWTON
-        # steps in one solve when the rounding no-op was retaken
+        # steps in one solve when the rounding no-op was retaken; the verdict
+        # no longer solves, so the window's plain LMI is solved here
         from ddstab.experiments import (MonteCarloConfig, ScenarioVerdict,
-                                        _evaluate_scenario, three_tank_model,
-                                        zoh_discretize)
+                                        _evaluate_scenario, _scenario_trajectory,
+                                        three_tank_model, zoh_discretize)
         from ddstab.sdp import MAX_NEWTON
         mc = MonteCarloConfig(system=zoh_discretize(three_tank_model()),
                               scenarios=5, t_list=(3,))
-        verdicts, failures = _evaluate_scenario(mc, 4, cfg)
-        assert len(newton_steps) < MAX_NEWTON
-        assert failures == 0
+        traj = _scenario_trajectory(mc, 4)
+        window = build_data_matrices(TrajectoryData(inputs=traj.inputs[:3],
+                                                    states=traj.states[:4]))
+        assert not solve_plain_lmi(window, cfg).feasible
+        assert 0 < len(newton_steps) < MAX_NEWTON
+        verdicts = _evaluate_scenario(mc, 4, cfg)
         assert verdicts == [ScenarioVerdict(scenario=4, T=3, identification=False,
                                             stabilization=False,
                                             stabilization_stabilizability_prior=False)]
@@ -405,87 +409,6 @@ class TestSynthesize:
         outcomes = {self._check(random_dataset(rng).D, cfg) for _ in range(150)}
         # every branch meets both verdicts, so each path of the dispatch ran
         assert len(outcomes) == 4
-
-
-def _full_rank_informative():
-    system = LtiSystem(A=np.array([[1.2, 0.3], [0.1, 0.8]]), B=np.array([[1.0], [0.5]]))
-    rng = np.random.default_rng(32)
-    return build_data_matrices(simulate(system, rng.normal(size=2), rng.normal(size=(6, 1))))
-
-
-class TestVerdictHandOff:
-    """The plain verdict's LMI solution reaches the gain step unsolved, and
-    only when it was solved for the same data bytes and config."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        """Every ``BarrierBackend.solve`` call."""
-        calls = []
-        real = sdp.BarrierBackend.solve
-
-        def counting(backend, problem):
-            calls.append(problem)
-            return real(backend, problem)
-        monkeypatch.setattr(sdp.BarrierBackend, "solve", counting)
-        return calls
-
-    @staticmethod
-    def _bytes(sol):
-        theta = None if sol.theta is None else (sol.theta.shape, sol.theta.tobytes())
-        return sol.feasible, np.float64(sol.slack).tobytes(), theta
-
-    def test_kept_solution_equals_a_fresh_solve(self, cfg, solves):
-        seen = feasible = 0
-        for seed in (101, 102, 103):
-            rng = np.random.default_rng(seed)
-            for _ in range(500):
-                D = random_dataset(rng).D
-                if Branch.of(D, row_compress(D.x_minus, D.x_plus, cfg)) is not Branch.FULL_RANK:
-                    continue
-                check_plain_stabilization(D, cfg)
-                before = len(solves)
-                kept = solve_plain_lmi(D, cfg)
-                assert len(solves) == before
-                fresh = sdp_solve(lmi_problem(D), cfg)
-                assert self._bytes(kept) == self._bytes(fresh)
-                seen += 1
-                feasible += kept.feasible
-        assert seen >= 300 and 0 < feasible < seen
-
-    def test_verdict_then_gain_solves_once(self, cfg, solves):
-        D = _full_rank_informative()
-        report = check_stabilizability_prior(D, cfg)
-        assert report.branch is Branch.FULL_RANK and report.stabilization_stabilizability_prior
-        sol = solve_plain_lmi(D, cfg)
-        assert len(solves) == 1
-        gain, synthesized, _ = synthesize(D, cfg)
-        assert len(solves) == 1 and synthesized is sol
-        assert spectral_radius(np.array([[1.2, 0.3], [0.1, 0.8]])
-                               + np.array([[1.0], [0.5]]) @ gain.K) < 1.0
-
-    @pytest.mark.parametrize("case", ["other_config", "data_edited", "no_verdict"])
-    def test_fresh_solve(self, cfg, solves, case):
-        D = _full_rank_informative()
-        if case != "no_verdict":
-            check_plain_stabilization(D, cfg)
-        else:
-            solve_plain_lmi(D, cfg)
-        if case == "other_config":
-            cfg = NumericalConfig(psd_margin=2 * cfg.psd_margin)
-        if case == "data_edited":
-            D.x_plus[0, 0] += 0.25
-        sol = solve_plain_lmi(D, cfg)
-        assert len(solves) == 2
-        assert self._bytes(sol) == self._bytes(sdp_solve(lmi_problem(D), cfg))
-
-    def test_feasible_theta_is_read_only(self, cfg):
-        sol = solve_plain_lmi(_full_rank_informative(), cfg)
-        assert sol.feasible
-        with pytest.raises(ValueError):
-            sol.theta[0, 0] = 1.0
-        empty = sdp_solve(LmiFeasibilityProblem(diag_coeff=np.zeros((0, 3)),
-                                                offdiag_coeff=np.zeros((0, 3))), cfg)
-        assert empty.feasible and not empty.theta.flags.writeable
 
 
 class TestSolverFailurePropagates:
