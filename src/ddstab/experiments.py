@@ -7,7 +7,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import LtiSystem, TrajectoryData, build_data_matrices, consistent_set
+from .data import (DataMatrices, LtiSystem, TrajectoryData, build_data_matrices,
+                   consistent_set)
 from .informativity import check_stabilizability_prior
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, is_controllable,
                      matrix_exponential, spectral_radius)
@@ -48,10 +49,12 @@ def simulate(system: LtiSystem, x0: np.ndarray, inputs: np.ndarray) -> Trajector
     """Iterate x(t+1) = A x(t) + B u(t) over the given input sequence."""
     x0 = np.asarray(x0, dtype=float).reshape(system.n)
     inputs = np.asarray(inputs, dtype=float).reshape(-1, system.m)
+    # every step's B u(t) in one stacked product; it rounds as B @ inputs[t]
+    driven = (system.B @ inputs[:, :, None])[:, :, 0]
     states = np.empty((len(inputs) + 1, system.n))
     states[0] = x0
     for t in range(len(inputs)):
-        states[t + 1] = system.A @ states[t] + system.B @ inputs[t]
+        states[t + 1] = system.A @ states[t] + driven[t]
     return TrajectoryData(inputs=inputs, states=states)
 
 
@@ -81,6 +84,11 @@ def three_tank_model(p: ThreeTankParams = ThreeTankParams(),
 # ---------------------------------------------------------------------------
 # Monte Carlo study
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool, a float or a string is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     system: LtiSystem
@@ -92,6 +100,11 @@ class MonteCarloConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("scenarios", "horizon", "seed", "workers"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(map(_is_integer, self.t_list)):
+            raise ValueError(f"every T must be an integer, got t_list={self.t_list!r}")
         if self.scenarios < 1:
             raise ValueError("scenarios must be >= 1")
         if self.workers < 1:
@@ -158,11 +171,14 @@ def _scenario_trajectory(mc: MonteCarloConfig, index: int) -> TrajectoryData:
 
 def _evaluate_scenario(mc: MonteCarloConfig, index: int,
                        cfg: NumericalConfig) -> list[ScenarioVerdict]:
-    traj = _scenario_trajectory(mc, index)
+    run = build_data_matrices(_scenario_trajectory(mc, index))
     verdicts = []
     for T in mc.t_list:
-        window = TrajectoryData(inputs=traj.inputs[:T], states=traj.states[:T + 1])
-        report = check_stabilizability_prior(build_data_matrices(window), cfg)
+        # one set of data matrices per run: window T is its first T columns
+        window = DataMatrices(u_minus=run.u_minus[:, :T].copy(),
+                              x_minus=run.x_minus[:, :T].copy(),
+                              x_plus=run.x_plus[:, :T].copy())
+        report = check_stabilizability_prior(window, cfg)
         verdicts.append(ScenarioVerdict(
             scenario=index, T=T, identification=report.identification,
             stabilization=report.stabilization,

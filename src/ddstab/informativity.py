@@ -21,8 +21,11 @@ eigenvalue on or outside the margin (van Waarde et al., 2020). Only
 ``check_plain_stabilization``, whose contract returns the witness Theta,
 solves the LMI, on the built-in barrier; a breakdown there raises
 SolverFailure.
-The report reads the image-inclusion residual off its row compression, at
-the rank cutoff the verdict uses.
+The report ranks [X_minus; U_minus] once and hands that rank to
+``check_identification``; on full-rank data the pencil reads X_minus^+ off
+the SVD of the row compression, so X_minus is factored once too. The
+image-inclusion residual comes from the compression's S, at the rank cutoff
+the verdict uses.
 """
 from __future__ import annotations
 
@@ -53,9 +56,13 @@ class InformativityReport:
         return {**vars(self), "branch": self.branch.value}
 
 
-def check_identification(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    """True iff [X_minus; U_minus] has full row rank n+m (unique (A, B))."""
-    return numerical_rank(D.stacked(), cfg) == D.n + D.m
+def check_identification(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
+                         rank_stacked: int | None = None) -> bool:
+    """True iff [X_minus; U_minus] has full row rank n+m (unique (A, B)); a
+    caller that has ranked the stack already passes that rank."""
+    if rank_stacked is None:
+        rank_stacked = numerical_rank(D.stacked(), cfg)
+    return rank_stacked == D.n + D.m
 
 
 def check_plain_stabilization(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG
@@ -101,7 +108,7 @@ def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
     }
     input_ok = input_rank_condition(D, comp, rank_stacked)
     if branch is Branch.FULL_RANK:
-        plain = pencil_full_rank(D.x_minus, D.x_plus, cfg)
+        plain = pencil_full_rank(D.x_minus, D.x_plus, cfg, comp)
         image_ok = True  # col(X_minus) is the whole state space
         prior = plain
     else:
@@ -113,7 +120,7 @@ def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
         prior = image_ok and input_ok
     return InformativityReport(
         rank_x_minus=comp.r,
-        identification=check_identification(D, cfg),
+        identification=check_identification(D, cfg, rank_stacked),
         stabilization=plain,
         stabilization_controllability_prior=plain,
         stabilization_stabilizability_prior=prior,

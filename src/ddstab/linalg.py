@@ -55,7 +55,9 @@ class RowCompression:
     ``S`` is n x n orthogonal, ``r`` the numerical rank of X_minus,
     ``x_hat_minus`` the full-row-rank top block of S @ X_minus and
     ``x_hat_plus`` the first r rows of S @ X_plus, ``sv`` the singular values
-    r was decided from (None where no SVD was taken).
+    r was decided from and ``Vt`` the matching right singular vectors, signed
+    as the rows of S, so that X_minus = S[:len(sv)].T @ diag(sv) @ Vt (both
+    None where no SVD was taken).
     """
 
     S: np.ndarray
@@ -63,6 +65,7 @@ class RowCompression:
     x_hat_minus: np.ndarray
     x_hat_plus: np.ndarray
     sv: np.ndarray | None = None
+    Vt: np.ndarray | None = None
 
 
 def rank_cutoff(sv: np.ndarray, shape: tuple[int, int],
@@ -106,6 +109,10 @@ def row_compress(x_minus: np.ndarray, x_plus: np.ndarray,
     Any nonsingular S satisfying the identity would do; an orthogonal one
     (left singular vectors of x_minus) keeps downstream products well
     conditioned. x_minus and x_plus must have equal shape.
+
+    The SVD is the economy one whenever that still gives all n left singular
+    vectors (n <= T), so no T x T factor is built; its ``Vt`` lets
+    ``pencil_full_rank`` read L^+ off this compression.
     """
     x_minus = np.atleast_2d(np.asarray(x_minus, dtype=float))
     x_plus = np.atleast_2d(np.asarray(x_plus, dtype=float))
@@ -116,7 +123,8 @@ def row_compress(x_minus: np.ndarray, x_plus: np.ndarray,
         return RowCompression(S=np.eye(n), r=0,
                               x_hat_minus=x_minus[:0],
                               x_hat_plus=x_plus[:0])
-    U, sv, _, r = rank_revealing_svd(x_minus, cfg)
+    U, sv, Vt = np.linalg.svd(x_minus, full_matrices=n > x_minus.shape[1])
+    r = int(np.count_nonzero(sv > rank_cutoff(sv, x_minus.shape, cfg)))
     S = U.T.copy()
     # fix the sign ambiguity of the singular vectors so results are
     # deterministic: leading entry of each compressed row made positive
@@ -125,9 +133,11 @@ def row_compress(x_minus: np.ndarray, x_plus: np.ndarray,
         row = compressed[i] if i < r else S[i]
         if row[np.argmax(np.abs(row))] < 0:
             S[i] = -S[i]
+            if i < len(Vt):
+                Vt[i] = -Vt[i]
     return RowCompression(S=S, r=r,
                           x_hat_minus=S[:r] @ x_minus,
-                          x_hat_plus=S[:r] @ x_plus, sv=sv)
+                          x_hat_plus=S[:r] @ x_plus, sv=sv, Vt=Vt)
 
 
 def spectral_radius(M: np.ndarray) -> float | np.ndarray:
@@ -169,7 +179,8 @@ def is_controllable(A: np.ndarray, B: np.ndarray,
 
 
 def pencil_full_rank(L: np.ndarray, P: np.ndarray,
-                     cfg: NumericalConfig = DEFAULT_CONFIG) -> bool | np.ndarray:
+                     cfg: NumericalConfig = DEFAULT_CONFIG,
+                     comp: RowCompression | None = None) -> bool | np.ndarray:
     """Hautus test of the k x T pencil P - lambda*L: L has full row rank k and
     rank(P - lambda*L) = k at every eigenvalue lambda of F = P L^+ with
     |lambda| >= 1 - schur_margin.
@@ -180,13 +191,14 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
     F = A, it is the stabilizability of (A, B).
 
     L's rank, at the shared cutoff, and its pseudoinverse are read off one
-    thin SVD of L. An L with orthonormal rows, as [I 0], needs none: L^+ =
-    L^T and every singular value is 1, so ``is_stabilizable`` factors only
-    its pencils. Each pencil is ranked at the shared cutoff taken
-    relative to ||P||_F + |lambda| sigma_1(L), a bound on the size of its two
-    terms, not to its own largest singular value: a one-row pencil would then
-    drop rank only when it is exactly zero, so a negligible B would stabilize
-    any scalar system.
+    thin SVD of L; a caller that holds ``comp = row_compress(L, P, cfg)`` of a
+    2-D pair passes it, and its SVD is read instead of taking another. An L
+    with orthonormal rows, as [I 0], needs none: L^+ = L^T and every singular
+    value is 1, so ``is_stabilizable`` factors only its pencils. Each pencil
+    is ranked at the shared cutoff taken relative to ||P||_F + |lambda|
+    sigma_1(L), a bound on the size of its two terms, not to its own largest
+    singular value: a one-row pencil would then drop rank only when it is
+    exactly zero, so a negligible B would stabilize any scalar system.
 
     Stacks (N, k, T) give the N verdicts as a boolean array, each equal to its
     member's own: one stacked ``eigvals``, then one stacked SVD over the
@@ -203,7 +215,13 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
         ok = np.full(len(L), k == 0)
         return ok if stacked else bool(ok[0])
     Lt = L.transpose(0, 2, 1)
-    if (L @ Lt == np.eye(k)).all():
+    if comp is not None:
+        if comp.r < k:
+            return False
+        # S and Vt carry the same row signs, which cancel in L^+
+        full, sv, F = np.arange(1), comp.sv[None], \
+            P @ (comp.Vt.T / comp.sv)[None] @ comp.S[None]
+    elif (L @ Lt == np.eye(k)).all():
         full, sv, F = np.arange(len(L)), np.ones((len(L), k)), P @ Lt
     else:
         U, sv, Vt = np.linalg.svd(L, full_matrices=False)

@@ -33,6 +33,20 @@ class TestSimulate:
         traj = simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS)
         assert np.abs(traj.states.T - THREE_TANK_TRAJ_REF).max() <= 1e-3
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bitwise_equal_to_per_step_loop(self, m):
+        # the stacked B u(t) rounds as the per-step product it replaced
+        rng = np.random.default_rng(61 + m)
+        for _ in range(50):
+            n, T = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+            system = LtiSystem(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, m)))
+            x0, inputs = rng.normal(size=n), rng.normal(size=(T, m))
+            states = np.empty((T + 1, n))
+            states[0] = x0
+            for t in range(T):
+                states[t + 1] = system.A @ states[t] + system.B @ inputs[t]
+            assert simulate(system, x0, inputs).states.tobytes() == states.tobytes()
+
     def test_round_trip_residual(self, cfg):
         rng = np.random.default_rng(60)
         for _ in range(25):
@@ -167,6 +181,23 @@ class TestMonteCarlo:
     def test_negative_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             self._config(seed=seed)
+
+    @pytest.mark.parametrize("field,value", [
+        ("scenarios", 2.5), ("scenarios", True), ("horizon", 20.5), ("horizon", "20"),
+        ("workers", 1.5), ("workers", True), ("seed", 3.0), ("seed", False)])
+    def test_non_integer_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            self._config(**{field: value})
+
+    @pytest.mark.parametrize("t_list", [(3.5,), (True,), (3, 4.0), (3, np.float64(4))])
+    def test_non_integer_t_rejected(self, t_list):
+        with pytest.raises(ValueError, match="every T must be an integer"):
+            self._config(t_list=t_list)
+
+    def test_numpy_integers_accepted(self, cfg):
+        result = run_monte_carlo(self._config(scenarios=np.int64(2), horizon=np.int32(20),
+                                              t_list=(np.int64(3), 5)), cfg)
+        assert [v.T for v in result.verdicts] == [3, 5, 3, 5]
 
     def test_seed_zero_runs(self, cfg):
         result = run_monte_carlo(self._config(scenarios=2, seed=0), cfg)

@@ -200,7 +200,9 @@ class TestVerdictEquivalences:
 
 class TestPencilAgainstSdp:
     """Two routes to the plain verdict: the pencil test the report takes and
-    the LMI the gain step solves agree on every dataset."""
+    the LMI the gain step solves agree on every dataset. The report, which
+    reads X_minus^+ off its row compression, agrees with the pencil test
+    that factors X_minus itself."""
 
     @staticmethod
     def _disagreements(datasets, cfg):
@@ -209,6 +211,7 @@ class TestPencilAgainstSdp:
             if row_compress(D.x_minus, D.x_plus, cfg).r < D.n:
                 continue  # both routes exit on the rank of X_minus
             pencil = pencil_full_rank(D.x_minus, D.x_plus, cfg)
+            assert check_stabilizability_prior(D, cfg).stabilization == pencil
             disagree += pencil != sdp_solve(lmi_problem(D), cfg).feasible
             decided += 1
         return decided, disagree

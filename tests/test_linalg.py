@@ -71,6 +71,13 @@ class TestRowCompress:
             assert np.abs(comp.S @ comp.S.T - np.eye(n)).max() <= 1e-10
             assert numerical_rank(comp.x_hat_minus, cfg) == comp.r
             assert np.allclose(comp.x_hat_plus, (comp.S @ Xp)[:comp.r])
+            if r_true:
+                # economy SVD unless n > T; Vt signed as S's rows
+                k = min(n, T)
+                assert comp.sv.shape == (k,) and comp.Vt.shape == (k, T)
+                assert np.abs(comp.S[:k].T @ (comp.sv[:, None] * comp.Vt) - X).max() \
+                    <= 1e-12 * max(1, abs(X).max())
+            assert pencil_full_rank(X, Xp, cfg, comp) == pencil_full_rank(X, Xp, cfg)
 
 
 class TestSpectra:
@@ -235,12 +242,23 @@ class TestOneFactorizationPerMatrix:
     def test_stabilizability_prior_report(self, cfg, factorizations):
         D = example1_matrices()
         report = check_stabilizability_prior(D, cfg)
-        # row_compress and check_image_inclusion factor X_minus; rank_stacked
-        # and check_identification factor [X_minus; U_minus]
-        assert _count(factorizations["svd"], D.x_minus) <= 2
-        assert _count(factorizations["svd"], D.stacked()) <= 2
+        # rank deficient: row_compress and check_image_inclusion factor
+        # X_minus; check_identification takes the report's rank of the stack
+        assert _count(factorizations["svd"], D.x_minus) == 2
+        assert _count(factorizations["svd"], D.stacked()) == 1
         margin = report.diagnostics["x_minus_rank_margin"]["singular_values"]
         assert margin == row_compress(D.x_minus, D.x_plus, cfg).sv.tolist()
+
+    def test_full_rank_report_factors_x_minus_once(self, cfg, factorizations):
+        # the pencil reads X_minus^+ off the row compression's SVD
+        D = build_data_matrices(simulate(
+            LtiSystem(A=[[1.2, 0.5], [0.0, 0.8]], B=[[0.0], [1.0]]),
+            np.array([1.0, -1.0]), np.array([[1.0], [-2.0], [0.5], [3.0]])))
+        report = check_stabilizability_prior(D, cfg)
+        assert report.rank_x_minus == D.n and report.stabilization
+        assert _count(factorizations["svd"], D.x_minus) == 1
+        assert _count(factorizations["svd"], D.stacked()) == 1
+        assert not factorizations["pinv"]
 
 
 class TestMatrixExponential:
