@@ -11,11 +11,11 @@ from .experiments import (ContinuousSystem, MonteCarloConfig, MonteCarloResult,
                           ThreeTankParams, run_monte_carlo, simulate,
                           three_tank_model, zoh_discretize)
 from .informativity import (InformativityReport, check_controllability_prior,
-                            check_identification, check_plain_stabilization,
-                            check_stabilizability_prior, necessary_conditions_report)
+                            check_identification, check_stabilizability_prior,
+                            necessary_conditions_report)
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      is_controllable, is_schur, is_stabilizable,
-                     matrix_exponential, numerical_rank, pencil_full_rank, pinv,
+                     matrix_exponential, numerical_rank, pencil_full_rank,
                      row_compress, spectral_radius, subspace_contained)
 from .synthesis import (FeedbackGain, GainProvenance, LmiFeasibilityProblem,
                         LmiSolution, gain_from_plain, lmi_problem, sdp_solve,

@@ -27,7 +27,7 @@ from .errors import DataFormatError, PreconditionError, SolverFailure
 from .experiments import (MonteCarloConfig, demo_example1, demo_example2,
                           demo_three_tank, run_monte_carlo, three_tank_model,
                           zoh_discretize)
-from .informativity import check_stabilizability_prior
+from .informativity import InformativityReport, check_stabilizability_prior
 from .linalg import NumericalConfig, row_compress
 from .synthesis import (FeedbackGain, GainProvenance, lmi_problem, problem_to_json,
                         synthesize)
@@ -158,7 +158,7 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _gain_payload(gain: FeedbackGain, sol, comp, branch: Branch) -> dict:
+def _gain_payload(gain: FeedbackGain, sol, report: InformativityReport) -> dict:
     return {
         "K": gain.K.tolist(),
         "provenance": gain.provenance.value,
@@ -166,8 +166,8 @@ def _gain_payload(gain: FeedbackGain, sol, comp, branch: Branch) -> dict:
         "k2_policy": gain.k2_policy,
         "theta": sol.theta.tolist(),
         "slack": sol.slack if np.isfinite(sol.slack) else None,  # inf: empty LMI
-        "branch": branch.value,
-        "row_compression": {"S": comp.S.tolist(), "r": comp.r},
+        "branch": report.branch.value,
+        "row_compression": {"S": report.compression.S.tolist(), "r": report.rank_x_minus},
     }
 
 
@@ -210,13 +210,13 @@ def cmd_synthesize(args, settings: dict) -> int:
     numcfg = settings["numcfg"]
     traj = load_trajectory(args.data)
     D = build_data_matrices(traj)
-    comp = row_compress(D.x_minus, D.x_plus, numcfg)
-    branch = Branch.of(D, comp)
+    report = check_stabilizability_prior(D, numcfg)
+    branch = report.branch
     if args.dump_problem:
-        problem = lmi_problem(D, None if branch is Branch.FULL_RANK else comp)
+        problem = lmi_problem(D, None if branch is Branch.FULL_RANK else report.compression)
         _write(settings["out"], "problem.json", problem_to_json(problem))
     try:
-        gain, sol, comp = synthesize(D, numcfg, comp)
+        gain, sol, _ = synthesize(D, numcfg, report)
     except PreconditionError:
         _write(settings["out"], "gain.json",
                _dump_json({"informative": False, "branch": branch.value}))
@@ -225,7 +225,7 @@ def cmd_synthesize(args, settings: dict) -> int:
               "not informative for stabilization under the stabilizability prior")
         return EXIT_NEGATIVE
     path = _write(settings["out"], "gain.json",
-                  _dump_json(_gain_payload(gain, sol, comp, branch)))
+                  _dump_json(_gain_payload(gain, sol, report)))
     print(f"wrote {path}")
     print(f"K = {gain.K.tolist()}")
     return EXIT_OK
@@ -324,7 +324,7 @@ def _demo_synthesis_bundle(settings, demo) -> None:
     report = bundle["informativity"]
     _write(out, "informativity.json", _dump_json(report.to_dict()))
     _write(out, "gain.json", _dump_json(_gain_payload(
-        bundle["gain"], bundle["solution"], bundle["compression"], report.branch)))
+        bundle["gain"], bundle["solution"], report)))
     _write(out, "verification.json", _dump_json(bundle["verification"].to_dict()))
     if "system" not in bundle:
         return

@@ -1,6 +1,7 @@
 """Simulation, the three-tank benchmark, demo scenarios, and the Monte Carlo study."""
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 from itertools import repeat
@@ -111,7 +112,10 @@ class MonteCarloConfig:
             raise ValueError("workers must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not 0.0 <= self.poisson_lambda < np.inf:
+        lam = self.poisson_lambda
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+            raise ValueError(f"poisson_lambda must be a real number, got {lam!r}")
+        if not 0.0 <= lam < np.inf:
             raise ValueError("poisson_lambda must be finite and >= 0")
         if not self.t_list:
             raise ValueError("t_list must hold at least one T")
@@ -239,14 +243,13 @@ def _synthesis_demo(traj: TrajectoryData, cfg: NumericalConfig, seed: int,
     """Report, gain and sampled verification for one trajectory."""
     D = build_data_matrices(traj)
     report = check_stabilizability_prior(D, cfg)
-    gain, sol, comp = synthesize(D, cfg)
+    gain, sol, _ = synthesize(D, cfg, report)
     verification = verify_gain(consistent_set(D, cfg), gain, n_samples=n_samples,
                                seed=seed, cfg=cfg)
     return {
         "trajectory": traj,
         "data": D,
         "informativity": report,
-        "compression": comp,
         "solution": sol,
         "gain": gain,
         "verification": verification,

@@ -17,15 +17,15 @@ the data pencil ``linalg.pencil_full_rank`` for plain stabilization, and in
 ``require_prior_conditions``; ``Branch.of`` names the branch.
 The plain verdict needs no LMI solve: the data are informative iff X_minus
 has full row rank and X_plus - lambda*X_minus keeps full row rank at every
-eigenvalue on or outside the margin (van Waarde et al., 2020). Only
-``check_plain_stabilization``, whose contract returns the witness Theta,
-solves the LMI, on the built-in barrier; a breakdown there raises
-SolverFailure.
+eigenvalue on or outside the margin (van Waarde et al., 2020). Nothing here
+solves an LMI; ``synthesis.synthesize`` takes the report, refuses the data
+its stabilizability-prior verdict rejects, and solves only for the Theta of
+the gain.
 The report ranks [X_minus; U_minus] once and hands that rank to
 ``check_identification``; on full-rank data the pencil reads X_minus^+ off
 the SVD of the row compression, so X_minus is factored once too. The
 image-inclusion residual comes from the compression's S, at the rank cutoff
-the verdict uses.
+the verdict uses. The report keeps that compression for the gain step.
 """
 from __future__ import annotations
 
@@ -35,9 +35,8 @@ import numpy as np
 
 from .data import (Branch, DataMatrices, check_image_inclusion, consistent_set,
                    input_rank_condition, sample_consistent)
-from .linalg import (DEFAULT_CONFIG, NumericalConfig, numerical_rank, pencil_full_rank,
-                     rank_cutoff, row_compress, subspace_contained)
-from .synthesis import solve_plain_lmi
+from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression, numerical_rank,
+                     pencil_full_rank, rank_cutoff, row_compress, subspace_contained)
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,13 @@ class InformativityReport:
     branch: Branch
     image_inclusion: bool
     input_rank_condition: bool
+    compression: RowCompression = field(compare=False)
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {**vars(self), "branch": self.branch.value}
+        fields = {**vars(self), "branch": self.branch.value}
+        del fields["compression"]  # the gain step's input, not part of the report file
+        return fields
 
 
 def check_identification(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
@@ -63,17 +65,6 @@ def check_identification(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
     if rank_stacked is None:
         rank_stacked = numerical_rank(D.stacked(), cfg)
     return rank_stacked == D.n + D.m
-
-
-def check_plain_stabilization(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG
-                              ) -> tuple[bool, np.ndarray | None]:
-    """LMI feasibility on the raw data; returns the witness Theta when feasible.
-
-    ``check_controllability_prior`` decides the same verdict by the pencil
-    test, without a solve; this solves the LMI for its witness.
-    """
-    sol = solve_plain_lmi(D, cfg)
-    return sol.feasible, sol.theta
 
 
 def check_controllability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
@@ -127,6 +118,7 @@ def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
         branch=branch,
         image_inclusion=image_ok,
         input_rank_condition=input_ok,
+        compression=comp,
         diagnostics=diagnostics,
     )
 

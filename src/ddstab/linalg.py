@@ -282,12 +282,6 @@ def subspace_contained(M: np.ndarray, N: np.ndarray,
     return bool(np.linalg.norm(resid, 2) <= cfg.subspace_tol * max(1.0, np.linalg.norm(M, 2)))
 
 
-def pinv(M: np.ndarray, cfg: NumericalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the shared rank cutoff."""
-    U, sv, Vt, r = rank_revealing_svd(np.atleast_2d(np.asarray(M, dtype=float)), cfg)
-    return (Vt[:r].T / sv[:r]) @ U[:, :r].T
-
-
 def matrix_exponential(M: np.ndarray) -> np.ndarray:
     """e^M (scaling-and-squaring Pade, via scipy)."""
     # imported here: only zoh_discretize reaches this, and a process that

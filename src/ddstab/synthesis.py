@@ -15,12 +15,11 @@ range over col(V). Working in an orthonormal basis of col(V) intersected
 with the symmetry constraint keeps the problem at most 2k^2-dimensional
 regardless of T and makes the maximized slack a scale-free margin.
 
-The LMI is solved only where its certificate Theta is returned: the gain
-step and ``informativity.check_plain_stabilization``. The informativity
-report decides the plain verdict by the pencil test
-``linalg.pencil_full_rank`` and solves nothing, so the gain step solves each
-dataset's LMI once. Every solve runs the built-in barrier,
-``sdp.BarrierBackend``.
+The LMI is solved only where its certificate Theta is returned. Whether a
+gain exists is the informativity report's verdict, decided by rank, subspace
+and pencil tests: ``synthesize`` takes the report, or builds it, and solves
+only for data the report finds informative, once per dataset. Every solve
+runs the built-in barrier, ``sdp.BarrierBackend``.
 """
 from __future__ import annotations
 
@@ -31,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Branch, DataMatrices, require_prior_conditions
-from .errors import PreconditionError
+from .errors import PreconditionError, SolverFailure
+from .informativity import InformativityReport, check_stabilizability_prior
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      rank_revealing_svd, row_compress)
 from .sdp import AffineLmiFeasibility, BarrierBackend
@@ -218,19 +218,27 @@ def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
 
 
 def synthesize(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
-               comp: RowCompression | None = None) -> tuple[FeedbackGain, LmiSolution, RowCompression]:
-    """Gain from the branch the data select.
+               report: InformativityReport | None = None
+               ) -> tuple[FeedbackGain, LmiSolution, RowCompression]:
+    """Gain from the branch the data select, for data the report finds informative.
 
-    Full-rank state data go through the plain LMI (``solve_plain_lmi`` then
-    ``gain_from_plain``), rank-deficient data through ``synthesize_stab``.
-    Raises PreconditionError when the data are not informative and
-    SolverFailure when the solver breaks down.
+    ``report`` defaults to ``check_stabilizability_prior(D, cfg)``; data it
+    rejects raise PreconditionError before any solve. Full-rank state data go
+    through ``solve_plain_lmi`` then ``gain_from_plain``, rank-deficient data
+    through ``synthesize_stab`` on the report's compression. No feasible Theta
+    for informative data, like a solver breakdown, raises SolverFailure.
     """
-    comp = comp if comp is not None else row_compress(D.x_minus, D.x_plus, cfg)
-    if Branch.of(D, comp) is Branch.RANK_DEFICIENT:
-        return synthesize_stab(D, cfg, comp=comp)
-    sol = solve_plain_lmi(D, cfg)
-    return gain_from_plain(D, sol), sol, comp  # raises when infeasible
+    report = report if report is not None else check_stabilizability_prior(D, cfg)
+    if not report.stabilization_stabilizability_prior:
+        raise PreconditionError("the data are not informative for stabilization")
+    comp = report.compression
+    try:
+        if report.branch is Branch.RANK_DEFICIENT:
+            return synthesize_stab(D, cfg, comp=comp)
+        sol = solve_plain_lmi(D, cfg)
+        return gain_from_plain(D, sol), sol, comp
+    except PreconditionError as exc:
+        raise SolverFailure(f"the data are informative, yet no gain: {exc}") from exc
 
 
 def problem_to_json(problem: LmiFeasibilityProblem) -> str:

@@ -38,6 +38,12 @@ def nan_point_solve(backend, problem):
     return sdp._certified(problem.blocks, x)
 
 
+def zero_point_solve(backend, problem):
+    """A barrier solve that ends at the origin, where every block is zero:
+    slack 0, so the LMI reads Infeasible."""
+    return sdp._certified(problem.blocks, np.zeros(problem.dim))
+
+
 @pytest.fixture(params=[raising_solve, nan_point_solve], ids=["raises", "nan_point"])
 def broken_backend(request, monkeypatch):
     """Every barrier solve of the test breaks down."""
@@ -111,6 +117,17 @@ def scalar_full_rank() -> DataMatrices:
     """x = 1 -> 0.5 under u = 0: full-rank state data, so verdicts solve the plain LMI."""
     return build_data_matrices(simulate(LtiSystem(A=[[0.5]], B=[[1.0]]),
                                         np.array([1.0]), np.array([[0.0]])))
+
+
+def scalar_near_margin(gap: float) -> TrajectoryData:
+    """x+ = (1 - gap) x with b = 0, from x = 1 under u = (1, -1, 2).
+
+    At gap 5e-7 or 9e-7 the uncontrollable mode lies within schur_margin of
+    the unit circle, so the pencil test finds the data not informative, while
+    the plain LMI still reaches psd_margin: the two routes disagree there.
+    """
+    return simulate(LtiSystem(A=[[1.0 - gap]], B=[[0.0]]), np.array([1.0]),
+                    np.array([[1.0], [-1.0], [2.0]]))
 
 
 def example1_matrices() -> DataMatrices:

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from ddstab import (NumericalConfig, build_data_matrices, check_identification,
-                    check_plain_stabilization, check_controllability_prior,
-                    check_stabilizability_prior, common_lyapunov, consistent_set,
-                    genericity_probe, is_controllable, reachable_part,
-                    recover_input_matrix, row_compress, simulate, solve_stab_lmi,
+                    check_controllability_prior, check_stabilizability_prior,
+                    common_lyapunov, consistent_set, genericity_probe,
+                    is_controllable, reachable_part, recover_input_matrix,
+                    row_compress, simulate, solve_plain_lmi, solve_stab_lmi,
                     spectral_radius, synthesize_stab, verify_gain,
                     MonteCarloConfig, run_monte_carlo, three_tank_model,
                     zoh_discretize)
@@ -160,7 +160,7 @@ def _suite(seed, count=500):
 @criterion(5, "verdict equivalences on random suites")
 def test_criterion_5_verdict_equivalences():
     for ds in _suite(101):
-        plain, _ = check_plain_stabilization(ds.D, CFG)
+        plain = solve_plain_lmi(ds.D, CFG).feasible
         assert check_controllability_prior(ds.D, CFG) == plain
 
     full_rank_seen = 0

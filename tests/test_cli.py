@@ -11,7 +11,7 @@ from ddstab.cli import EXIT_FAILURE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, _dump_j
 from ddstab.data import trajectory_to_csv, trajectory_to_json
 from ddstab.experiments import example1_trajectory
 
-from conftest import MISREAD_CSV, raising_solve
+from conftest import MISREAD_CSV, raising_solve, scalar_near_margin, zero_point_solve
 
 
 @pytest.fixture
@@ -242,6 +242,27 @@ class TestSynthesizeAndVerify:
                                     "states": [[1.0], [1.0]]}))
         assert main(["synthesize", str(path), "--out", str(tmp_path / "o")]) \
             == EXIT_NEGATIVE
+
+    @pytest.mark.parametrize("gap", [5e-7, 9e-7])
+    def test_synthesize_exits_as_informativity(self, tmp_path, gap):
+        # the pencil test rejects these data while the plain LMI is feasible;
+        # the report decides both commands
+        path = tmp_path / "near_margin.json"
+        path.write_text(trajectory_to_json(scalar_near_margin(gap)))
+        assert main(["informativity", str(path), "--out", str(tmp_path / "i")]) \
+            == EXIT_NEGATIVE
+        out = str(tmp_path / "s")
+        assert main(["synthesize", str(path), "--out", out]) == EXIT_NEGATIVE
+        assert read_json(os.path.join(out, "gain.json")) == {
+            "branch": "full_rank", "informative": False}
+
+    def test_informative_data_without_a_feasible_theta_is_a_failure(
+            self, example1_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sdp.BarrierBackend, "solve", zero_point_solve)
+        out = str(tmp_path / "s")
+        assert main(["synthesize", example1_file, "--out", out]) == EXIT_FAILURE
+        assert capsys.readouterr().err.startswith("error: the data are informative")
+        assert not os.path.exists(os.path.join(out, "gain.json"))
 
     def test_synthesize_rank_zero_writes_plain_json(self, tmp_path):
         # zero state data: the compressed LMI is empty and its slack unbounded
@@ -730,6 +751,14 @@ class TestImportPath:
                             tmp_path)
         assert report["codes"] == [EXIT_OK]
         assert "scipy.linalg" in report["loaded"]
+
+    def test_rejected_full_rank_synthesize_loads_none(self, tmp_path):
+        # the report refuses the data before any solve
+        data = tmp_path / "near_margin.json"
+        data.write_text(trajectory_to_json(scalar_near_margin(5e-7)))
+        report = self.probe([["synthesize", str(data), "--out", str(tmp_path / "s")]],
+                            tmp_path)
+        assert report == {"codes": [EXIT_NEGATIVE], "loaded": []}
 
     def test_three_tank_demo_loads_scipy(self, tmp_path):
         report = self.probe([["demo", "three-tank", "--samples", "10",

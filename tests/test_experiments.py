@@ -207,9 +207,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="t_list must hold at least one T"):
             self._config(t_list=())
 
-    @pytest.mark.parametrize("poisson_lambda", [-1.0, np.nan, np.inf])
-    def test_bad_poisson_lambda_rejected(self, poisson_lambda):
-        with pytest.raises(ValueError, match="poisson_lambda must be finite and >= 0"):
+    @pytest.mark.parametrize("poisson_lambda, message", [
+        (-1.0, "finite and >= 0"), (np.nan, "finite and >= 0"), (np.inf, "finite and >= 0"),
+        # a bool would draw as if lambda were 1 and stay a bool in the config
+        (True, "a real number"), ("1.0", "a real number"), (1j, "a real number")],
+        ids=["-1.0", "nan", "inf", "True", "str", "complex"])
+    def test_bad_poisson_lambda_rejected(self, poisson_lambda, message):
+        with pytest.raises(ValueError, match=f"poisson_lambda must be {message}"):
             self._config(poisson_lambda=poisson_lambda)
 
 

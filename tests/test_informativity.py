@@ -1,12 +1,16 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
-from ddstab import (DataMatrices, LtiSystem, SolverFailure,
+import ddstab.informativity
+from ddstab import (DataMatrices, LtiSystem, PreconditionError, SolverFailure,
                     TrajectoryData, build_data_matrices, check_controllability_prior,
                     check_identification, check_image_inclusion,
-                    check_plain_stabilization, check_stabilizability_prior,
-                    consistent_set, input_rank_condition, necessary_conditions_report,
-                    numerical_rank, row_compress, run_monte_carlo, simulate, verify_gain,
+                    check_stabilizability_prior, consistent_set, input_rank_condition,
+                    necessary_conditions_report, numerical_rank, row_compress,
+                    run_monte_carlo, simulate, solve_plain_lmi, verify_gain,
                     synthesize, synthesize_stab)
 from ddstab.informativity import Branch
 from ddstab.linalg import pencil_full_rank
@@ -43,8 +47,8 @@ class TestIdentification:
 
 class TestPlainAndControllabilityPrior:
     def test_example1_false(self, cfg, example1):
-        verdict, theta = check_plain_stabilization(example1, cfg)
-        assert not verdict and theta is None
+        sol = solve_plain_lmi(example1, cfg)
+        assert not sol.feasible and sol.theta is None
         assert not check_controllability_prior(example1, cfg)
 
     def test_wide_input_single_sample(self, cfg):
@@ -52,15 +56,15 @@ class TestPlainAndControllabilityPrior:
         # consistent family in the open-loop direction
         D = build_data_matrices(TrajectoryData(inputs=np.array([[1.0, -1.0]]),
                                                states=np.array([[-1.0], [-1.0]])))
-        plain, _ = check_plain_stabilization(D, cfg)
+        plain = solve_plain_lmi(D, cfg).feasible
         assert check_controllability_prior(D, cfg) == plain
 
     def test_schur_singleton_with_zero_b(self, cfg):
         system = LtiSystem(A=[[0.5]], B=[[0.0]])
         D = build_data_matrices(simulate(system, np.ones(1), np.array([[1.0], [2.0]])))
         assert check_identification(D, cfg)
-        verdict, theta = check_plain_stabilization(D, cfg)
-        assert verdict and theta is not None
+        sol = solve_plain_lmi(D, cfg)
+        assert sol.feasible and sol.theta is not None
 
 
 class TestConditions:
@@ -180,7 +184,7 @@ class TestVerdictEquivalences:
 
     def test_controllability_prior_equals_plain(self, cfg):
         for ds in self._suite(42, 150):
-            plain, _ = check_plain_stabilization(ds.D, cfg)
+            plain = solve_plain_lmi(ds.D, cfg).feasible
             assert check_controllability_prior(ds.D, cfg) == plain
 
     def test_full_rank_prior_equals_plain(self, cfg):
@@ -248,6 +252,21 @@ class TestVerdictsSolveNothing:
             verdicts.add((report.branch, report.stabilization))
         assert (Branch.FULL_RANK, True) in verdicts
         assert (Branch.FULL_RANK, False) in verdicts
+
+    def test_synthesize_refuses_before_a_solve(self, cfg, no_solve):
+        # every dataset the report rejects, full-rank ones included, is
+        # refused by synthesize without a barrier solve
+        rng = np.random.default_rng(48)
+        refused = set()
+        for _ in range(150):
+            D = random_dataset(rng).D
+            report = check_stabilizability_prior(D, cfg)
+            if report.stabilization_stabilizability_prior:
+                continue
+            with pytest.raises(PreconditionError):
+                synthesize(D, cfg)
+            refused.add(report.branch)
+        assert refused == {Branch.FULL_RANK, Branch.RANK_DEFICIENT}
 
     def test_monte_carlo(self, cfg, no_solve):
         from ddstab.experiments import MonteCarloConfig, three_tank_model, zoh_discretize
@@ -366,10 +385,24 @@ def test_solver_failure_propagates_through_report(cfg, broken_backend):
     # the report decides the same data by the pencil test and never solves
     D = scalar_full_rank()
     with pytest.raises(SolverFailure):
-        check_plain_stabilization(D, cfg)
+        solve_plain_lmi(D, cfg)
     with pytest.raises(SolverFailure):
         synthesize(D, cfg)
     report = check_stabilizability_prior(D, cfg)
     assert report.branch is Branch.FULL_RANK
     assert report.stabilization and report.stabilization_stabilizability_prior
     assert check_controllability_prior(D, cfg)
+
+
+def test_informativity_does_not_import_synthesis():
+    # the report decides and synthesis consumes it: the dependency runs one way
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(ddstab.informativity))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert imported
+    assert not [name for name in imported if "synthesis" in name.split(".")]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddstab import (NumericalConfig, is_controllable, is_schur, is_stabilizable,
-                    matrix_exponential, numerical_rank, pencil_full_rank, pinv,
+                    matrix_exponential, numerical_rank, pencil_full_rank,
                     row_compress, spectral_radius, subspace_contained)
 from ddstab import (LtiSystem, build_data_matrices, check_stabilizability_prior,
                     consistent_set, reachable_part, sdp_solve, simulate, solve_plain_lmi)
@@ -150,46 +150,6 @@ class TestSubspaceContained:
                           for j in range(M.shape[1])]
             oracle = max(resid_cols) <= 1e-7 * max(1.0, np.linalg.norm(M, 2))
             assert subspace_contained(M, N, cfg) == oracle
-
-
-class TestPinv:
-    def test_identity(self, cfg):
-        assert np.allclose(pinv(np.eye(3), cfg), np.eye(3))
-
-    def test_zero(self, cfg):
-        assert pinv(np.zeros((2, 3)), cfg).shape == (3, 2)
-        assert not pinv(np.zeros((2, 3)), cfg).any()
-
-    def test_example1_normal_equations(self, cfg):
-        # stacked [x_hat_minus; u_minus] from the two-state demo dataset
-        M = np.array([[1.0, 2.0, 4.0], [1.0, 2.0, -1.0]])
-        x_hat_plus = np.array([[2.0, 4.0, 3.0]])
-        assert np.allclose(M @ M.T, [[21.0, 1.0], [1.0, 6.0]])
-        assert np.allclose(x_hat_plus @ M.T, [[22.0, 7.0]])
-        assert np.allclose(x_hat_plus @ pinv(M, cfg), [[1.0, 1.0]])
-
-    def test_penrose_identities(self, cfg):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            p, q = rng.integers(1, 6, size=2)
-            r = int(rng.integers(0, min(p, q) + 1))
-            M = rng.normal(size=(p, r)) @ rng.normal(size=(r, q)) if r else np.zeros((p, q))
-            Mp = pinv(M, cfg)
-            assert np.abs(M @ Mp @ M - M).max() <= 1e-8
-            assert np.abs(Mp @ M @ Mp - Mp).max() <= 1e-8
-            assert np.abs((M @ Mp) - (M @ Mp).T).max() <= 1e-8
-            assert np.abs((Mp @ M) - (Mp @ M).T).max() <= 1e-8
-
-
-    def test_matches_numpy_at_the_shared_cutoff(self, cfg):
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            p, q = rng.integers(1, 7, size=2)
-            r = int(rng.integers(1, min(p, q) + 1))
-            M = rng.normal(size=(p, r)) @ rng.normal(size=(r, q))
-            expected = np.linalg.pinv(M, rcond=cfg.rank_rel_tol * max(M.shape))
-            assert np.abs(pinv(M, cfg) - expected).max() <= 1e-10 * max(
-                1.0, np.abs(expected).max())
 
 
 @pytest.fixture

@@ -10,10 +10,11 @@ from ddstab import (GainProvenance, LtiSystem, NumericalConfig, PreconditionErro
                     synthesize_stab, row_compress)
 from ddstab.data import Branch
 from ddstab.linalg import RowCompression
+from ddstab.sdp import BarrierBackend
 from ddstab.synthesis import LmiFeasibilityProblem, lmi_problem, problem_to_json
 
 from conftest import (barrier_slack, random_dataset, reference_coefficients, scalar_full_rank,
-                      three_tank_compressed)
+                      scalar_near_margin, three_tank_compressed, zero_point_solve)
 
 
 def identity_compression_example1() -> RowCompression:
@@ -410,6 +411,19 @@ class TestSynthesize:
         # every branch meets both verdicts, so each path of the dispatch ran
         assert len(outcomes) == 4
 
+    @pytest.mark.parametrize("gap", [5e-7, 9e-7])
+    def test_report_decides_where_the_lmi_is_feasible(self, cfg, gap):
+        # the pencil says no; the plain LMI alone would return a gain
+        D = build_data_matrices(scalar_near_margin(gap))
+        assert solve_plain_lmi(D, cfg).feasible
+        assert self._check(D, cfg) == (Branch.FULL_RANK, False)
+
+    def test_given_report_is_used(self, cfg, example1):
+        report = check_stabilizability_prior(example1, cfg)
+        gain, _, comp = synthesize(example1, cfg, report)
+        assert comp is report.compression
+        assert gain.K.tobytes() == synthesize(example1, cfg)[0].K.tobytes()
+
 
 class TestSolverFailurePropagates:
     """A breakdown is an exception at every layer, never an infeasible verdict."""
@@ -426,6 +440,16 @@ class TestSolverFailurePropagates:
     def test_synthesize(self, cfg, example1, broken_backend, branch):
         D = example1 if branch == "rank_deficient" else scalar_full_rank()
         with pytest.raises(SolverFailure):
+            synthesize(D, cfg)
+
+    @pytest.mark.parametrize("branch", ["rank_deficient", "full_rank"])
+    def test_informative_data_without_a_feasible_theta(self, cfg, example1, monkeypatch,
+                                                       branch):
+        # the report and the solver disagree, and neither answer is returned
+        D = example1 if branch == "rank_deficient" else scalar_full_rank()
+        assert check_stabilizability_prior(D, cfg).stabilization_stabilizability_prior
+        monkeypatch.setattr(BarrierBackend, "solve", zero_point_solve)
+        with pytest.raises(SolverFailure, match="informative"):
             synthesize(D, cfg)
 
     def test_common_lyapunov(self, cfg, broken_backend):
