@@ -174,9 +174,39 @@ class Branch(enum.Enum):
         return cls.FULL_RANK if comp.r == D.n else cls.RANK_DEFICIENT
 
 
-def check_image_inclusion(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    """col(X_plus) inside col(X_minus)."""
-    return subspace_contained(D.x_plus, D.x_minus, cfg)
+def image_inclusion_residual(D: DataMatrices, comp: RowCompression) -> float:
+    """||S[r:] X_plus||_2: the part of X_plus outside col(X_minus), whose
+    complement S[r:] spans at the rank cutoff of the compression."""
+    if comp.r == D.n:
+        return 0.0
+    return float(np.linalg.svd(comp.S[comp.r:] @ D.x_plus, compute_uv=False)[0])
+
+
+def check_image_inclusion(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
+                          comp: RowCompression | None = None,
+                          residual: float | None = None) -> bool:
+    """col(X_plus) inside col(X_minus).
+
+    Without ``comp`` this is ``subspace_contained(X_plus, X_minus)``, which
+    factors X_minus. A caller that holds ``comp = row_compress(X_minus,
+    X_plus, cfg)`` passes it, and the condition is read off its S instead:
+    ``image_inclusion_residual <= subspace_tol * max(1, ||X_plus||_2)``, with
+    that residual passed too where the caller has computed it. Both routes
+    call an all-zero X_plus contained, and a nonzero one not contained in
+    an all-zero X_minus.
+    """
+    if comp is None:
+        return subspace_contained(D.x_plus, D.x_minus, cfg)
+    if not D.x_plus.any():
+        return True
+    if not D.x_minus.any():
+        return False
+    if residual is None:
+        residual = image_inclusion_residual(D, comp)
+    # tol * max(1, ||X_plus||) is max(tol, tol * ||X_plus||) exactly, so the
+    # norm of X_plus is taken only when the residual exceeds tol itself
+    return residual <= cfg.subspace_tol or \
+        residual <= cfg.subspace_tol * float(np.linalg.svd(D.x_plus, compute_uv=False)[0])
 
 
 def input_rank_condition(D: DataMatrices, comp: RowCompression, rank_stacked: int) -> bool:

@@ -47,15 +47,28 @@ class ThreeTankParams:
 
 
 def simulate(system: LtiSystem, x0: np.ndarray, inputs: np.ndarray) -> TrajectoryData:
-    """Iterate x(t+1) = A x(t) + B u(t) over the given input sequence."""
+    """Iterate x(t+1) = A x(t) + B u(t) over the given input sequence.
+
+    ``inputs`` has shape (T, m), or (T,) for a single-input system; any other
+    shape raises ValueError rather than being reshaped into other steps.
+    """
     x0 = np.asarray(x0, dtype=float).reshape(system.n)
-    inputs = np.asarray(inputs, dtype=float).reshape(-1, system.m)
-    # every step's B u(t) in one stacked product; it rounds as B @ inputs[t]
-    driven = (system.B @ inputs[:, :, None])[:, :, 0]
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim == 1 and system.m == 1:
+        inputs = inputs[:, None]
+    if inputs.ndim != 2 or inputs.shape[1] != system.m:
+        raise ValueError(f"inputs must have shape (T, {system.m})"
+                         + (" or (T,)" if system.m == 1 else "")
+                         + f", got {inputs.shape}")
     states = np.empty((len(inputs) + 1, system.n))
     states[0] = x0
-    for t in range(len(inputs)):
-        states[t + 1] = system.A @ states[t] + driven[t]
+    # every step's B u(t) in one stacked product, which rounds as
+    # B @ inputs[t]; each step then adds A x(t) onto its row in place
+    states[1:] = (system.B @ inputs[:, :, None])[:, :, 0]
+    rows = list(states)  # views, so each step writes into states
+    step = system.A.dot
+    for x, x_next in zip(rows, rows[1:]):
+        x_next += step(x)
     return TrajectoryData(inputs=inputs, states=states)
 
 

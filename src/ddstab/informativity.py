@@ -23,9 +23,14 @@ its stabilizability-prior verdict rejects, and solves only for the Theta of
 the gain.
 The report ranks [X_minus; U_minus] once and hands that rank to
 ``check_identification``; on full-rank data the pencil reads X_minus^+ off
-the SVD of the row compression, so X_minus is factored once too. The
-image-inclusion residual comes from the compression's S, at the rank cutoff
-the verdict uses. The report keeps that compression for the gain step.
+the SVD of the row compression, so X_minus is factored once too. On
+rank-deficient data ``check_image_inclusion`` decides from the same
+compression: the residual ||S[r:] X_plus||_2, taken once and also reported,
+against subspace_tol * max(1, ||X_plus||_2), at the rank cutoff the other
+verdicts use, so X_minus is factored once on either branch. Only callers
+without a compression, as ``require_prior_conditions``, decide it through
+``linalg.subspace_contained``. The report keeps that compression for the
+gain step.
 """
 from __future__ import annotations
 
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (Branch, DataMatrices, check_image_inclusion, consistent_set,
-                   input_rank_condition, sample_consistent)
+                   image_inclusion_residual, input_rank_condition, sample_consistent)
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression, numerical_rank,
                      pencil_full_rank, rank_cutoff, row_compress, subspace_contained)
 
@@ -104,10 +109,9 @@ def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
         prior = plain
     else:
         plain = False
-        image_ok = check_image_inclusion(D, cfg)
-        # S[r:] spans the complement of col(X_minus) at the same rank cutoff
-        diagnostics["image_inclusion_residual"] = float(
-            np.linalg.norm(comp.S[comp.r:] @ D.x_plus, 2))
+        residual = image_inclusion_residual(D, comp)
+        diagnostics["image_inclusion_residual"] = residual
+        image_ok = check_image_inclusion(D, cfg, comp, residual)
         prior = image_ok and input_ok
     return InformativityReport(
         rank_x_minus=comp.r,

@@ -127,14 +127,16 @@ def row_compress(x_minus: np.ndarray, x_plus: np.ndarray,
     r = int(np.count_nonzero(sv > rank_cutoff(sv, x_minus.shape, cfg)))
     S = U.T.copy()
     # fix the sign ambiguity of the singular vectors so results are
-    # deterministic: leading entry of each compressed row made positive
+    # deterministic: leading entry of each compressed row made positive.
+    # Array methods and in-place negation (exact) keep each row to a few
+    # numpy calls; a vectorized form costs more at these sizes
     compressed = S @ x_minus
     for i in range(n):
         row = compressed[i] if i < r else S[i]
-        if row[np.argmax(np.abs(row))] < 0:
-            S[i] = -S[i]
+        if row[abs(row).argmax()] < 0:
+            S[i] *= -1.0
             if i < len(Vt):
-                Vt[i] = -Vt[i]
+                Vt[i] *= -1.0
     return RowCompression(S=S, r=r,
                           x_hat_minus=S[:r] @ x_minus,
                           x_hat_plus=S[:r] @ x_plus, sv=sv, Vt=Vt)

@@ -47,6 +47,26 @@ class TestSimulate:
                 states[t + 1] = system.A @ states[t] + system.B @ inputs[t]
             assert simulate(system, x0, inputs).states.tobytes() == states.tobytes()
 
+    @pytest.mark.parametrize("m, shape", [(1, (3, 2)), (2, (4, 1)), (2, (4,)),
+                                          (1, (2, 1, 1)), (1, ())],
+                             ids=["3x2_for_m1", "4x1_for_m2", "flat_for_m2",
+                                  "3d_for_m1", "scalar_for_m1"])
+    def test_misshaped_inputs_rejected(self, m, shape):
+        # a (3, 2) array is not 6 steps of a single input, nor a (4, 1) one
+        # 2 steps of two inputs
+        system = LtiSystem(A=np.eye(2), B=np.ones((2, m)))
+        with pytest.raises(ValueError) as err:
+            simulate(system, np.zeros(2), np.ones(shape))
+        assert f"(T, {m})" in str(err.value) and str(shape) in str(err.value)
+
+    def test_flat_inputs_of_a_single_input_system(self):
+        system = LtiSystem(A=[[0.5, 1.0], [0.0, 2.0]], B=[[1.0], [-1.0]])
+        u = np.array([1.0, -2.0, 0.5])
+        flat = simulate(system, np.ones(2), u)
+        column = simulate(system, np.ones(2), u[:, None])
+        assert flat.inputs.shape == (3, 1)
+        assert flat.states.tobytes() == column.states.tobytes()
+
     def test_round_trip_residual(self, cfg):
         rng = np.random.default_rng(60)
         for _ in range(25):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import ddstab.informativity
-from ddstab import (DataMatrices, LtiSystem, PreconditionError, SolverFailure,
-                    TrajectoryData, build_data_matrices, check_controllability_prior,
+from ddstab import (DataMatrices, LtiSystem, NumericalConfig, PreconditionError,
+                    SolverFailure, TrajectoryData, build_data_matrices,
+                    check_controllability_prior,
                     check_identification, check_image_inclusion,
                     check_stabilizability_prior, consistent_set, input_rank_condition,
                     necessary_conditions_report, numerical_rank, row_compress,
@@ -172,6 +173,57 @@ class TestImageInclusionResidual:
                 assert self._outside(report, D, cfg) == (not report.image_inclusion)
                 seen.add(report.image_inclusion)
         assert seen == {True, False}
+
+
+class TestImageInclusionRoutes:
+    """Two routes to image inclusion agree: the report's, read off its row
+    compression, and ``check_image_inclusion`` without one, which decides
+    through ``subspace_contained`` on X_minus itself."""
+
+    @staticmethod
+    def _agree(D, cfg) -> bool:
+        contained = check_image_inclusion(D, cfg)
+        comp = row_compress(D.x_minus, D.x_plus, cfg)
+        assert check_image_inclusion(D, cfg, comp) == contained
+        assert check_stabilizability_prior(D, cfg).image_inclusion == contained
+        return contained
+
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_random_suites(self, cfg, seed):
+        rng = np.random.default_rng(seed)
+        seen = [self._agree(random_dataset(rng).D, cfg) for _ in range(500)]
+        assert 0 < seen.count(False) < len(seen)
+
+    def test_montecarlo_windows(self, cfg):
+        seen = [self._agree(D, cfg) for D in montecarlo_windows(3, 200)]
+        assert 0 < seen.count(False) < len(seen)
+
+    @staticmethod
+    def _data(x_minus, x_plus):
+        x_minus = np.asarray(x_minus, dtype=float)
+        return DataMatrices(u_minus=np.ones((1, x_minus.shape[1])), x_minus=x_minus,
+                            x_plus=np.asarray(x_plus, dtype=float))
+
+    @pytest.mark.parametrize("x_minus", [[[1.0, 2.0], [0.0, 0.0]], np.zeros((2, 2))],
+                             ids=["rank_one", "zero"])
+    def test_zero_x_plus_is_contained(self, cfg, x_minus):
+        assert self._agree(self._data(x_minus, np.zeros((2, 2))), cfg)
+
+    def test_tiny_x_plus_outside_zero_x_minus(self, cfg):
+        # the residual 1e-10 is far below subspace_tol, yet nothing nonzero
+        # lies in the span of a zero X_minus
+        x_plus = np.array([[1e-10, 0.0], [0.0, 0.0]])
+        assert np.linalg.norm(x_plus, 2) == 1e-10
+        assert not self._agree(self._data(np.zeros((2, 2)), x_plus), cfg)
+
+    @pytest.mark.parametrize("scale, contained", [(1e-10, True), (1.0, False)])
+    def test_nonzero_x_minus_ranked_zero(self, scale, contained):
+        # at rank_rel_tol 0.5 the 2 x 2 cutoff is sigma_1 itself: rank 0,
+        # so only X_plus's own size decides
+        cfg = NumericalConfig(rank_rel_tol=0.5)
+        D = self._data([[1.0, 0.0], [0.0, 0.5]], scale * np.ones((2, 2)))
+        assert row_compress(D.x_minus, D.x_plus, cfg).r == 0
+        assert self._agree(D, cfg) == contained
 
 
 class TestVerdictEquivalences:

@@ -1,16 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import ddstab.data
+import ddstab.linalg
 from ddstab import (NumericalConfig, is_controllable, is_schur, is_stabilizable,
                     matrix_exponential, numerical_rank, pencil_full_rank,
                     row_compress, spectral_radius, subspace_contained)
-from ddstab import (LtiSystem, build_data_matrices, check_stabilizability_prior,
-                    consistent_set, reachable_part, sdp_solve, simulate, solve_plain_lmi)
+from ddstab import (LtiSystem, MonteCarloConfig, build_data_matrices,
+                    check_stabilizability_prior, consistent_set, reachable_part,
+                    sdp_solve, simulate, solve_plain_lmi, three_tank_model,
+                    zoh_discretize)
+from ddstab.experiments import _evaluate_scenario
 from ddstab.linalg import controllability_matrix, rank_cutoff
 from ddstab.synthesis import LmiFeasibilityProblem
 
 from conftest import (THREE_TANK_A_REF, THREE_TANK_B_REF, THREE_TANK_K_REF,
-                      example1_matrices)
+                      example1_matrices, montecarlo_windows)
 
 
 class TestNumericalRank:
@@ -78,6 +85,48 @@ class TestRowCompress:
                 assert np.abs(comp.S[:k].T @ (comp.sv[:, None] * comp.Vt) - X).max() \
                     <= 1e-12 * max(1, abs(X).max())
             assert pencil_full_rank(X, Xp, cfg, comp) == pencil_full_rank(X, Xp, cfg)
+
+    @staticmethod
+    def _per_row_signs(X, cfg):
+        """Oracle: S and Vt signed one row at a time, the leading entry of
+        each compressed row (each row of S past the rank) made positive."""
+        n = X.shape[0]
+        U, sv, Vt = np.linalg.svd(X, full_matrices=n > X.shape[1])
+        r = int(np.count_nonzero(sv > rank_cutoff(sv, X.shape, cfg)))
+        S = U.T.copy()
+        compressed = S @ X
+        for i in range(n):
+            row = compressed[i] if i < r else S[i]
+            if row[np.argmax(np.abs(row))] < 0:
+                S[i] = -S[i]
+                if i < len(Vt):
+                    Vt[i] = -Vt[i]
+        return S, Vt, r
+
+    @pytest.mark.parametrize("rank_rel_tol", [1e-9, 0.5], ids=["default", "rank_zero"])
+    def test_signs_bitwise_equal_to_per_row_loop(self, rank_rel_tol):
+        # wide and tall shapes (n > T takes the full SVD), ranks below n, and
+        # at rank_rel_tol 0.5 rank 0 for every nonzero matrix of max(shape) >= 2
+        cfg = NumericalConfig(rank_rel_tol=rank_rel_tol)
+        rng = np.random.default_rng(71)
+        ranks = set()
+        for _ in range(200):
+            n, T = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            r_true = int(rng.integers(1, min(n, T) + 1))
+            X = rng.normal(size=(n, r_true)) @ rng.normal(size=(r_true, T))
+            if rng.random() < 0.2:
+                X = np.round(X)  # ties in modulus: the first entry decides
+            if not X.any():
+                continue
+            comp = row_compress(X, rng.normal(size=(n, T)), cfg)
+            S, Vt, r = self._per_row_signs(X, cfg)
+            assert comp.r == r
+            assert comp.S.tobytes() == S.tobytes()
+            assert comp.Vt.tobytes() == Vt.tobytes()
+            ranks.add((r == 0, r < n, n > T))
+        expected = {(True, True, False), (True, True, True)} if rank_rel_tol == 0.5 \
+            else {(False, True, False), (False, True, True), (False, False, False)}
+        assert expected <= ranks
 
 
 class TestSpectra:
@@ -202,9 +251,9 @@ class TestOneFactorizationPerMatrix:
     def test_stabilizability_prior_report(self, cfg, factorizations):
         D = example1_matrices()
         report = check_stabilizability_prior(D, cfg)
-        # rank deficient: row_compress and check_image_inclusion factor
-        # X_minus; check_identification takes the report's rank of the stack
-        assert _count(factorizations["svd"], D.x_minus) == 2
+        # rank deficient: image inclusion is read off row_compress's S, and
+        # check_identification takes the report's rank of the stack
+        assert _count(factorizations["svd"], D.x_minus) == 1
         assert _count(factorizations["svd"], D.stacked()) == 1
         margin = report.diagnostics["x_minus_rank_margin"]["singular_values"]
         assert margin == row_compress(D.x_minus, D.x_plus, cfg).sv.tolist()
@@ -218,6 +267,31 @@ class TestOneFactorizationPerMatrix:
         assert report.rank_x_minus == D.n and report.stabilization
         assert _count(factorizations["svd"], D.x_minus) == 1
         assert _count(factorizations["svd"], D.stacked()) == 1
+        assert not factorizations["pinv"]
+
+    @pytest.mark.parametrize("full_rank", [False, True], ids=["rank_deficient", "full_rank"])
+    def test_montecarlo_window(self, cfg, factorizations, monkeypatch, full_rank):
+        # one window of the three-tank Monte Carlo factors X_minus once and
+        # [X_minus; U_minus] once, on either branch; image inclusion is read
+        # off the compression, so subspace_contained is never called
+        mc = MonteCarloConfig(system=zoh_discretize(three_tank_model()),
+                              scenarios=10, seed=3)
+        k, D = next((k, D) for k, D in enumerate(montecarlo_windows(mc.seed, mc.scenarios))
+                    if (numerical_rank(D.x_minus, cfg) == D.n) == full_rank)
+        index = k // len(mc.t_list)
+        contained = []
+
+        def recording(M, *args, _real=subspace_contained):
+            contained.append(M)
+            return _real(M, *args)
+        monkeypatch.setattr(ddstab.linalg, "subspace_contained", recording)
+        monkeypatch.setattr(ddstab.data, "subspace_contained", recording)
+        factorizations["svd"].clear()
+        verdict, = _evaluate_scenario(replace(mc, t_list=(D.T,)), index, cfg)
+        assert (verdict.scenario, verdict.T) == (index, D.T)
+        assert _count(factorizations["svd"], D.x_minus) == 1
+        assert _count(factorizations["svd"], D.stacked()) == 1
+        assert not contained
         assert not factorizations["pinv"]
 
 
