@@ -60,7 +60,8 @@ class TrajectoryData:
 
 @dataclass(frozen=True)
 class DataMatrices:
-    """U_minus (m x T), X_minus (n x T), X_plus (n x T), columns indexed by time."""
+    """U_minus (m x T), X_minus (n x T), X_plus (n x T), columns indexed by time;
+    each may also be an (N, ., T) stack of N datasets zero-padded to one T."""
 
     u_minus: np.ndarray
     x_minus: np.ndarray
@@ -68,19 +69,19 @@ class DataMatrices:
 
     @property
     def n(self) -> int:
-        return self.x_minus.shape[0]
+        return self.x_minus.shape[-2]
 
     @property
     def m(self) -> int:
-        return self.u_minus.shape[0]
+        return self.u_minus.shape[-2]
 
     @property
     def T(self) -> int:
-        return self.x_minus.shape[1]
+        return self.x_minus.shape[-1]
 
     def stacked(self) -> np.ndarray:
         """[X_minus; U_minus], the (n+m) x T regressor matrix."""
-        return np.vstack([self.x_minus, self.u_minus])
+        return np.concatenate([self.x_minus, self.u_minus], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -174,49 +175,67 @@ class Branch(enum.Enum):
         return cls.FULL_RANK if comp.r == D.n else cls.RANK_DEFICIENT
 
 
-def image_inclusion_residual(D: DataMatrices, comp: RowCompression) -> float:
+def image_inclusion_residual(D: DataMatrices, S: np.ndarray,
+                             r: int | np.ndarray) -> float | np.ndarray:
     """||S[r:] X_plus||_2: the part of X_plus outside col(X_minus), whose
-    complement S[r:] spans at the rank cutoff of the compression."""
-    if comp.r == D.n:
-        return 0.0
-    return float(np.linalg.svd(comp.S[comp.r:] @ D.x_plus, compute_uv=False)[0])
+    complement S[r:] spans at the rank cutoff of the compression S.
+
+    A stack of N datasets, with (N, n, n) compressions and (N,) ranks, gives
+    the N residuals from one values-only SVD per rank below n that occurs;
+    a member of rank n has residual 0.
+    """
+    if D.x_plus.ndim == 2:
+        return 0.0 if r == D.n else \
+            float(np.linalg.svd(S[r:] @ D.x_plus, compute_uv=False)[0])
+    residual = np.zeros(len(r))
+    for rank in set(r[r < D.n].tolist()):
+        idx = np.flatnonzero(r == rank)
+        residual[idx] = np.linalg.svd(S[idx, rank:] @ D.x_plus[idx], compute_uv=False)[:, 0]
+    return residual
 
 
 def check_image_inclusion(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
-                          comp: RowCompression | None = None,
-                          residual: float | None = None) -> bool:
+                          residual: float | np.ndarray | None = None) -> bool | np.ndarray:
     """col(X_plus) inside col(X_minus).
 
-    Without ``comp`` this is ``subspace_contained(X_plus, X_minus)``, which
-    factors X_minus. A caller that holds ``comp = row_compress(X_minus,
-    X_plus, cfg)`` passes it, and the condition is read off its S instead:
-    ``image_inclusion_residual <= subspace_tol * max(1, ||X_plus||_2)``, with
-    that residual passed too where the caller has computed it. Both routes
-    call an all-zero X_plus contained, and a nonzero one not contained in
-    an all-zero X_minus.
+    Without ``residual`` this is ``subspace_contained(X_plus, X_minus)``,
+    which factors X_minus. A caller that holds a compression S of X_minus
+    passes ``residual = image_inclusion_residual(D, S, r)`` instead, and the
+    condition is read off it: ``residual <= subspace_tol * max(1,
+    ||X_plus||_2)``; a stack of datasets with one residual each gets one
+    verdict each. Both routes call an all-zero X_plus contained, and a
+    nonzero one not contained in an all-zero X_minus.
     """
-    if comp is None:
-        return subspace_contained(D.x_plus, D.x_minus, cfg)
-    if not D.x_plus.any():
-        return True
-    if not D.x_minus.any():
-        return False
     if residual is None:
-        residual = image_inclusion_residual(D, comp)
+        return subspace_contained(D.x_plus, D.x_minus, cfg)
     # tol * max(1, ||X_plus||) is max(tol, tol * ||X_plus||) exactly, so the
-    # norm of X_plus is taken only when the residual exceeds tol itself
-    return residual <= cfg.subspace_tol or \
-        residual <= cfg.subspace_tol * float(np.linalg.svd(D.x_plus, compute_uv=False)[0])
+    # norm of X_plus is taken only where the residual exceeds tol itself
+    if D.x_plus.ndim == 2:
+        if not D.x_plus.any():
+            return True
+        if not D.x_minus.any():
+            return False
+        return residual <= cfg.subspace_tol or \
+            residual <= cfg.subspace_tol * float(np.linalg.svd(D.x_plus, compute_uv=False)[0])
+    minus_nonzero = D.x_minus.any(axis=(1, 2))
+    ok = ~D.x_plus.any(axis=(1, 2)) | (minus_nonzero & (residual <= cfg.subspace_tol))
+    wide = np.flatnonzero(~ok & minus_nonzero)
+    if len(wide):
+        norms = np.linalg.svd(D.x_plus[wide], compute_uv=False)[:, 0]
+        ok[wide] = residual[wide] <= cfg.subspace_tol * norms
+    return ok
 
 
-def input_rank_condition(D: DataMatrices, comp: RowCompression, rank_stacked: int) -> bool:
-    """rank [X_minus; U_minus] = r + m, given that rank as ``rank_stacked``;
-    vacuously True on full-rank state data.
+def input_rank_condition(D: DataMatrices, r: int | np.ndarray,
+                         rank_stacked: int | np.ndarray) -> bool | np.ndarray:
+    """rank [X_minus; U_minus] = r + m, given r = rank X_minus and that rank
+    as ``rank_stacked``; vacuously True on full-rank state data. Arrays of
+    ranks of a stack give one verdict each.
 
     The stacked image always sits inside col(X_minus) x R^m, so equality of
     the two sets is just this dimension count.
     """
-    return Branch.of(D, comp) is Branch.FULL_RANK or rank_stacked == comp.r + D.m
+    return (r == D.n) | (rank_stacked == r + D.m)
 
 
 def require_prior_conditions(D: DataMatrices, comp: RowCompression,
@@ -227,7 +246,7 @@ def require_prior_conditions(D: DataMatrices, comp: RowCompression,
         return
     if not check_image_inclusion(D, cfg):
         raise PreconditionError("image inclusion condition fails for this data")
-    if not input_rank_condition(D, comp, numerical_rank(D.stacked(), cfg)):
+    if not input_rank_condition(D, comp.r, numerical_rank(D.stacked(), cfg)):
         raise PreconditionError("input-rank condition fails for this data")
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import (DataMatrices, LtiSystem, TrajectoryData, build_data_matrices,
                    consistent_set)
-from .informativity import check_stabilizability_prior
+from .informativity import check_stabilizability_prior, decide_verdicts
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, is_controllable,
                      matrix_exponential, spectral_radius)
 from .synthesis import synthesize
@@ -153,8 +153,8 @@ class ScenarioVerdict:
 class MonteCarloResult:
     """Every window's verdicts, in scenario order.
 
-    ``solver_failures`` is 0 by construction: the report decides every
-    verdict by rank, subspace and pencil tests and calls no solver. It stays
+    ``solver_failures`` is 0 by construction: ``decide_verdicts`` decides
+    every verdict by rank, subspace and pencil tests and calls no solver. It stays
     in the result and in ``montecarlo.json`` for the readers of that file.
     """
 
@@ -188,19 +188,24 @@ def _scenario_trajectory(mc: MonteCarloConfig, index: int) -> TrajectoryData:
 
 def _evaluate_scenario(mc: MonteCarloConfig, index: int,
                        cfg: NumericalConfig) -> list[ScenarioVerdict]:
+    """The verdicts of every window of scenario ``index``, in ``mc.t_list`` order.
+
+    Window T is the first T columns of the run's data matrices. The windows
+    are zero-padded to the longest T and decided in one stacked pass by
+    ``decide_verdicts``, each at its own T; no per-window report is built.
+    """
     run = build_data_matrices(_scenario_trajectory(mc, index))
-    verdicts = []
-    for T in mc.t_list:
-        # one set of data matrices per run: window T is its first T columns
-        window = DataMatrices(u_minus=run.u_minus[:, :T].copy(),
-                              x_minus=run.x_minus[:, :T].copy(),
-                              x_plus=run.x_plus[:, :T].copy())
-        report = check_stabilizability_prior(window, cfg)
-        verdicts.append(ScenarioVerdict(
-            scenario=index, T=T, identification=report.identification,
-            stabilization=report.stabilization,
-            stabilization_stabilizability_prior=report.stabilization_stabilizability_prior))
-    return verdicts
+    cols = np.array(mc.t_list)
+    width = int(cols.max())
+    kept = np.arange(width) < cols[:, None, None]
+    windows = DataMatrices(*(np.where(kept, M[:, :width], 0.0)
+                             for M in (run.u_minus, run.x_minus, run.x_plus)))
+    verdicts = decide_verdicts(windows, cfg, cols)
+    return [ScenarioVerdict(scenario=index, T=T, identification=ident,
+                            stabilization=plain, stabilization_stabilizability_prior=prior)
+            for T, ident, plain, prior in zip(
+                mc.t_list, verdicts.identification.tolist(), verdicts.stabilization.tolist(),
+                verdicts.stabilization_stabilizability_prior.tolist())]
 
 
 _BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -21,16 +21,20 @@ eigenvalue on or outside the margin (van Waarde et al., 2020). Nothing here
 solves an LMI; ``synthesis.synthesize`` takes the report, refuses the data
 its stabilizability-prior verdict rejects, and solves only for the Theta of
 the gain.
-The report ranks [X_minus; U_minus] once and hands that rank to
-``check_identification``; on full-rank data the pencil reads X_minus^+ off
-the SVD of the row compression, so X_minus is factored once too. On
-rank-deficient data ``check_image_inclusion`` decides from the same
-compression: the residual ||S[r:] X_plus||_2, taken once and also reported,
-against subspace_tol * max(1, ||X_plus||_2), at the rank cutoff the other
-verdicts use, so X_minus is factored once on either branch. Only callers
-without a compression, as ``require_prior_conditions``, decide it through
-``linalg.subspace_contained``. The report keeps that compression for the
-gain step.
+``decide_verdicts`` calls those owners for every verdict, on one dataset or
+on a stack of datasets zero-padded to one T, each at its own shape:
+  * one dataset (``check_stabilizability_prior``): ``row_compress`` factors
+    X_minus once in 2-D and the report keeps that compression for the gain
+    step; the pencil reads X_minus^+ off its SVD, image inclusion reads the
+    residual ||S[r:] X_plus||_2 off its S (taken once, also reported), and
+    [X_minus; U_minus] is ranked once;
+  * a stack (the Monte Carlo windows of one run): one economy SVD of the
+    X_minus stack gives every rank, X_minus^+ and S, one values-only SVD of
+    the regressor stack every rank of [X_minus; U_minus], and the pencil and
+    residual SVDs are stacked too; no per-window compression or report is
+    built.
+Only callers without a compression, as ``require_prior_conditions``, decide
+image inclusion through ``linalg.subspace_contained``.
 """
 from __future__ import annotations
 
@@ -64,9 +68,10 @@ class InformativityReport:
 
 
 def check_identification(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
-                         rank_stacked: int | None = None) -> bool:
+                         rank_stacked: int | np.ndarray | None = None) -> bool | np.ndarray:
     """True iff [X_minus; U_minus] has full row rank n+m (unique (A, B)); a
-    caller that has ranked the stack already passes that rank."""
+    caller that has ranked the stack already passes that rank, or the ranks
+    of a stack of datasets for one verdict each."""
     if rank_stacked is None:
         rank_stacked = numerical_rank(D.stacked(), cfg)
     return rank_stacked == D.n + D.m
@@ -87,6 +92,64 @@ def _rank_margin_diagnostics(sv: np.ndarray | None, shape, cfg: NumericalConfig)
     return {"marginal_rank": marginal, "singular_values": sv.tolist()}
 
 
+@dataclass(frozen=True)
+class Verdicts:
+    """The verdicts of one dataset, or arrays of one entry per member of a
+    stack; the controllability-prior verdict is ``stabilization``, and rank n
+    of X_minus names the full-rank branch. ``image_inclusion_residual`` is 0
+    on that branch."""
+
+    rank_x_minus: int | np.ndarray
+    rank_stacked: int | np.ndarray
+    identification: bool | np.ndarray
+    stabilization: bool | np.ndarray
+    stabilization_stabilizability_prior: bool | np.ndarray
+    image_inclusion: bool | np.ndarray
+    input_rank_condition: bool | np.ndarray
+    image_inclusion_residual: float | np.ndarray
+
+
+def decide_verdicts(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
+                    cols: np.ndarray | None = None,
+                    comp: RowCompression | None = None) -> Verdicts:
+    """Decide one dataset, given its ``comp = row_compress(X_minus, X_plus,
+    cfg)``, or an (N, ., T) stack of datasets zero-padded to one T whose own
+    column counts are ``cols``.
+
+    Zero columns change no rank and no column space, and leave F = X_plus
+    X_minus^+ and every pencil rank as they are; every cutoff is taken at the
+    member's own shape, so only rounding moves. A stack is decided with one
+    economy SVD of X_minus, one values-only SVD of [X_minus; U_minus], one
+    stacked pencil test over the full-rank members, reading X_minus^+ off
+    that SVD, and one values-only SVD of S[r:] X_plus per rank of the
+    rank-deficient members. One dataset takes the same steps on its
+    compression, through each owner's 2-D route.
+    """
+    n = D.n
+    if comp is None:
+        U, sv, Vt = np.linalg.svd(D.x_minus, full_matrices=n > D.T)
+        S = U.transpose(0, 2, 1)
+        r = (sv > rank_cutoff(sv, (n, D.T if cols is None else cols), cfg)[:, None]).sum(axis=1)
+    else:
+        S, r, sv, Vt = comp.S, comp.r, comp.sv, comp.Vt
+    rank_stacked = numerical_rank(D.stacked(), cfg, cols)
+    full = r == n
+    # without a full-rank member there is nothing to test (and a zero X_minus
+    # has no SVD in its compression)
+    plain = pencil_full_rank(D.x_minus, D.x_plus, cfg, (S, sv, Vt), cols) \
+        if np.count_nonzero(full) else full
+    residual = image_inclusion_residual(D, S, r)
+    image_ok = check_image_inclusion(D, cfg, residual=residual)
+    input_ok = input_rank_condition(D, r, rank_stacked)
+    return Verdicts(
+        rank_x_minus=r, rank_stacked=rank_stacked,
+        identification=check_identification(D, cfg, rank_stacked),
+        stabilization=plain,
+        stabilization_stabilizability_prior=np.where(full, plain, image_ok & input_ok),
+        image_inclusion=image_ok, input_rank_condition=input_ok,
+        image_inclusion_residual=residual)
+
+
 def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG
                                 ) -> InformativityReport:
     """Full report with the stabilizability-prior verdict and its ingredients.
@@ -96,32 +159,24 @@ def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
     """
     comp = row_compress(D.x_minus, D.x_plus, cfg)
     branch = Branch.of(D, comp)
-    rank_stacked = numerical_rank(D.stacked(), cfg)
+    verdicts = decide_verdicts(D, cfg, comp=comp)
     diagnostics: dict = {
         "n": D.n, "m": D.m, "T": D.T,
-        "rank_stacked": rank_stacked,
+        "rank_stacked": verdicts.rank_stacked,
         "x_minus_rank_margin": _rank_margin_diagnostics(comp.sv, D.x_minus.shape, cfg),
     }
-    input_ok = input_rank_condition(D, comp, rank_stacked)
-    if branch is Branch.FULL_RANK:
-        plain = pencil_full_rank(D.x_minus, D.x_plus, cfg, comp)
-        image_ok = True  # col(X_minus) is the whole state space
-        prior = plain
-    else:
-        plain = False
-        residual = image_inclusion_residual(D, comp)
-        diagnostics["image_inclusion_residual"] = residual
-        image_ok = check_image_inclusion(D, cfg, comp, residual)
-        prior = image_ok and input_ok
+    if branch is Branch.RANK_DEFICIENT:
+        diagnostics["image_inclusion_residual"] = verdicts.image_inclusion_residual
     return InformativityReport(
         rank_x_minus=comp.r,
-        identification=check_identification(D, cfg, rank_stacked),
-        stabilization=plain,
-        stabilization_controllability_prior=plain,
-        stabilization_stabilizability_prior=prior,
+        identification=verdicts.identification,
+        stabilization=verdicts.stabilization,
+        stabilization_controllability_prior=verdicts.stabilization,
+        stabilization_stabilizability_prior=bool(
+            verdicts.stabilization_stabilizability_prior),
         branch=branch,
-        image_inclusion=image_ok,
-        input_rank_condition=input_ok,
+        image_inclusion=verdicts.image_inclusion,
+        input_rank_condition=verdicts.input_rank_condition,
         compression=comp,
         diagnostics=diagnostics,
     )
@@ -148,7 +203,7 @@ def necessary_conditions_report(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
     return {
         "image_inclusion": check_image_inclusion(D, cfg),
         "input_rank_condition": input_rank_condition(
-            D, comp, numerical_rank(D.stacked(), cfg)),
+            D, comp.r, numerical_rank(D.stacked(), cfg)),
         "x_minus_invariant_under_A": invariance,
         "x_minus_contains_B_image": containment,
         "members_checked": len(members),

@@ -6,7 +6,9 @@ test of a pencil and the system-theoretic predicates (Schur / controllable
 arrays; ``spectral_radius``, ``controllability_matrix``,
 ``pencil_full_rank`` and ``is_stabilizable`` also take (N, ., .) stacks and
 treat each member as if it were passed alone, and ``rank_cutoff`` takes an
-(N, k) stack of spectra.
+(N, k) stack of spectra. ``pencil_full_rank`` and ``rank_cutoff`` also take
+each member's own column count, so a stack zero-padded to one width is
+decided as its unpadded members would be.
 """
 from __future__ import annotations
 
@@ -68,26 +70,39 @@ class RowCompression:
     Vt: np.ndarray | None = None
 
 
-def rank_cutoff(sv: np.ndarray, shape: tuple[int, int],
+def rank_cutoff(sv: np.ndarray, shape: tuple,
                 cfg: NumericalConfig) -> float | np.ndarray:
     """Singular-value cutoff of every rank decision (inf for a zero spectrum).
 
     ``sv`` is a descending spectrum of a matrix of the given shape (or a
     bound on its leading value alone, as ``is_stabilizable`` passes); an
     (N, k) stack of spectra of N such matrices gives the N cutoffs, each
-    from its own row's leading value.
+    from its own row's leading value. For a stack, either entry of ``shape``
+    may be an (N,) array of each member's own count: a zero-padded member is
+    ranked at its unpadded shape.
     """
     if sv.ndim == 2:
         lead = sv[:, 0] if sv.shape[1] else np.zeros(len(sv))
-        return np.where(lead == 0.0, np.inf, cfg.rank_rel_tol * max(shape) * lead)
+        cutoff = cfg.rank_rel_tol * np.maximum(*shape) * lead
+        cutoff[lead == 0.0] = np.inf
+        return cutoff
     if sv.size == 0 or sv[0] == 0.0:
         return np.inf
     return cfg.rank_rel_tol * max(shape) * sv[0]
 
 
-def numerical_rank(M: np.ndarray, cfg: NumericalConfig = DEFAULT_CONFIG) -> int:
-    """Number of singular values above the relative cutoff (0 for a zero matrix)."""
+def numerical_rank(M: np.ndarray, cfg: NumericalConfig = DEFAULT_CONFIG,
+                   cols: np.ndarray | None = None) -> int | np.ndarray:
+    """Number of singular values above the relative cutoff (0 for a zero matrix).
+
+    An (N, k, T) stack gives the N ranks from one values-only SVD; members
+    zero-padded to one T pass their own column counts as ``cols``.
+    """
     M = np.atleast_2d(M)
+    if M.ndim == 3:
+        sv = np.linalg.svd(M, compute_uv=False)
+        cutoff = rank_cutoff(sv, (M.shape[1], M.shape[2] if cols is None else cols), cfg)
+        return (sv > cutoff[:, None]).sum(axis=1)
     if M.size == 0:
         return 0
     sv = np.linalg.svd(M, compute_uv=False)
@@ -182,7 +197,8 @@ def is_controllable(A: np.ndarray, B: np.ndarray,
 
 def pencil_full_rank(L: np.ndarray, P: np.ndarray,
                      cfg: NumericalConfig = DEFAULT_CONFIG,
-                     comp: RowCompression | None = None) -> bool | np.ndarray:
+                     svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                     cols: np.ndarray | None = None) -> bool | np.ndarray:
     """Hautus test of the k x T pencil P - lambda*L: L has full row rank k and
     rank(P - lambda*L) = k at every eigenvalue lambda of F = P L^+ with
     |lambda| >= 1 - schur_margin.
@@ -193,8 +209,9 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
     F = A, it is the stabilizability of (A, B).
 
     L's rank, at the shared cutoff, and its pseudoinverse are read off one
-    thin SVD of L; a caller that holds ``comp = row_compress(L, P, cfg)`` of a
-    2-D pair passes it, and its SVD is read instead of taking another. An L
+    thin SVD of L; a caller that holds one passes it as ``svd = (S, sv, Vt)``
+    with S = U^T, stacked as L is, and it is read instead of taking another
+    (the rows of S and Vt may carry matching signs, which cancel in L^+). An L
     with orthonormal rows, as [I 0], needs none: L^+ = L^T and every singular
     value is 1, so ``is_stabilizable`` factors only its pencils. Each pencil
     is ranked at the shared cutoff taken relative to ||P||_F + |lambda|
@@ -205,6 +222,9 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
     Stacks (N, k, T) give the N verdicts as a boolean array, each equal to its
     member's own: one stacked ``eigvals``, then one stacked SVD over the
     pencils of every (member, eigenvalue) pair on or outside the margin.
+    Members zero-padded to a common T pass their own column counts as
+    ``cols``: zero columns change neither L^+'s action nor any pencil rank,
+    and every cutoff is taken at the member's own shape.
     """
     L = np.atleast_2d(np.asarray(L, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -217,19 +237,18 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
         ok = np.full(len(L), k == 0)
         return ok if stacked else bool(ok[0])
     Lt = L.transpose(0, 2, 1)
-    if comp is not None:
-        if comp.r < k:
-            return False
-        # S and Vt carry the same row signs, which cancel in L^+
-        full, sv, F = np.arange(1), comp.sv[None], \
-            P @ (comp.Vt.T / comp.sv)[None] @ comp.S[None]
-    elif (L @ Lt == np.eye(k)).all():
+    if svd is None and (L @ Lt == np.eye(k)).all():
         full, sv, F = np.arange(len(L)), np.ones((len(L), k)), P @ Lt
     else:
-        U, sv, Vt = np.linalg.svd(L, full_matrices=False)
-        full = np.flatnonzero(sv[:, -1] > rank_cutoff(sv, (k, T), cfg))
-        F = P[full] @ (Vt[full].transpose(0, 2, 1) / sv[full, None, :]) \
-            @ U[full].transpose(0, 2, 1)
+        if svd is None:
+            U, sv, Vt = np.linalg.svd(L, full_matrices=False)
+            S = U.transpose(0, 2, 1)
+        else:
+            S, sv, Vt = svd if stacked else (f[None] for f in svd)
+        full = np.flatnonzero(sv[:, k - 1] > rank_cutoff(sv, (k, T if cols is None else cols), cfg))
+        # views, not copies, where every member has full rank
+        keep = full if len(full) < len(L) else slice(None)
+        F = P[keep] @ (Vt[keep].transpose(0, 2, 1) / sv[keep, None, :]) @ S[keep]
     ok = np.zeros(len(L), dtype=bool)
     ok[full] = True
     lams = np.linalg.eigvals(F)
@@ -241,7 +260,7 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
     np.subtract(P[members], pencils, out=pencils)
     scale = np.sqrt(np.square(P).sum(axis=(1, 2)))[members] + modulus[i, j] * sv[members, 0]
     pencil_sv = np.linalg.svd(pencils, compute_uv=False)
-    cutoff = rank_cutoff(scale[:, None], pencils.shape[1:], cfg)
+    cutoff = rank_cutoff(scale[:, None], (k, T if cols is None else cols[members]), cfg)
     ok[members[np.count_nonzero(pencil_sv > cutoff[:, None], axis=-1) < k]] = False
     return ok if stacked else bool(ok[0])
 

@@ -4,6 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
+import ddstab.experiments
 import ddstab.informativity
 from ddstab import (DataMatrices, LtiSystem, NumericalConfig, PreconditionError,
                     SolverFailure, TrajectoryData, build_data_matrices,
@@ -13,7 +14,10 @@ from ddstab import (DataMatrices, LtiSystem, NumericalConfig, PreconditionError,
                     necessary_conditions_report, numerical_rank, row_compress,
                     run_monte_carlo, simulate, solve_plain_lmi, verify_gain,
                     synthesize, synthesize_stab)
-from ddstab.informativity import Branch
+from ddstab.data import image_inclusion_residual
+from ddstab.experiments import (MonteCarloConfig, _evaluate_scenario,
+                                _scenario_trajectory, three_tank_model, zoh_discretize)
+from ddstab.informativity import Branch, decide_verdicts
 from ddstab.linalg import pencil_full_rank
 from ddstab.sdp import BarrierBackend
 from ddstab.synthesis import FeedbackGain, GainProvenance, lmi_problem, sdp_solve
@@ -81,14 +85,14 @@ class TestConditions:
 
     def test_example1_input_rank(self, cfg, example1):
         comp = row_compress(example1.x_minus, example1.x_plus, cfg)
-        assert input_rank_condition(example1, comp, numerical_rank(example1.stacked(), cfg))
+        assert input_rank_condition(example1, comp.r, numerical_rank(example1.stacked(), cfg))
 
     def test_zero_input_fails_input_rank(self, cfg):
         D = build_data_matrices(TrajectoryData(
             inputs=np.zeros((3, 1)),
             states=np.array([[1.0, 0.0], [2.0, 0.0], [4.0, 0.0], [8.0, 0.0]])))
         comp = row_compress(D.x_minus, D.x_plus, cfg)
-        assert not input_rank_condition(D, comp, numerical_rank(D.stacked(), cfg))
+        assert not input_rank_condition(D, comp.r, numerical_rank(D.stacked(), cfg))
 
 
 
@@ -184,7 +188,8 @@ class TestImageInclusionRoutes:
     def _agree(D, cfg) -> bool:
         contained = check_image_inclusion(D, cfg)
         comp = row_compress(D.x_minus, D.x_plus, cfg)
-        assert check_image_inclusion(D, cfg, comp) == contained
+        residual = image_inclusion_residual(D, comp.S, comp.r)
+        assert check_image_inclusion(D, cfg, residual=residual) == contained
         assert check_stabilizability_prior(D, cfg).image_inclusion == contained
         return contained
 
@@ -224,6 +229,130 @@ class TestImageInclusionRoutes:
         D = self._data([[1.0, 0.0], [0.0, 0.5]], scale * np.ones((2, 2)))
         assert row_compress(D.x_minus, D.x_plus, cfg).r == 0
         assert self._agree(D, cfg) == contained
+
+
+def _padded(windows):
+    """Zero-pad datasets to the longest T: one stacked DataMatrices and each T."""
+    cols = np.array([D.T for D in windows])
+    width = int(cols.max())
+
+    def stack(name):
+        return np.stack([np.pad(getattr(D, name), ((0, 0), (0, width - D.T)))
+                         for D in windows])
+    return DataMatrices(stack("u_minus"), stack("x_minus"), stack("x_plus")), cols
+
+
+class TestStackedWindows:
+    """Windows decided together from zero-padded stacks get the verdicts that
+    ``check_stabilizability_prior`` gives each window alone: all four, the
+    rank of X_minus and the branch."""
+
+    @staticmethod
+    def _agree(windows, verdicts, cfg):
+        for k, D in enumerate(windows):
+            report = check_stabilizability_prior(D, cfg)
+            assert (report.rank_x_minus, report.branch is Branch.FULL_RANK,
+                    report.identification, report.stabilization,
+                    report.stabilization_controllability_prior,
+                    report.stabilization_stabilizability_prior) == (
+                int(verdicts.rank_x_minus[k]), bool(verdicts.rank_x_minus[k] == D.n),
+                bool(verdicts.identification[k]), bool(verdicts.stabilization[k]),
+                bool(verdicts.stabilization[k]),
+                bool(verdicts.stabilization_stabilizability_prior[k]))
+
+    def _decide(self, windows, cfg):
+        stack, cols = _padded(windows)
+        verdicts = decide_verdicts(stack, cfg, cols)
+        self._agree(windows, verdicts, cfg)
+        return verdicts
+
+    def _scenarios(self, mc, cfg, monkeypatch):
+        """Run _evaluate_scenario on every scenario of ``mc``; check the
+        stacks it decides are its windows zero-padded, and its verdicts."""
+        decided = []
+
+        def recording(D, cfg, cols, _real=decide_verdicts):
+            decided.append((D, cols, _real(D, cfg, cols)))
+            return decided[-1][2]
+        monkeypatch.setattr(ddstab.experiments, "decide_verdicts", recording)
+        seen = set()
+        for index in range(mc.scenarios):
+            traj = _scenario_trajectory(mc, index)
+            windows = [build_data_matrices(TrajectoryData(inputs=traj.inputs[:T],
+                                                          states=traj.states[:T + 1]))
+                       for T in mc.t_list]
+            rows = _evaluate_scenario(mc, index, cfg)
+            stack, cols, verdicts = decided.pop()
+            padded, _ = _padded(windows)
+            assert cols.tolist() == list(mc.t_list)
+            for name in ("u_minus", "x_minus", "x_plus"):
+                assert getattr(padded, name).tobytes() == getattr(stack, name).tobytes()
+            self._agree(windows, verdicts, cfg)
+            for k, (row, D) in enumerate(zip(rows, windows)):
+                assert (row.scenario, row.T) == (index, D.T)
+                assert (row.identification, row.stabilization,
+                        row.stabilization_stabilizability_prior) == (
+                    verdicts.identification[k], verdicts.stabilization[k],
+                    verdicts.stabilization_stabilizability_prior[k])
+                seen.add((int(verdicts.rank_x_minus[k]), row.stabilization,
+                          row.stabilization_stabilizability_prior))
+        return seen
+
+    def test_montecarlo_windows(self, cfg, monkeypatch):
+        mc = MonteCarloConfig(system=zoh_discretize(three_tank_model()),
+                              scenarios=200, seed=3)
+        seen = self._scenarios(mc, cfg, monkeypatch)
+        # both branches, and each verdict both ways
+        assert {r for r, _, _ in seen} >= {2, 3}
+        assert {p for _, p, _ in seen} == {True, False}
+        assert {q for _, _, q in seen} == {True, False}
+
+    def test_windows_shorter_than_the_state(self, cfg, monkeypatch):
+        # T = 1, 2 < n = 3: their padded members are wider than themselves,
+        # and a T-list whose longest T is 2 takes the full SVD of the stack
+        system = zoh_discretize(three_tank_model())
+        for t_list in ((1, 2, 3, 4, 6, 10, 100), (2, 1)):
+            mc = MonteCarloConfig(system=system, scenarios=60, seed=11, horizon=100,
+                                  t_list=t_list)
+            seen = self._scenarios(mc, cfg, monkeypatch)
+            assert {r for r, _, _ in seen} >= {1, 2}
+
+    def test_all_zero_prefix(self, cfg):
+        # x0 = 0 under zero inputs: the first windows are all zero, later
+        # ones are not; then X_minus = 0 with X_plus != 0 (T = 1 after a
+        # nonzero first input)
+        system = LtiSystem(A=[[0.9, 0.2], [0.0, 0.5]], B=[[1.0], [0.0]])
+        quiet = simulate(system, np.zeros(2), np.array([[0.0], [0.0], [1.0], [-1.0], [2.0]]))
+        kick = simulate(system, np.zeros(2), np.array([[1.0], [0.0], [2.0]]))
+        windows = [build_data_matrices(TrajectoryData(inputs=traj.inputs[:T],
+                                                      states=traj.states[:T + 1]))
+                   for traj in (quiet, kick) for T in range(1, traj.T + 1)]
+        assert not windows[0].x_plus.any() and not windows[1].stacked().any()
+        assert not windows[5].x_minus.any() and windows[5].x_plus.any()
+        verdicts = self._decide(windows, cfg)
+        assert not verdicts.image_inclusion[5]
+        assert verdicts.image_inclusion[0] and verdicts.rank_x_minus[0] == 0
+
+    def test_all_zero_x_plus(self, cfg):
+        # x+ = 0 whatever the data: X_plus is all zero, so contained in any
+        # X_minus, including a rank-deficient one
+        system = LtiSystem(A=np.zeros((3, 3)), B=np.zeros((3, 1)))
+        traj = simulate(system, np.array([1.0, -2.0, 0.5]), np.ones((4, 1)))
+        windows = [build_data_matrices(TrajectoryData(inputs=traj.inputs[:T],
+                                                      states=traj.states[:T + 1]))
+                   for T in range(1, 5)]
+        assert not any(D.x_plus.any() for D in windows)
+        verdicts = self._decide(windows, cfg)
+        assert verdicts.image_inclusion.all()
+        assert verdicts.rank_x_minus.tolist() == [1, 1, 1, 1]
+
+    def test_one_window_of_full_length(self, cfg, monkeypatch):
+        # T = T_max alone: nothing is padded, so the stack holds the window's
+        # own bytes and its verdicts are the report's
+        mc = MonteCarloConfig(system=zoh_discretize(three_tank_model()),
+                              scenarios=20, seed=3, t_list=(100,))
+        seen = self._scenarios(mc, cfg, monkeypatch)
+        assert {r for r, _, _ in seen} == {2, 3}
 
 
 class TestVerdictEquivalences:

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -12,12 +10,12 @@ from ddstab import (LtiSystem, MonteCarloConfig, build_data_matrices,
                     check_stabilizability_prior, consistent_set, reachable_part,
                     sdp_solve, simulate, solve_plain_lmi, three_tank_model,
                     zoh_discretize)
-from ddstab.experiments import _evaluate_scenario
+from ddstab.experiments import _evaluate_scenario, _scenario_trajectory
 from ddstab.linalg import controllability_matrix, rank_cutoff
 from ddstab.synthesis import LmiFeasibilityProblem
 
 from conftest import (THREE_TANK_A_REF, THREE_TANK_B_REF, THREE_TANK_K_REF,
-                      example1_matrices, montecarlo_windows)
+                      example1_matrices)
 
 
 class TestNumericalRank:
@@ -84,7 +82,9 @@ class TestRowCompress:
                 assert comp.sv.shape == (k,) and comp.Vt.shape == (k, T)
                 assert np.abs(comp.S[:k].T @ (comp.sv[:, None] * comp.Vt) - X).max() \
                     <= 1e-12 * max(1, abs(X).max())
-            assert pencil_full_rank(X, Xp, cfg, comp) == pencil_full_rank(X, Xp, cfg)
+            if comp.sv is not None:  # the report's route: X^+ read off the compression
+                assert pencil_full_rank(X, Xp, cfg, (comp.S, comp.sv, comp.Vt)) \
+                    == pencil_full_rank(X, Xp, cfg)
 
     @staticmethod
     def _per_row_signs(X, cfg):
@@ -269,16 +269,25 @@ class TestOneFactorizationPerMatrix:
         assert _count(factorizations["svd"], D.stacked()) == 1
         assert not factorizations["pinv"]
 
-    @pytest.mark.parametrize("full_rank", [False, True], ids=["rank_deficient", "full_rank"])
-    def test_montecarlo_window(self, cfg, factorizations, monkeypatch, full_rank):
-        # one window of the three-tank Monte Carlo factors X_minus once and
-        # [X_minus; U_minus] once, on either branch; image inclusion is read
-        # off the compression, so subspace_contained is never called
+    @pytest.mark.parametrize("full_rank", [False, True], ids=["rank_deficient", "mixed"])
+    def test_montecarlo_scenario(self, cfg, factorizations, monkeypatch, full_rank):
+        # a three-tank Monte Carlo scenario factors its zero-padded X_minus
+        # windows once and its [X_minus; U_minus] windows once for the whole
+        # t_list, whichever branch each window takes, and factors no window
+        # alone; image inclusion is read off the stack's compression, so
+        # subspace_contained is never called. T = 1, 2 are rank deficient in
+        # every scenario; the longer windows are full rank unless the third
+        # tank starts empty
         mc = MonteCarloConfig(system=zoh_discretize(three_tank_model()),
-                              scenarios=10, seed=3)
-        k, D = next((k, D) for k, D in enumerate(montecarlo_windows(mc.seed, mc.scenarios))
-                    if (numerical_rank(D.x_minus, cfg) == D.n) == full_rank)
-        index = k // len(mc.t_list)
+                              scenarios=10, seed=3, t_list=(1, 2, 3, 4, 10, 100))
+        index = next(i for i in range(mc.scenarios)
+                     if (_scenario_trajectory(mc, i).states[0, 2] != 0.0) == full_rank)
+        run = build_data_matrices(_scenario_trajectory(mc, index))
+        ranks = [numerical_rank(run.x_minus[:, :T], cfg) for T in mc.t_list]
+        assert (max(ranks) == run.n) == full_rank and min(ranks) < run.n
+
+        def windows(M):
+            return np.stack([np.where(np.arange(100) < T, M, 0.0) for T in mc.t_list])
         contained = []
 
         def recording(M, *args, _real=subspace_contained):
@@ -287,10 +296,11 @@ class TestOneFactorizationPerMatrix:
         monkeypatch.setattr(ddstab.linalg, "subspace_contained", recording)
         monkeypatch.setattr(ddstab.data, "subspace_contained", recording)
         factorizations["svd"].clear()
-        verdict, = _evaluate_scenario(replace(mc, t_list=(D.T,)), index, cfg)
-        assert (verdict.scenario, verdict.T) == (index, D.T)
-        assert _count(factorizations["svd"], D.x_minus) == 1
-        assert _count(factorizations["svd"], D.stacked()) == 1
+        verdicts = _evaluate_scenario(mc, index, cfg)
+        assert [(v.scenario, v.T) for v in verdicts] == [(index, T) for T in mc.t_list]
+        assert _count(factorizations["svd"], windows(run.x_minus)) == 1
+        assert _count(factorizations["svd"], windows(run.stacked())) == 1
+        assert all(M.ndim == 3 for M in factorizations["svd"])
         assert not contained
         assert not factorizations["pinv"]
 
@@ -544,6 +554,18 @@ class TestStackedKernels:
         for row, c in zip(sv, cut):
             assert _bits(c) == _bits(rank_cutoff(row, (3, 5), cfg))
 
+    def test_rank_cutoff_with_member_column_counts(self, cfg):
+        # zero-padded members are ranked at their own shape, not the padded one
+        rng = np.random.default_rng(64)
+        sv = np.sort(np.abs(rng.normal(size=(8, 3))), axis=1)[:, ::-1].copy()
+        sv[5] = 0.0
+        cols = np.array([1, 2, 3, 4, 7, 9, 2, 30])
+        cut = rank_cutoff(sv, (3, cols), cfg)
+        assert cut.shape == (8,)
+        for row, T, c in zip(sv, cols, cut):
+            assert _bits(c) == _bits(rank_cutoff(row, (3, int(T)), cfg))
+            assert _bits(c) == _bits(rank_cutoff(row[None], (3, int(T)), cfg)[0])
+
 
 def per_eigenvalue_pencil(L, P, cfg) -> bool:
     """Oracle: the rank of L from its SVD, F = P pinv(L), then one eigenvalue
@@ -624,6 +646,55 @@ class TestPencilFullRank:
                 L = np.hstack([np.eye(n), np.zeros((n, m))]) @ mix
                 ok = self.check(np.broadcast_to(L, (12, n, n + m)),
                                 np.concatenate([A, B], axis=-1) @ mix, cfg)
+                assert ok.tolist() == is_stabilizable(A, B, cfg).tolist()
+
+    @staticmethod
+    def padded(M, width):
+        return np.concatenate([M, np.zeros(M.shape[:-1] + (width - M.shape[-1],))], axis=-1)
+
+    def check_padded(self, L, P, cols, cfg):
+        """Members i of (L, P) cut to cols[i] columns and zero-padded back to
+        the common width: each padded verdict is the unpadded member's."""
+        width = L.shape[-1]
+        Lp = np.stack([self.padded(L[i, :, :T], width) for i, T in enumerate(cols)])
+        Pp = np.stack([self.padded(P[i, :, :T], width) for i, T in enumerate(cols)])
+        ok = pencil_full_rank(Lp, Pp, cfg, cols=cols)
+        assert ok.dtype == bool and ok.shape == (len(L),)
+        for i, T in enumerate(cols):
+            assert ok[i] == pencil_full_rank(L[i, :, :T], P[i, :, :T], cfg)
+        # with the padded stack's own thin SVD handed in, as decide_verdicts does
+        U, sv, Vt = np.linalg.svd(Lp, full_matrices=False)
+        factors = (U.transpose(0, 2, 1), sv, Vt)
+        assert ok.tolist() == pencil_full_rank(Lp, Pp, cfg, factors, cols).tolist()
+        return ok
+
+    def test_zero_padded_stacks_match_unpadded_members(self, cfg):
+        rng = np.random.default_rng(68)
+        verdicts = []
+        for n in range(1, 5):
+            for m in (1, 2):
+                width = 3 * (n + m) + 2
+                L, P = self.data(rng, 24, n, m, width, cfg)
+                cols = rng.integers(max(n - 1, 1), width + 1, size=24)
+                verdicts.extend(self.check_padded(L, P, cols, cfg))
+        assert any(verdicts) and not all(verdicts)
+
+    def test_zero_padded_stabilizability_pencils(self, cfg):
+        # ([I 0], [A B]) padded with zero columns: the orthonormal-rows
+        # shortcut no longer applies to the padded L, and the verdict is
+        # still (A, B)'s
+        rng = np.random.default_rng(69)
+        for n in range(1, 5):
+            for m in (1, 2):
+                A, B = TestStackedKernels.stacks(rng, 12, n, m)
+                A[1::2, -1] = 0.0
+                A[1::2, -1, -1] = rng.choice([1.0, -1.5, 0.5], size=6)
+                B[1::2, -1] = 0.0
+                L = np.broadcast_to(np.hstack([np.eye(n), np.zeros((n, m))]), (12, n, n + m))
+                P = np.concatenate([A, B], axis=-1)
+                width = n + m + 3
+                ok = self.check_padded(self.padded(L, width), self.padded(P, width),
+                                       np.full(12, n + m), cfg)
                 assert ok.tolist() == is_stabilizable(A, B, cfg).tolist()
 
     def test_rank_deficient_l_fails(self, cfg):

@@ -288,7 +288,7 @@ class TestCertificateIdentities:
                 continue
             rank_stacked = numerical_rank(ds.D.stacked(), cfg)
             if not (check_image_inclusion(ds.D, cfg)
-                    and input_rank_condition(ds.D, comp, rank_stacked)):
+                    and input_rank_condition(ds.D, comp.r, rank_stacked)):
                 continue
             sol = solve_stab_lmi(ds.D, comp, cfg)
             if not sol.feasible:
@@ -355,7 +355,7 @@ class TestUniqueInputMatrixRecovery:
                 continue
             rank_stacked = numerical_rank(ds.D.stacked(), cfg)
             if not (check_image_inclusion(ds.D, cfg)
-                    and input_rank_condition(ds.D, comp, rank_stacked)):
+                    and input_rank_condition(ds.D, comp.r, rank_stacked)):
                 continue
             B = recover_input_matrix(ds.D, comp, cfg)
             scale = max(1.0, np.abs(ds.true_system.B).max())
