@@ -270,8 +270,7 @@ def cmd_montecarlo(args, settings: dict) -> int:
     system = zoh_discretize(three_tank_model())
     try:
         mc = MonteCarloConfig(system=system, scenarios=args.scenarios,
-                              t_list=tuple(args.T_list), seed=settings["seed"],
-                              workers=args.workers)
+                              t_list=tuple(args.T_list), seed=settings["seed"])
     except ValueError as exc:
         raise DataFormatError(f"invalid Monte Carlo settings: {exc}") from exc
     result = run_monte_carlo(mc, settings["numcfg"])
@@ -384,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", help="informativity rates under random excitation")
     p.add_argument("--scenarios", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--T-list", type=int, nargs="+", default=[3, 4, 5, 10, 100])
     add_options(p, "seed")
     p.set_defaults(func=cmd_montecarlo)

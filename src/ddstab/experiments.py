@@ -2,9 +2,8 @@
 from __future__ import annotations
 
 import numbers
-import os
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product
 
 import numpy as np
 
@@ -46,6 +45,25 @@ class ThreeTankParams:
             raise ValueError("areas and flow coefficients must be positive")
 
 
+def _simulate_runs(system: LtiSystem, x0: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """The states (T+1, N, n) of N runs from ``x0`` (N, n) under ``inputs`` (T, N, m).
+
+    Every B u(t), then each step's A x(t) of all runs, is one stacked product
+    whose members round as each product alone (A x(t) is one gemv per run:
+    ``A.dot`` of a lone run's (n, 1) state, the cheaper call, or ``A @`` of a
+    stack), so a run's bytes do not depend on the runs simulated with it.
+    """
+    states = np.empty((len(inputs) + 1, *x0.shape, 1))
+    states[0, ..., 0] = x0
+    states[1:] = system.B @ inputs[..., None]
+    single = len(x0) == 1
+    steps = list(states[:, 0] if single else states)  # views into states
+    step = system.A.dot if single else system.A.__matmul__
+    for x, x_next in zip(steps, steps[1:]):
+        x_next += step(x)
+    return states[..., 0]
+
+
 def simulate(system: LtiSystem, x0: np.ndarray, inputs: np.ndarray) -> TrajectoryData:
     """Iterate x(t+1) = A x(t) + B u(t) over the given input sequence.
 
@@ -60,15 +78,7 @@ def simulate(system: LtiSystem, x0: np.ndarray, inputs: np.ndarray) -> Trajector
         raise ValueError(f"inputs must have shape (T, {system.m})"
                          + (" or (T,)" if system.m == 1 else "")
                          + f", got {inputs.shape}")
-    states = np.empty((len(inputs) + 1, system.n))
-    states[0] = x0
-    # every step's B u(t) in one stacked product, which rounds as
-    # B @ inputs[t]; each step then adds A x(t) onto its row in place
-    states[1:] = (system.B @ inputs[:, :, None])[:, :, 0]
-    rows = list(states)  # views, so each step writes into states
-    step = system.A.dot
-    for x, x_next in zip(rows, rows[1:]):
-        x_next += step(x)
+    states = _simulate_runs(system, x0[None], inputs[:, None])[:, 0]
     return TrajectoryData(inputs=inputs, states=states)
 
 
@@ -111,7 +121,7 @@ class MonteCarloConfig:
     t_list: tuple[int, ...] = (3, 4, 5, 10, 100)
     poisson_lambda: float = 1.0
     seed: int = 3
-    workers: int = 1
+    workers: int = 1  # one process decides every scenario; kept for callers passing 1
 
     def __post_init__(self):
         for name in ("scenarios", "horizon", "seed", "workers"):
@@ -121,8 +131,8 @@ class MonteCarloConfig:
             raise ValueError(f"every T must be an integer, got t_list={self.t_list!r}")
         if self.scenarios < 1:
             raise ValueError("scenarios must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.workers != 1:
+            raise ValueError("workers must be 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         lam = self.poisson_lambda
@@ -176,74 +186,64 @@ class MonteCarloResult:
         return out
 
 
-def _scenario_trajectory(mc: MonteCarloConfig, index: int) -> TrajectoryData:
+def _scenario_draws(mc: MonteCarloConfig, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The initial state (n,) and the whole input sequence (horizon, m) of
+    scenario ``index``."""
     # per-scenario counter-based stream: bitwise reproducible regardless of
     # scheduling; x0 entries are drawn first, then the whole input sequence
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((mc.seed, index))))
     n, m = mc.system.n, mc.system.m
-    x0 = rng.poisson(mc.poisson_lambda, size=n).astype(float)
-    inputs = rng.poisson(mc.poisson_lambda, size=(mc.horizon, m)).astype(float)
-    return simulate(mc.system, x0, inputs)
+    return (rng.poisson(mc.poisson_lambda, size=n).astype(float),
+            rng.poisson(mc.poisson_lambda, size=(mc.horizon, m)).astype(float))
 
 
-def _evaluate_scenario(mc: MonteCarloConfig, index: int,
-                       cfg: NumericalConfig) -> list[ScenarioVerdict]:
-    """The verdicts of every window of scenario ``index``, in ``mc.t_list`` order.
+SCENARIO_CHUNK = 64  # scenarios whose windows are decided in one stacked pass
 
-    Window T is the first T columns of the run's data matrices. The windows
-    are zero-padded to the longest T and decided in one stacked pass by
-    ``decide_verdicts``, each at its own T; no per-window report is built.
+
+def _evaluate_scenarios(mc: MonteCarloConfig, indices: range | list[int],
+                        cfg: NumericalConfig) -> list[ScenarioVerdict]:
+    """The verdicts of every window of the scenarios ``indices``, in scenario
+    then ``mc.t_list`` order.
+
+    The runs are simulated as one stack up to the longest T, which is all a
+    window reads (each stream still draws every input, so keeps its bytes).
+    Window T is the first T columns of its run's data matrices; all windows
+    are zero-padded to the longest T and decided in one ``decide_verdicts``
+    pass, each at its own T and alone, as in a chunk of one.
     """
-    run = build_data_matrices(_scenario_trajectory(mc, index))
-    cols = np.array(mc.t_list)
-    width = int(cols.max())
-    kept = np.arange(width) < cols[:, None, None]
-    windows = DataMatrices(*(np.where(kept, M[:, :width], 0.0)
-                             for M in (run.u_minus, run.x_minus, run.x_plus)))
-    verdicts = decide_verdicts(windows, cfg, cols)
+    width = max(mc.t_list)
+    x0, inputs = map(np.array, zip(*(_scenario_draws(mc, index) for index in indices)))
+    inputs = inputs[:, :width]
+    states = _simulate_runs(mc.system, x0, inputs.transpose(1, 0, 2))
+    states = np.ascontiguousarray(states.transpose(1, 2, 0))  # (N, n, T+1), rows contiguous
+    kept = np.arange(width) < np.array(mc.t_list)[:, None, None]
+
+    def windows(M: np.ndarray) -> np.ndarray:
+        return np.where(kept, M[:, None], 0.0).reshape(-1, *M.shape[1:])
+    runs = (inputs.transpose(0, 2, 1), states[..., :-1], states[..., 1:])
+    verdicts = decide_verdicts(DataMatrices(*map(windows, runs)), cfg,
+                               np.array(mc.t_list * len(indices)))
     return [ScenarioVerdict(scenario=index, T=T, identification=ident,
                             stabilization=plain, stabilization_stabilizability_prior=prior)
-            for T, ident, plain, prior in zip(
-                mc.t_list, verdicts.identification.tolist(), verdicts.stabilization.tolist(),
+            for (index, T), ident, plain, prior in zip(
+                product(indices, mc.t_list), verdicts.identification.tolist(),
+                verdicts.stabilization.tolist(),
                 verdicts.stabilization_stabilizability_prior.tolist())]
-
-
-_BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_monte_carlo(mc: MonteCarloConfig,
                     cfg: NumericalConfig = DEFAULT_CONFIG) -> MonteCarloResult:
     """Informativity rates over randomly excited runs of ``mc.system``.
 
-    Deterministic given ``mc.seed``; scenarios are independent, so workers
-    only change wall time, never the result (aggregation is ordered by
-    scenario index).
+    Deterministic given ``mc.seed``. The scenarios are decided in chunks of
+    ``SCENARIO_CHUNK`` in this process; the chunking changes the wall time,
+    never the result.
     """
-    jobs = (repeat(mc), range(mc.scenarios), repeat(cfg))
-    if mc.workers == 1:
-        outcomes = list(map(_evaluate_scenario, *jobs))
-    else:
-        # imported here: a serial run never loads the process pool
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # spawn, not fork: forked children can inherit held BLAS locks. The
-        # children share the cores, so each starts its BLAS with one thread:
-        # they read these variables from os.environ at spawn
-        ctx = multiprocessing.get_context("spawn")
-        saved = {key: os.environ.get(key) for key in _BLAS_THREAD_VARIABLES}
-        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
-        try:
-            with ProcessPoolExecutor(max_workers=mc.workers, mp_context=ctx) as pool:
-                outcomes = list(pool.map(_evaluate_scenario, *jobs, chunksize=16))
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    del os.environ[key]
-                else:
-                    os.environ[key] = value
-    return MonteCarloResult(config=mc,
-                            verdicts=[v for verdicts in outcomes for v in verdicts],
-                            solver_failures=0)
+    verdicts: list[ScenarioVerdict] = []
+    for start in range(0, mc.scenarios, SCENARIO_CHUNK):
+        verdicts += _evaluate_scenarios(
+            mc, range(start, min(start + SCENARIO_CHUNK, mc.scenarios)), cfg)
+    return MonteCarloResult(config=mc, verdicts=verdicts, solver_failures=0)
 
 
 # ---------------------------------------------------------------------------

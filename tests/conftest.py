@@ -99,15 +99,22 @@ def three_tank_compressed():
     return D, row_compress(D.x_minus, D.x_plus, NumericalConfig())
 
 
+def scenario_trajectory(mc, index: int) -> TrajectoryData:
+    """Monte Carlo scenario ``index`` of ``mc`` simulated alone over the whole
+    horizon, step by step: the reference for the stacked, shortened runs
+    that ``run_monte_carlo`` decides."""
+    from ddstab.experiments import _scenario_draws
+    return simulate(mc.system, *_scenario_draws(mc, index))
+
+
 def montecarlo_windows(seed: int, scenarios: int):
     """The data of every window (T in the default list) of the first
     ``scenarios`` three-tank Monte Carlo runs at ``seed``."""
-    from ddstab.experiments import (MonteCarloConfig, _scenario_trajectory,
-                                    three_tank_model, zoh_discretize)
+    from ddstab.experiments import MonteCarloConfig, three_tank_model, zoh_discretize
     mc = MonteCarloConfig(system=zoh_discretize(three_tank_model()),
                           scenarios=scenarios, seed=seed)
     for index in range(scenarios):
-        traj = _scenario_trajectory(mc, index)
+        traj = scenario_trajectory(mc, index)
         for T in mc.t_list:
             yield build_data_matrices(TrajectoryData(inputs=traj.inputs[:T],
                                                      states=traj.states[:T + 1]))

@@ -1,17 +1,20 @@
-import os
-
 import numpy as np
 import pytest
+
+import ddstab.experiments
 
 from ddstab import (ContinuousSystem, LtiSystem, MonteCarloConfig, ThreeTankParams,
                     build_data_matrices, check_identification, is_schur,
                     numerical_rank, run_monte_carlo, simulate, spectral_radius,
                     three_tank_model, zoh_discretize)
-from ddstab.data import consistency_residual, consistent_set
-from ddstab.experiments import (THREE_TANK_INPUTS, THREE_TANK_X0, demo_example1,
-                                demo_example2, demo_three_tank, example1_trajectory)
+from ddstab.data import TrajectoryData, consistency_residual, consistent_set
+from ddstab.experiments import (SCENARIO_CHUNK, THREE_TANK_INPUTS, THREE_TANK_X0,
+                                _evaluate_scenarios, demo_example1, demo_example2,
+                                demo_three_tank, example1_trajectory)
+from ddstab.informativity import check_stabilizability_prior
 
-from conftest import THREE_TANK_A_REF, THREE_TANK_B_REF, THREE_TANK_TRAJ_REF
+from conftest import (THREE_TANK_A_REF, THREE_TANK_B_REF, THREE_TANK_TRAJ_REF,
+                      scenario_trajectory)
 
 
 class TestSimulate:
@@ -139,16 +142,38 @@ class TestMonteCarlo:
         r2 = run_monte_carlo(self._config(scenarios=5), cfg)
         assert r1.verdicts == r2.verdicts
 
-    def test_workers_do_not_change_result(self, cfg, monkeypatch):
-        serial = run_monte_carlo(self._config(scenarios=8), cfg)
-        # the pool sets one BLAS thread per child while it lives, then puts
-        # back what the parent had, set or not
-        monkeypatch.setenv("OMP_NUM_THREADS", "2")
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        environ = dict(os.environ)
-        parallel = run_monte_carlo(self._config(scenarios=8, workers=2), cfg)
-        assert dict(os.environ) == environ
-        assert serial.verdicts == parallel.verdicts
+    def test_chunks_decide_as_scenarios_alone(self, cfg):
+        # two whole chunks and a partial one
+        mc = self._config(scenarios=2 * SCENARIO_CHUNK + 3)
+        alone = [v for index in range(mc.scenarios)
+                 for v in _evaluate_scenarios(mc, [index], cfg)]
+        assert run_monte_carlo(mc, cfg).verdicts == alone
+
+    def test_runs_stop_at_longest_window(self, cfg, monkeypatch):
+        # every input is still drawn, so each run is a byte-equal prefix of
+        # its scenario simulated alone over the whole horizon, and each window
+        # keeps the verdict of its unpadded report
+        mc = self._config(scenarios=20, t_list=(1, 2, 3))
+        alone = [scenario_trajectory(mc, index) for index in range(mc.scenarios)]
+        simulated = []
+
+        def recording(*args, _real=ddstab.experiments._simulate_runs):
+            simulated.append(_real(*args))
+            return simulated[-1]
+        monkeypatch.setattr(ddstab.experiments, "_simulate_runs", recording)
+        verdicts = run_monte_carlo(mc, cfg).verdicts
+        states, = simulated
+        assert states.shape == (4, mc.scenarios, 3)
+        for index, traj in enumerate(alone):
+            assert states[:, index].tobytes() == traj.states[:4].tobytes()
+        for v in verdicts:
+            traj = alone[v.scenario]
+            report = check_stabilizability_prior(build_data_matrices(TrajectoryData(
+                inputs=traj.inputs[:v.T], states=traj.states[:v.T + 1])), cfg)
+            assert (v.identification, v.stabilization,
+                    v.stabilization_stabilizability_prior) == (
+                report.identification, report.stabilization,
+                report.stabilization_stabilizability_prior)
 
     def test_t3_identification_structurally_zero(self, cfg):
         result = run_monte_carlo(self._config(), cfg)
@@ -192,9 +217,9 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="scenarios"):
             self._config(scenarios=scenarios)
 
-    @pytest.mark.parametrize("workers", [0, -4])
+    @pytest.mark.parametrize("workers", [0, -4, 2])
     def test_no_workers_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(ValueError, match="workers must be 1"):
             self._config(workers=workers)
 
     @pytest.mark.parametrize("seed", [-1, -(2 ** 70)])

@@ -15,14 +15,14 @@ from ddstab import (DataMatrices, LtiSystem, NumericalConfig, PreconditionError,
                     run_monte_carlo, simulate, solve_plain_lmi, verify_gain,
                     synthesize, synthesize_stab)
 from ddstab.data import image_inclusion_residual
-from ddstab.experiments import (MonteCarloConfig, _evaluate_scenario,
-                                _scenario_trajectory, three_tank_model, zoh_discretize)
+from ddstab.experiments import (MonteCarloConfig, _evaluate_scenarios, three_tank_model,
+                                zoh_discretize)
 from ddstab.informativity import Branch, decide_verdicts
 from ddstab.linalg import pencil_full_rank
 from ddstab.sdp import BarrierBackend
 from ddstab.synthesis import FeedbackGain, GainProvenance, lmi_problem, sdp_solve
 
-from conftest import montecarlo_windows, random_dataset, scalar_full_rank
+from conftest import montecarlo_windows, random_dataset, scalar_full_rank, scenario_trajectory
 
 
 def corrupted_example1():
@@ -267,8 +267,8 @@ class TestStackedWindows:
         return verdicts
 
     def _scenarios(self, mc, cfg, monkeypatch):
-        """Run _evaluate_scenario on every scenario of ``mc``; check the
-        stacks it decides are its windows zero-padded, and its verdicts."""
+        """Decide every scenario of ``mc`` as a chunk of one; check the stack
+        decided is its windows zero-padded, and its verdicts."""
         decided = []
 
         def recording(D, cfg, cols, _real=decide_verdicts):
@@ -277,11 +277,11 @@ class TestStackedWindows:
         monkeypatch.setattr(ddstab.experiments, "decide_verdicts", recording)
         seen = set()
         for index in range(mc.scenarios):
-            traj = _scenario_trajectory(mc, index)
+            traj = scenario_trajectory(mc, index)
             windows = [build_data_matrices(TrajectoryData(inputs=traj.inputs[:T],
                                                           states=traj.states[:T + 1]))
                        for T in mc.t_list]
-            rows = _evaluate_scenario(mc, index, cfg)
+            rows = _evaluate_scenarios(mc, [index], cfg)
             stack, cols, verdicts = decided.pop()
             padded, _ = _padded(windows)
             assert cols.tolist() == list(mc.t_list)

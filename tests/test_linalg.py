@@ -10,12 +10,12 @@ from ddstab import (LtiSystem, MonteCarloConfig, build_data_matrices,
                     check_stabilizability_prior, consistent_set, reachable_part,
                     sdp_solve, simulate, solve_plain_lmi, three_tank_model,
                     zoh_discretize)
-from ddstab.experiments import _evaluate_scenario, _scenario_trajectory
+from ddstab.experiments import _evaluate_scenarios
 from ddstab.linalg import controllability_matrix, rank_cutoff
 from ddstab.synthesis import LmiFeasibilityProblem
 
 from conftest import (THREE_TANK_A_REF, THREE_TANK_B_REF, THREE_TANK_K_REF,
-                      example1_matrices)
+                      example1_matrices, scenario_trajectory)
 
 
 class TestNumericalRank:
@@ -269,25 +269,26 @@ class TestOneFactorizationPerMatrix:
         assert _count(factorizations["svd"], D.stacked()) == 1
         assert not factorizations["pinv"]
 
-    @pytest.mark.parametrize("full_rank", [False, True], ids=["rank_deficient", "mixed"])
-    def test_montecarlo_scenario(self, cfg, factorizations, monkeypatch, full_rank):
-        # a three-tank Monte Carlo scenario factors its zero-padded X_minus
-        # windows once and its [X_minus; U_minus] windows once for the whole
-        # t_list, whichever branch each window takes, and factors no window
-        # alone; image inclusion is read off the stack's compression, so
+    @pytest.mark.parametrize("kind", ["rank_deficient", "mixed", "chunk"])
+    def test_montecarlo_scenario(self, cfg, factorizations, monkeypatch, kind):
+        # a chunk of three-tank Monte Carlo scenarios factors the zero-padded
+        # X_minus windows of all its scenarios once and their [X_minus; U_minus]
+        # windows once, whichever branch each window takes, and factors no
+        # window alone; image inclusion is read off the stack's compression, so
         # subspace_contained is never called. T = 1, 2 are rank deficient in
         # every scenario; the longer windows are full rank unless the third
         # tank starts empty
         mc = MonteCarloConfig(system=zoh_discretize(three_tank_model()),
                               scenarios=10, seed=3, t_list=(1, 2, 3, 4, 10, 100))
-        index = next(i for i in range(mc.scenarios)
-                     if (_scenario_trajectory(mc, i).states[0, 2] != 0.0) == full_rank)
-        run = build_data_matrices(_scenario_trajectory(mc, index))
-        ranks = [numerical_rank(run.x_minus[:, :T], cfg) for T in mc.t_list]
-        assert (max(ranks) == run.n) == full_rank and min(ranks) < run.n
+        runs = [build_data_matrices(scenario_trajectory(mc, i)) for i in range(mc.scenarios)]
+        full_rank = [numerical_rank(run.x_minus, cfg) == run.n for run in runs]
+        assert set(full_rank) == {False, True}
+        indices = {"rank_deficient": [full_rank.index(False)],
+                   "mixed": [full_rank.index(True)], "chunk": range(mc.scenarios)}[kind]
 
-        def windows(M):
-            return np.stack([np.where(np.arange(100) < T, M, 0.0) for T in mc.t_list])
+        def windows(matrices):
+            return np.stack([np.where(np.arange(100) < T, M, 0.0)
+                             for M in matrices for T in mc.t_list])
         contained = []
 
         def recording(M, *args, _real=subspace_contained):
@@ -296,10 +297,11 @@ class TestOneFactorizationPerMatrix:
         monkeypatch.setattr(ddstab.linalg, "subspace_contained", recording)
         monkeypatch.setattr(ddstab.data, "subspace_contained", recording)
         factorizations["svd"].clear()
-        verdicts = _evaluate_scenario(mc, index, cfg)
-        assert [(v.scenario, v.T) for v in verdicts] == [(index, T) for T in mc.t_list]
-        assert _count(factorizations["svd"], windows(run.x_minus)) == 1
-        assert _count(factorizations["svd"], windows(run.stacked())) == 1
+        verdicts = _evaluate_scenarios(mc, indices, cfg)
+        assert [(v.scenario, v.T) for v in verdicts] == [(i, T) for i in indices
+                                                          for T in mc.t_list]
+        assert _count(factorizations["svd"], windows(runs[i].x_minus for i in indices)) == 1
+        assert _count(factorizations["svd"], windows(runs[i].stacked() for i in indices)) == 1
         assert all(M.ndim == 3 for M in factorizations["svd"])
         assert not contained
         assert not factorizations["pinv"]

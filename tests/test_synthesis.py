@@ -14,7 +14,8 @@ from ddstab.sdp import BarrierBackend
 from ddstab.synthesis import LmiFeasibilityProblem, lmi_problem, problem_to_json
 
 from conftest import (barrier_slack, random_dataset, reference_coefficients, scalar_full_rank,
-                      scalar_near_margin, three_tank_compressed, zero_point_solve)
+                      scalar_near_margin, scenario_trajectory, three_tank_compressed,
+                      zero_point_solve)
 
 
 def identity_compression_example1() -> RowCompression:
@@ -184,17 +185,17 @@ class TestNoNewtonStall:
         # steps in one solve when the rounding no-op was retaken; the verdict
         # no longer solves, so the window's plain LMI is solved here
         from ddstab.experiments import (MonteCarloConfig, ScenarioVerdict,
-                                        _evaluate_scenario, _scenario_trajectory,
-                                        three_tank_model, zoh_discretize)
+                                        _evaluate_scenarios, three_tank_model,
+                                        zoh_discretize)
         from ddstab.sdp import MAX_NEWTON
         mc = MonteCarloConfig(system=zoh_discretize(three_tank_model()),
                               scenarios=5, t_list=(3,))
-        traj = _scenario_trajectory(mc, 4)
+        traj = scenario_trajectory(mc, 4)
         window = build_data_matrices(TrajectoryData(inputs=traj.inputs[:3],
                                                     states=traj.states[:4]))
         assert not solve_plain_lmi(window, cfg).feasible
         assert 0 < len(newton_steps) < MAX_NEWTON
-        verdicts = _evaluate_scenario(mc, 4, cfg)
+        verdicts = _evaluate_scenarios(mc, [4], cfg)
         assert verdicts == [ScenarioVerdict(scenario=4, T=3, identification=False,
                                             stabilization=False,
                                             stabilization_stabilizability_prior=False)]
