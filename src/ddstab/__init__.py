@@ -11,8 +11,7 @@ from .experiments import (ContinuousSystem, MonteCarloConfig, MonteCarloResult,
                           ThreeTankParams, run_monte_carlo, simulate,
                           three_tank_model, zoh_discretize)
 from .informativity import (InformativityReport, check_controllability_prior,
-                            check_identification, check_stabilizability_prior,
-                            necessary_conditions_report)
+                            check_identification, check_stabilizability_prior)
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      is_controllable, is_schur, is_stabilizable,
                      matrix_exponential, numerical_rank, pencil_full_rank,

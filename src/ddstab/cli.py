@@ -294,8 +294,6 @@ def cmd_montecarlo(args, settings: dict) -> int:
         print(f"T={T}: ident {row['identification_pct']:.1f}%  "
               f"plain {row['stabilization_pct']:.1f}%  "
               f"stab-prior {row['stabilizability_prior_pct']:.1f}%")
-    if result.solver_failures:
-        print(f"solver failures: {result.solver_failures}")
     return EXIT_OK
 
 

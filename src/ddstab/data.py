@@ -176,17 +176,14 @@ class Branch(enum.Enum):
 
 
 def image_inclusion_residual(D: DataMatrices, S: np.ndarray,
-                             r: int | np.ndarray) -> float | np.ndarray:
-    """||S[r:] X_plus||_2: the part of X_plus outside col(X_minus), whose
-    complement S[r:] spans at the rank cutoff of the compression S.
+                             r: np.ndarray) -> np.ndarray:
+    """||S[r:] X_plus||_2 of each member of a stack of N datasets, with
+    (N, n, n) compressions S and (N,) ranks r: the part of X_plus outside
+    col(X_minus), whose complement S[r:] spans at the rank cutoff of S.
 
-    A stack of N datasets, with (N, n, n) compressions and (N,) ranks, gives
-    the N residuals from one values-only SVD per rank below n that occurs;
-    a member of rank n has residual 0.
+    One values-only SVD per rank below n that occurs; a member of rank n has
+    residual 0.
     """
-    if D.x_plus.ndim == 2:
-        return 0.0 if r == D.n else \
-            float(np.linalg.svd(S[r:] @ D.x_plus, compute_uv=False)[0])
     residual = np.zeros(len(r))
     for rank in set(r[r < D.n].tolist()):
         idx = np.flatnonzero(r == rank)
@@ -195,28 +192,21 @@ def image_inclusion_residual(D: DataMatrices, S: np.ndarray,
 
 
 def check_image_inclusion(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
-                          residual: float | np.ndarray | None = None) -> bool | np.ndarray:
+                          residual: np.ndarray | None = None) -> bool | np.ndarray:
     """col(X_plus) inside col(X_minus).
 
-    Without ``residual`` this is ``subspace_contained(X_plus, X_minus)``,
-    which factors X_minus. A caller that holds a compression S of X_minus
-    passes ``residual = image_inclusion_residual(D, S, r)`` instead, and the
-    condition is read off it: ``residual <= subspace_tol * max(1,
-    ||X_plus||_2)``; a stack of datasets with one residual each gets one
-    verdict each. Both routes call an all-zero X_plus contained, and a
-    nonzero one not contained in an all-zero X_minus.
+    Without ``residual`` this is ``subspace_contained(X_plus, X_minus)`` on
+    one dataset, which factors X_minus. A caller that holds compressions S of
+    a stack of datasets passes ``residual = image_inclusion_residual(D, S,
+    r)`` instead, and each member's verdict is read off its residual:
+    ``residual <= subspace_tol * max(1, ||X_plus||_2)``. Both routes call an
+    all-zero X_plus contained, and a nonzero one not contained in an all-zero
+    X_minus.
     """
     if residual is None:
         return subspace_contained(D.x_plus, D.x_minus, cfg)
     # tol * max(1, ||X_plus||) is max(tol, tol * ||X_plus||) exactly, so the
     # norm of X_plus is taken only where the residual exceeds tol itself
-    if D.x_plus.ndim == 2:
-        if not D.x_plus.any():
-            return True
-        if not D.x_minus.any():
-            return False
-        return residual <= cfg.subspace_tol or \
-            residual <= cfg.subspace_tol * float(np.linalg.svd(D.x_plus, compute_uv=False)[0])
     minus_nonzero = D.x_minus.any(axis=(1, 2))
     ok = ~D.x_plus.any(axis=(1, 2)) | (minus_nonzero & (residual <= cfg.subspace_tol))
     wide = np.flatnonzero(~ok & minus_nonzero)

@@ -21,20 +21,16 @@ eigenvalue on or outside the margin (van Waarde et al., 2020). Nothing here
 solves an LMI; ``synthesis.synthesize`` takes the report, refuses the data
 its stabilizability-prior verdict rejects, and solves only for the Theta of
 the gain.
-``decide_verdicts`` calls those owners for every verdict, on one dataset or
-on a stack of datasets zero-padded to one T, each at its own shape:
-  * one dataset (``check_stabilizability_prior``): ``row_compress`` factors
-    X_minus once in 2-D and the report keeps that compression for the gain
-    step; the pencil reads X_minus^+ off its SVD, image inclusion reads the
-    residual ||S[r:] X_plus||_2 off its S (taken once, also reported), and
-    [X_minus; U_minus] is ranked once;
-  * a stack (the Monte Carlo windows of one run): one economy SVD of the
-    X_minus stack gives every rank, X_minus^+ and S, one values-only SVD of
-    the regressor stack every rank of [X_minus; U_minus], and the pencil and
-    residual SVDs are stacked too; no per-window compression or report is
-    built.
-Only callers without a compression, as ``require_prior_conditions``, decide
-image inclusion through ``linalg.subspace_contained``.
+``decide_verdicts`` calls those owners for every verdict on a stack of
+datasets zero-padded to one T, each at its own shape: one economy SVD of the
+X_minus stack gives every rank, X_minus^+ and S, one values-only SVD of the
+regressor stack every rank of [X_minus; U_minus], and the pencil and residual
+SVDs are stacked too. The Monte Carlo windows of a run are such a stack; the
+report (``check_stabilizability_prior``) decides its one dataset as a stack
+of one, from the ``row_compress`` compression it keeps for the gain step, and
+also reports the residual ||S[r:] X_plus||_2 that image inclusion is read
+off. Only callers without a compression, as ``require_prior_conditions``,
+decide image inclusion through ``linalg.subspace_contained``.
 """
 from __future__ import annotations
 
@@ -42,10 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (Branch, DataMatrices, check_image_inclusion, consistent_set,
-                   image_inclusion_residual, input_rank_condition, sample_consistent)
+from .data import (Branch, DataMatrices, check_image_inclusion, image_inclusion_residual,
+                   input_rank_condition)
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression, numerical_rank,
-                     pencil_full_rank, rank_cutoff, row_compress, subspace_contained)
+                     pencil_full_rank, rank_cutoff, row_compress)
 
 
 @dataclass(frozen=True)
@@ -94,27 +90,27 @@ def _rank_margin_diagnostics(sv: np.ndarray | None, shape, cfg: NumericalConfig)
 
 @dataclass(frozen=True)
 class Verdicts:
-    """The verdicts of one dataset, or arrays of one entry per member of a
-    stack; the controllability-prior verdict is ``stabilization``, and rank n
-    of X_minus names the full-rank branch. ``image_inclusion_residual`` is 0
-    on that branch."""
+    """The verdicts of a stack of datasets, one array entry per member; the
+    controllability-prior verdict is ``stabilization``, and rank n of X_minus
+    names the full-rank branch. ``image_inclusion_residual`` is 0 on that
+    branch."""
 
-    rank_x_minus: int | np.ndarray
-    rank_stacked: int | np.ndarray
-    identification: bool | np.ndarray
-    stabilization: bool | np.ndarray
-    stabilization_stabilizability_prior: bool | np.ndarray
-    image_inclusion: bool | np.ndarray
-    input_rank_condition: bool | np.ndarray
-    image_inclusion_residual: float | np.ndarray
+    rank_x_minus: np.ndarray
+    rank_stacked: np.ndarray
+    identification: np.ndarray
+    stabilization: np.ndarray
+    stabilization_stabilizability_prior: np.ndarray
+    image_inclusion: np.ndarray
+    input_rank_condition: np.ndarray
+    image_inclusion_residual: np.ndarray
 
 
 def decide_verdicts(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
                     cols: np.ndarray | None = None,
                     comp: RowCompression | None = None) -> Verdicts:
-    """Decide one dataset, given its ``comp = row_compress(X_minus, X_plus,
-    cfg)``, or an (N, ., T) stack of datasets zero-padded to one T whose own
-    column counts are ``cols``.
+    """Decide an (N, ., T) stack of datasets zero-padded to one T whose own
+    column counts are ``cols``, or one dataset, given its ``comp =
+    row_compress(X_minus, X_plus, cfg)``, as a stack of one.
 
     Zero columns change no rank and no column space, and leave F = X_plus
     X_minus^+ and every pencil rank as they are; every cutoff is taken at the
@@ -122,8 +118,8 @@ def decide_verdicts(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
     economy SVD of X_minus, one values-only SVD of [X_minus; U_minus], one
     stacked pencil test over the full-rank members, reading X_minus^+ off
     that SVD, and one values-only SVD of S[r:] X_plus per rank of the
-    rank-deficient members. One dataset takes the same steps on its
-    compression, through each owner's 2-D route.
+    rank-deficient members. A stack of one reads its S, rank and SVD off
+    ``comp`` instead of taking another.
     """
     n = D.n
     if comp is None:
@@ -131,11 +127,13 @@ def decide_verdicts(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
         S = U.transpose(0, 2, 1)
         r = (sv > rank_cutoff(sv, (n, D.T if cols is None else cols), cfg)[:, None]).sum(axis=1)
     else:
-        S, r, sv, Vt = comp.S, comp.r, comp.sv, comp.Vt
+        D = DataMatrices(D.u_minus[None], D.x_minus[None], D.x_plus[None])
+        S, r = comp.S[None], np.array([comp.r])
+        # a zero X_minus has no SVD, and at rank 0 never reaches the pencil
+        sv, Vt = (None, None) if comp.sv is None else (comp.sv[None], comp.Vt[None])
     rank_stacked = numerical_rank(D.stacked(), cfg, cols)
     full = r == n
-    # without a full-rank member there is nothing to test (and a zero X_minus
-    # has no SVD in its compression)
+    # without a full-rank member there is nothing to test
     plain = pencil_full_rank(D.x_minus, D.x_plus, cfg, (S, sv, Vt), cols) \
         if np.count_nonzero(full) else full
     residual = image_inclusion_residual(D, S, r)
@@ -155,56 +153,30 @@ def check_stabilizability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_
     """Full report with the stabilizability-prior verdict and its ingredients.
 
     Verdicts presume the generating system actually satisfies the assumed
-    prior knowledge, as prior knowledge must.
+    prior knowledge, as prior knowledge must. Every field is a Python
+    ``bool``, ``int`` or ``float``, so the report serializes as JSON.
     """
     comp = row_compress(D.x_minus, D.x_plus, cfg)
     branch = Branch.of(D, comp)
     verdicts = decide_verdicts(D, cfg, comp=comp)
+    stabilization = bool(verdicts.stabilization[0])
     diagnostics: dict = {
         "n": D.n, "m": D.m, "T": D.T,
-        "rank_stacked": verdicts.rank_stacked,
+        "rank_stacked": int(verdicts.rank_stacked[0]),
         "x_minus_rank_margin": _rank_margin_diagnostics(comp.sv, D.x_minus.shape, cfg),
     }
     if branch is Branch.RANK_DEFICIENT:
-        diagnostics["image_inclusion_residual"] = verdicts.image_inclusion_residual
+        diagnostics["image_inclusion_residual"] = float(verdicts.image_inclusion_residual[0])
     return InformativityReport(
         rank_x_minus=comp.r,
-        identification=verdicts.identification,
-        stabilization=verdicts.stabilization,
-        stabilization_controllability_prior=verdicts.stabilization,
+        identification=bool(verdicts.identification[0]),
+        stabilization=stabilization,
+        stabilization_controllability_prior=stabilization,
         stabilization_stabilizability_prior=bool(
-            verdicts.stabilization_stabilizability_prior),
+            verdicts.stabilization_stabilizability_prior[0]),
         branch=branch,
-        image_inclusion=verdicts.image_inclusion,
-        input_rank_condition=verdicts.input_rank_condition,
+        image_inclusion=bool(verdicts.image_inclusion[0]),
+        input_rank_condition=bool(verdicts.input_rank_condition[0]),
         compression=comp,
         diagnostics=diagnostics,
     )
-
-
-def necessary_conditions_report(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
-                                n_samples: int = 10, seed: int = 0) -> dict:
-    """Structural conditions any stabilizability-prior-informative dataset obeys.
-
-    Checks the image inclusion and input-rank conditions, then invariance of
-    col(X_minus) under A and containment of col(B), on the minimum-norm
-    member and on ``n_samples`` random consistent members.
-    """
-    comp = row_compress(D.x_minus, D.x_plus, cfg)
-    cs = consistent_set(D, cfg)
-    rng = np.random.default_rng(seed)
-    members = [cs.particular]
-    for _ in range(n_samples):
-        member = sample_consistent(cs, rng.normal(size=(D.n, cs.d)))
-        members.append(member)
-    invariance = [bool(subspace_contained(mem.A @ D.x_minus, D.x_minus, cfg))
-                  for mem in members]
-    containment = [bool(subspace_contained(mem.B, D.x_minus, cfg)) for mem in members]
-    return {
-        "image_inclusion": check_image_inclusion(D, cfg),
-        "input_rank_condition": input_rank_condition(
-            D, comp.r, numerical_rank(D.stacked(), cfg)),
-        "x_minus_invariant_under_A": invariance,
-        "x_minus_contains_B_image": containment,
-        "members_checked": len(members),
-    }

@@ -214,7 +214,11 @@ def factorizations(monkeypatch):
 
 
 def _count(calls, M):
-    return sum(C.shape == M.shape and np.array_equal(C, M) for C in calls)
+    """How many of ``calls`` factored M, a stack of one counting as its matrix."""
+    def squeeze(A):
+        return A[0] if A.ndim == 3 and len(A) == 1 else A
+    M = squeeze(M)
+    return sum(C.shape == M.shape and C.tobytes() == M.tobytes() for C in map(squeeze, calls))
 
 
 class TestOneFactorizationPerMatrix:
