@@ -2,16 +2,16 @@
 
 __version__ = "0.1.0"
 
-from .data import (Branch, ConsistentSet, DataMatrices, LtiSystem, TrajectoryData,
-                   build_data_matrices, check_image_inclusion, consistent_set,
-                   input_rank_condition, load_trajectory, reachable_part,
-                   recover_input_matrix, sample_consistent)
+from .data import (ConsistentSet, DataMatrices, LtiSystem, TrajectoryData,
+                   build_data_matrices, consistent_set, load_trajectory,
+                   reachable_part, recover_input_matrix, sample_consistent)
 from .errors import DataFormatError, PreconditionError, SolverFailure
 from .experiments import (ContinuousSystem, MonteCarloConfig, MonteCarloResult,
                           ThreeTankParams, run_monte_carlo, simulate,
                           three_tank_model, zoh_discretize)
-from .informativity import (InformativityReport, check_controllability_prior,
-                            check_identification, check_stabilizability_prior)
+from .informativity import (Branch, InformativityReport, check_controllability_prior,
+                            check_identification, check_image_inclusion,
+                            check_stabilizability_prior, input_rank_condition)
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      is_controllable, is_schur, is_stabilizable,
                      matrix_exponential, numerical_rank, pencil_full_rank,

@@ -21,13 +21,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import (Branch, DataMatrices, build_data_matrices, consistent_set, is_number,
+from .data import (DataMatrices, build_data_matrices, consistent_set, is_number,
                    load_trajectory, trajectory_to_csv, trajectory_to_json)
 from .errors import DataFormatError, PreconditionError, SolverFailure
 from .experiments import (MonteCarloConfig, demo_example1, demo_example2,
                           demo_three_tank, run_monte_carlo, three_tank_model,
                           zoh_discretize)
-from .informativity import InformativityReport, check_stabilizability_prior
+from .informativity import Branch, InformativityReport, check_stabilizability_prior
 from .linalg import NumericalConfig, row_compress
 from .synthesis import (FeedbackGain, GainProvenance, lmi_problem, problem_to_json,
                         synthesize)

@@ -4,12 +4,14 @@ A length-T experiment yields matrices (U_minus, X_minus, X_plus). Every
 system (A, B) with X_plus = A X_minus + B U_minus is consistent with the
 data; the set of all of them is an affine subspace, represented here by a
 minimum-norm particular solution plus an orthonormal basis of the
-homogeneous directions.
+homogeneous directions. Given a row compression of X_minus,
+``reachable_part`` and ``recover_input_matrix`` read off the blocks that
+every consistent stabilizable system shares. No condition of the paper is
+decided here: ``informativity`` decides them.
 """
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import json
 from dataclasses import dataclass
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, PreconditionError
-from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression, numerical_rank,
-                     rank_revealing_svd, subspace_contained)
+from .linalg import DEFAULT_CONFIG, NumericalConfig, RowCompression, rank_revealing_svd
 
 
 @dataclass(frozen=True)
@@ -163,81 +164,6 @@ def consistency_residual(D: DataMatrices, system: LtiSystem) -> float:
     """||X_plus - A X_minus - B U_minus|| / max(1, ||X_plus||), spectral norms."""
     resid = D.x_plus - system.A @ D.x_minus - system.B @ D.u_minus
     return float(np.linalg.norm(resid, 2) / max(1.0, np.linalg.norm(D.x_plus, 2)))
-
-
-class Branch(enum.Enum):
-    FULL_RANK = "full_rank"
-    RANK_DEFICIENT = "rank_deficient"
-
-    @classmethod
-    def of(cls, D: DataMatrices, comp: RowCompression) -> "Branch":
-        """Full rank iff X_minus has rank n; only then does the plain LMI decide."""
-        return cls.FULL_RANK if comp.r == D.n else cls.RANK_DEFICIENT
-
-
-def image_inclusion_residual(D: DataMatrices, S: np.ndarray,
-                             r: np.ndarray) -> np.ndarray:
-    """||S[r:] X_plus||_2 of each member of a stack of N datasets, with
-    (N, n, n) compressions S and (N,) ranks r: the part of X_plus outside
-    col(X_minus), whose complement S[r:] spans at the rank cutoff of S.
-
-    One values-only SVD per rank below n that occurs; a member of rank n has
-    residual 0.
-    """
-    residual = np.zeros(len(r))
-    for rank in set(r[r < D.n].tolist()):
-        idx = np.flatnonzero(r == rank)
-        residual[idx] = np.linalg.svd(S[idx, rank:] @ D.x_plus[idx], compute_uv=False)[:, 0]
-    return residual
-
-
-def check_image_inclusion(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
-                          residual: np.ndarray | None = None) -> bool | np.ndarray:
-    """col(X_plus) inside col(X_minus).
-
-    Without ``residual`` this is ``subspace_contained(X_plus, X_minus)`` on
-    one dataset, which factors X_minus. A caller that holds compressions S of
-    a stack of datasets passes ``residual = image_inclusion_residual(D, S,
-    r)`` instead, and each member's verdict is read off its residual:
-    ``residual <= subspace_tol * max(1, ||X_plus||_2)``. Both routes call an
-    all-zero X_plus contained, and a nonzero one not contained in an all-zero
-    X_minus.
-    """
-    if residual is None:
-        return subspace_contained(D.x_plus, D.x_minus, cfg)
-    # tol * max(1, ||X_plus||) is max(tol, tol * ||X_plus||) exactly, so the
-    # norm of X_plus is taken only where the residual exceeds tol itself
-    minus_nonzero = D.x_minus.any(axis=(1, 2))
-    ok = ~D.x_plus.any(axis=(1, 2)) | (minus_nonzero & (residual <= cfg.subspace_tol))
-    wide = np.flatnonzero(~ok & minus_nonzero)
-    if len(wide):
-        norms = np.linalg.svd(D.x_plus[wide], compute_uv=False)[:, 0]
-        ok[wide] = residual[wide] <= cfg.subspace_tol * norms
-    return ok
-
-
-def input_rank_condition(D: DataMatrices, r: int | np.ndarray,
-                         rank_stacked: int | np.ndarray) -> bool | np.ndarray:
-    """rank [X_minus; U_minus] = r + m, given r = rank X_minus and that rank
-    as ``rank_stacked``; vacuously True on full-rank state data. Arrays of
-    ranks of a stack give one verdict each.
-
-    The stacked image always sits inside col(X_minus) x R^m, so equality of
-    the two sets is just this dimension count.
-    """
-    return (r == D.n) | (rank_stacked == r + D.m)
-
-
-def require_prior_conditions(D: DataMatrices, comp: RowCompression,
-                             cfg: NumericalConfig = DEFAULT_CONFIG) -> None:
-    """Raise PreconditionError when rank-deficient data fail either condition;
-    under the stabilizability prior they are informative iff both hold."""
-    if Branch.of(D, comp) is Branch.FULL_RANK:
-        return
-    if not check_image_inclusion(D, cfg):
-        raise PreconditionError("image inclusion condition fails for this data")
-    if not input_rank_condition(D, comp.r, numerical_rank(D.stacked(), cfg)):
-        raise PreconditionError("input-rank condition fails for this data")
 
 
 def reachable_part(D: DataMatrices, comp: RowCompression,

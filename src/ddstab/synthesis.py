@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Branch, DataMatrices, require_prior_conditions
+from .data import DataMatrices
 from .errors import PreconditionError, SolverFailure
-from .informativity import InformativityReport, check_stabilizability_prior
+from .informativity import (Branch, InformativityReport, check_stabilizability_prior,
+                            require_prior_conditions)
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      rank_revealing_svd, row_compress)
 from .sdp import AffineLmiFeasibility, BarrierBackend
@@ -58,15 +59,6 @@ class LmiFeasibilityProblem:
     def __post_init__(self):
         if self.diag_coeff.shape != self.offdiag_coeff.shape:
             raise ValueError("coefficient matrices must have equal shapes")
-
-    def assemble_block(self, theta: np.ndarray) -> np.ndarray:
-        G = self.diag_coeff @ theta
-        H = self.offdiag_coeff @ theta
-        return np.block([[G, H], [H.T, G]])
-
-    def symmetry_residual(self, theta: np.ndarray) -> float:
-        G = self.diag_coeff @ theta
-        return float(np.abs(G - G.T).max()) if G.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,7 @@ constructive complement: they hold exactly for gains produced by the
 synthesis route.
 
 Each verification scale draws from one NumPy generator of its own,
-``default_rng((seed, scale index))``, one member after another. This
-stream replaced one generator per draw, ``default_rng((seed, scale index,
-draw index))``, once, so sampled reports changed their bytes then.
+``default_rng((seed, scale index))``, one member after another.
 """
 from __future__ import annotations
 
@@ -20,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (ConsistentSet, DataMatrices, LtiSystem, consistency_residual,
-                   reachable_part, require_prior_conditions, sample_consistent)
+                   reachable_part, sample_consistent)
 from .errors import PreconditionError
+from .informativity import require_prior_conditions
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      controllability_matrix, is_controllable, is_schur,
                      is_stabilizable, spectral_radius)
@@ -98,17 +97,15 @@ def verify_gain(cs: ConsistentSet, gain: FeedbackGain, n_samples: int = 200,
     counted); plain gains face every member. Each scale draws from its own
     generator, ``np.random.default_rng((seed, scale index))``, one member
     after another; a seed NumPy refuses raises NumPy's own error, and a run
-    with no draws seeds nothing. (This stream replaced one generator per
-    draw, ``default_rng((seed, scale index, draw index))``, once, which
-    changed the bytes of every sampled report.) Draws are taken in chunks
-    of up to ``VERIFY_CHUNK`` of one scale: each chunk is sampled, filtered
-    and evaluated as one stack, and the report is deterministic, does not
-    depend on ``VERIFY_CHUNK`` and equals a draw-by-draw evaluation bit for
-    bit, the worst member being the first maximum in draw order. The first
-    N draws of a scale are the same for any ``n_samples >= N``. A report
-    with no tested draw does not pass. Raises PreconditionError when
-    ``n_samples`` is negative, or when a scale is not positive or puts a
-    member outside the floating-point range.
+    with no draws seeds nothing. Draws are taken in chunks of up to
+    ``VERIFY_CHUNK`` of one scale: each chunk is sampled, filtered and
+    evaluated as one stack, and the report is deterministic, does not depend
+    on ``VERIFY_CHUNK`` and equals a draw-by-draw evaluation bit for bit, the
+    worst member being the first maximum in draw order. The first N draws of
+    a scale are the same for any ``n_samples >= N``. A report with no tested
+    draw does not pass. Raises PreconditionError when ``n_samples`` is
+    negative, or when a scale is not positive or puts a member outside the
+    floating-point range.
     """
     for scale in scales:
         if not scale > 0:

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from ddstab.cli import build_parser
-from ddstab.data import Branch, build_data_matrices, consistent_set, sample_consistent
+from ddstab.data import build_data_matrices, consistent_set, sample_consistent
 from ddstab.experiments import example1_trajectory
+from ddstab.informativity import Branch
 from ddstab.linalg import row_compress
 from ddstab.sdp import BarrierBackend
 from ddstab.synthesis import LmiFeasibilityProblem, sdp_solve

@@ -14,11 +14,11 @@ from ddstab import (DataMatrices, LtiSystem, NumericalConfig, PreconditionError,
                     numerical_rank, row_compress,
                     run_monte_carlo, simulate, solve_plain_lmi, verify_gain,
                     synthesize, synthesize_stab)
-from ddstab.data import image_inclusion_residual
 from ddstab.experiments import (MonteCarloConfig, _evaluate_scenarios, three_tank_model,
                                 zoh_discretize)
-from ddstab.informativity import Branch, decide_verdicts
-from ddstab.linalg import pencil_full_rank
+from ddstab.informativity import (Branch, decide_verdicts, image_inclusion_residual,
+                                  require_prior_conditions)
+from ddstab.linalg import pencil_full_rank, subspace_contained
 from ddstab.sdp import BarrierBackend
 from ddstab.synthesis import FeedbackGain, GainProvenance, lmi_problem, sdp_solve
 
@@ -74,14 +74,15 @@ class TestPlainAndControllabilityPrior:
 
 class TestConditions:
     def test_example1_image_inclusion(self, cfg, example1):
-        assert check_image_inclusion(example1, cfg)
+        assert subspace_contained(example1.x_plus, example1.x_minus, cfg)
 
     def test_corrupted_image_inclusion_fails(self, cfg):
-        assert not check_image_inclusion(corrupted_example1(), cfg)
+        D = corrupted_example1()
+        assert not subspace_contained(D.x_plus, D.x_minus, cfg)
 
     def test_zero_x_plus(self, cfg):
         D = build_data_matrices(TrajectoryData(inputs=[[1.0]], states=[[1.0], [0.0]]))
-        assert check_image_inclusion(D, cfg)
+        assert subspace_contained(D.x_plus, D.x_minus, cfg)
 
     def test_example1_input_rank(self, cfg, example1):
         comp = row_compress(example1.x_minus, example1.x_plus, cfg)
@@ -185,13 +186,13 @@ def _stack_of_one(D):
 
 class TestImageInclusionRoutes:
     """Two routes to image inclusion agree: the report's, read off its row
-    compression through the stacked residual, and ``check_image_inclusion``
-    without one, which decides through ``subspace_contained`` on X_minus
-    itself. The report decides its dataset as a stack of one, and its
-    residual and verdict equal, bit for bit, the formulas on the dataset
-    alone: sigma_1(S[r:] X_plus) off the row compression (0 at full rank)
-    and residual <= subspace_tol * max(1, ||X_plus||_2), with an all-zero
-    X_plus contained and nothing nonzero inside an all-zero X_minus."""
+    compression through the stacked residual, and ``subspace_contained``,
+    which factors X_minus itself. The report decides its dataset as a stack
+    of one, and its residual and verdict equal, bit for bit, the formulas on
+    the dataset alone: sigma_1(S[r:] X_plus) off the row compression (0 at
+    full rank) and residual <= subspace_tol * max(1, ||X_plus||_2), with an
+    all-zero X_plus contained and nothing nonzero inside an all-zero
+    X_minus."""
 
     @staticmethod
     def _oracle(D, cfg) -> tuple[float, bool]:
@@ -209,11 +210,11 @@ class TestImageInclusionRoutes:
 
     @classmethod
     def _agree(cls, D, cfg) -> bool:
-        contained = check_image_inclusion(D, cfg)
+        contained = subspace_contained(D.x_plus, D.x_minus, cfg)
         comp = row_compress(D.x_minus, D.x_plus, cfg)
         one = _stack_of_one(D)
         residual = image_inclusion_residual(one, comp.S[None], np.array([comp.r]))
-        assert check_image_inclusion(one, cfg, residual=residual).tolist() == [contained]
+        assert check_image_inclusion(one, residual, cfg).tolist() == [contained]
         report = check_stabilizability_prior(D, cfg)
         oracle_residual, oracle_contained = cls._oracle(D, cfg)
         assert report.image_inclusion is contained is oracle_contained
@@ -275,6 +276,44 @@ class TestImageInclusionRoutes:
         D = self._data([[1.0, 0.0], [0.0, 0.5]], scale * np.ones((2, 2)))
         assert row_compress(D.x_minus, D.x_plus, cfg).r == 0
         assert self._agree(D, cfg) == contained
+
+
+class TestGuardAgreesWithReport:
+    """``require_prior_conditions``, the guard of the gain routes that hold no
+    report, decides image inclusion through ``subspace_contained``, where the
+    report reads it off its compression. The guard raises iff the report
+    rejects rank-deficient data under the stabilizability prior, and names
+    image inclusion iff the report finds it failing."""
+
+    @staticmethod
+    def _agree(D, cfg) -> str | None:
+        report = check_stabilizability_prior(D, cfg)
+        try:
+            require_prior_conditions(D, report.compression, cfg)
+            message = None
+        except PreconditionError as exc:
+            message = str(exc)
+        rejected = (report.branch is Branch.RANK_DEFICIENT
+                    and not report.stabilization_stabilizability_prior)
+        assert (message is not None) == rejected
+        assert (message is not None and "image inclusion" in message) \
+            == (not report.image_inclusion)
+        return message
+
+    @staticmethod
+    def _outcomes(messages) -> set:
+        return {None if m is None else "image" if "image inclusion" in m else "input"
+                for m in messages}
+
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_random_suites(self, cfg, seed):
+        rng = np.random.default_rng(seed)
+        messages = [self._agree(random_dataset(rng).D, cfg) for _ in range(500)]
+        assert self._outcomes(messages) == {None, "image", "input"}
+
+    def test_montecarlo_windows(self, cfg):
+        messages = [self._agree(D, cfg) for D in montecarlo_windows(3, 200)]
+        assert self._outcomes(messages) == {None, "image", "input"}
 
 
 def _padded(windows):

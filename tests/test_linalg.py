@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import ddstab.data
+import ddstab.informativity
 import ddstab.linalg
 from ddstab import (NumericalConfig, is_controllable, is_schur, is_stabilizable,
                     matrix_exponential, numerical_rank, pencil_full_rank,
@@ -299,7 +299,7 @@ class TestOneFactorizationPerMatrix:
             contained.append(M)
             return _real(M, *args)
         monkeypatch.setattr(ddstab.linalg, "subspace_contained", recording)
-        monkeypatch.setattr(ddstab.data, "subspace_contained", recording)
+        monkeypatch.setattr(ddstab.informativity, "subspace_contained", recording)
         factorizations["svd"].clear()
         verdicts = _evaluate_scenarios(mc, indices, cfg)
         assert [(v.scenario, v.T) for v in verdicts] == [(i, T) for i in indices

@@ -8,7 +8,7 @@ from ddstab import (GainProvenance, LtiSystem, NumericalConfig, PreconditionErro
                     check_stabilizability_prior, gain_from_plain, sdp_solve, simulate,
                     solve_plain_lmi, solve_stab_lmi, spectral_radius, synthesize,
                     synthesize_stab, row_compress)
-from ddstab.data import Branch
+from ddstab.informativity import Branch
 from ddstab.linalg import RowCompression
 from ddstab.sdp import BarrierBackend
 from ddstab.synthesis import LmiFeasibilityProblem, lmi_problem, problem_to_json
@@ -25,6 +25,19 @@ def identity_compression_example1() -> RowCompression:
                           x_hat_plus=np.array([[2.0, 4.0, 3.0]]))
 
 
+def assembled_block(problem: LmiFeasibilityProblem, theta: np.ndarray) -> np.ndarray:
+    """[[L Theta, P Theta], [(P Theta)^T, L Theta]] with (L, P) the problem's
+    diagonal and off-diagonal coefficients."""
+    G, H = problem.diag_coeff @ theta, problem.offdiag_coeff @ theta
+    return np.block([[G, H], [H.T, G]])
+
+
+def symmetry_residual(problem: LmiFeasibilityProblem, theta: np.ndarray) -> float:
+    """max |L Theta - (L Theta)^T|, 0 for an empty Theta."""
+    G = problem.diag_coeff @ theta
+    return float(np.abs(G - G.T).max()) if G.size else 0.0
+
+
 class TestSdpSolve:
     def test_scalar_toy_feasible(self, cfg):
         problem = LmiFeasibilityProblem(diag_coeff=np.array([[1.0, 0.0, 0.0]]),
@@ -32,20 +45,20 @@ class TestSdpSolve:
         sol = sdp_solve(problem, cfg)
         assert sol.feasible
         theta = sol.theta
-        block = problem.assemble_block(theta)
+        block = assembled_block(problem, theta)
         assert np.linalg.eigvalsh(block).min() >= cfg.psd_margin
-        assert problem.symmetry_residual(theta) <= cfg.equality_tol
+        assert symmetry_residual(problem, theta) <= cfg.equality_tol
 
     def test_example1_reduced_feasible_with_hand_witness(self, cfg):
         problem = LmiFeasibilityProblem(diag_coeff=np.array([[1.0, 2.0, 4.0]]),
                                         offdiag_coeff=np.array([[2.0, 4.0, 3.0]]))
         witness = np.array([[0.0], [0.0], [1.0]])
-        block = problem.assemble_block(witness)
+        block = assembled_block(problem, witness)
         assert np.allclose(block, [[4.0, 3.0], [3.0, 4.0]])
         assert np.allclose(sorted(np.linalg.eigvalsh(block)), [1.0, 7.0])
         sol = sdp_solve(problem, cfg)
         assert sol.feasible
-        assert np.linalg.eigvalsh(problem.assemble_block(sol.theta)).min() >= cfg.psd_margin
+        assert np.linalg.eigvalsh(assembled_block(problem, sol.theta)).min() >= cfg.psd_margin
 
     def test_scalar_infeasible(self, cfg):
         # block [[t, 2t], [2t, t]] can never be positive definite
@@ -279,7 +292,7 @@ class TestCertificateIdentities:
         assert np.linalg.eigvalsh(0.5 * (decrease + decrease.T)).min() > 0.0
 
     def test_identities_on_random_rank_deficient_data(self, cfg):
-        from ddstab import check_image_inclusion, input_rank_condition, numerical_rank
+        from ddstab import input_rank_condition, numerical_rank, subspace_contained
         rng = np.random.default_rng(33)
         checked = 0
         while checked < 25:
@@ -288,7 +301,7 @@ class TestCertificateIdentities:
             if comp.r >= ds.D.n:
                 continue
             rank_stacked = numerical_rank(ds.D.stacked(), cfg)
-            if not (check_image_inclusion(ds.D, cfg)
+            if not (subspace_contained(ds.D.x_plus, ds.D.x_minus, cfg)
                     and input_rank_condition(ds.D, comp.r, rank_stacked)):
                 continue
             sol = solve_stab_lmi(ds.D, comp, cfg)
@@ -345,8 +358,8 @@ class TestUniqueInputMatrixRecovery:
     def test_recovered_b_matches_generator(self, cfg):
         # on rank-deficient informative data every consistent system shares
         # one input matrix, so recovery must reproduce the generator's B
-        from ddstab import (check_image_inclusion, input_rank_condition,
-                            numerical_rank, recover_input_matrix)
+        from ddstab import (input_rank_condition, numerical_rank, recover_input_matrix,
+                            subspace_contained)
         rng = np.random.default_rng(37)
         checked = 0
         while checked < 20:
@@ -355,7 +368,7 @@ class TestUniqueInputMatrixRecovery:
             if comp.r >= ds.D.n:
                 continue
             rank_stacked = numerical_rank(ds.D.stacked(), cfg)
-            if not (check_image_inclusion(ds.D, cfg)
+            if not (subspace_contained(ds.D.x_plus, ds.D.x_minus, cfg)
                     and input_rank_condition(ds.D, comp.r, rank_stacked)):
                 continue
             B = recover_input_matrix(ds.D, comp, cfg)
