@@ -266,7 +266,6 @@ def _synthesis_demo(traj: TrajectoryData, cfg: NumericalConfig, seed: int,
                                seed=seed, cfg=cfg)
     return {
         "trajectory": traj,
-        "data": D,
         "informativity": report,
         "solution": sol,
         "gain": gain,
@@ -292,18 +291,15 @@ def demo_example2(cfg: NumericalConfig = DEFAULT_CONFIG) -> dict:
     traj = TrajectoryData(inputs=np.array([[1.0, -1.0]]),
                           states=np.array([[-1.0], [-1.0]]))
     # 0.1 steps over a in [-1, 3] and b1 in [-2, 2], rounded so the
-    # uncontrollable point (a, b1) = (1, 0) is hit exactly
-    a_vals = np.round(np.linspace(-1.0, 3.0, 41), 12)
-    b1_vals = np.round(np.linspace(-2.0, 2.0, 41), 12)
-    rows = []
-    flagged = []
-    for a in a_vals:
-        for b1 in b1_vals:
-            b2 = b1 - a + 1.0
-            ctrb = is_controllable(np.array([[a]]), np.array([[b1, b2]]), cfg)
-            rows.append((float(a), float(b1), float(b2), bool(ctrb)))
-            if not ctrb:
-                flagged.append((float(a), float(b1), float(b2)))
+    # uncontrollable point (a, b1) = (1, 0) is hit exactly; the 1,681 pairs
+    # are decided as one stack
+    a, b1 = np.meshgrid(np.round(np.linspace(-1.0, 3.0, 41), 12),
+                        np.round(np.linspace(-2.0, 2.0, 41), 12), indexing="ij")
+    a, b1 = a.ravel(), b1.ravel()
+    b2 = b1 - a + 1.0
+    ctrb = is_controllable(a[:, None, None], np.stack([b1, b2], axis=-1)[:, None], cfg)
+    rows = list(zip(a.tolist(), b1.tolist(), b2.tolist(), ctrb.tolist()))
+    flagged = [row[:3] for row in rows if not row[3]]
     return {"trajectory": traj, "grid": rows, "uncontrollable_points": flagged}
 
 

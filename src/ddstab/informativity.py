@@ -207,8 +207,8 @@ def decide_verdicts(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
         sv, Vt = (None, None) if comp.sv is None else (comp.sv[None], comp.Vt[None])
     rank_stacked = numerical_rank(D.stacked(), cfg, cols)
     full = r == n
-    # without a full-rank member there is nothing to test
-    plain = pencil_full_rank(D.x_minus, D.x_plus, cfg, (S, sv, Vt), cols) \
+    # nothing to test without a full-rank member; r, not the kernel, decides
+    plain = pencil_full_rank(D.x_minus, D.x_plus, cfg, (S, sv, Vt), cols) & full \
         if np.count_nonzero(full) else full
     residual = image_inclusion_residual(D, S, r)
     image_ok = check_image_inclusion(D, residual, cfg)

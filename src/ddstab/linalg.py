@@ -2,13 +2,14 @@
 
 Rank decisions, row compression, spectra, subspace inclusion, the Hautus
 test of a pencil and the system-theoretic predicates (Schur / controllable
-/ stabilizable). All functions are pure and operate on plain 2-D numpy
-arrays; ``spectral_radius``, ``controllability_matrix``,
-``pencil_full_rank`` and ``is_stabilizable`` also take (N, ., .) stacks and
-treat each member as if it were passed alone, and ``rank_cutoff`` takes an
-(N, k) stack of spectra. ``pencil_full_rank`` and ``rank_cutoff`` also take
-each member's own column count, so a stack zero-padded to one width is
-decided as its unpadded members would be.
+/ stabilizable). All functions are pure. Every rank and spectral predicate
+has one body that takes a matrix or an (N, ., .) stack (an (N, k) stack of
+spectra for ``rank_cutoff``), decides each member as if it were passed
+alone and a matrix as a stack of one; ``rank_cutoff``, ``numerical_rank``
+and ``pencil_full_rank`` also take each member's own column count, so a
+stack zero-padded to one width is decided as its unpadded members would be.
+``row_compress``, ``rank_revealing_svd`` and ``subspace_contained`` each
+take one matrix.
 """
 from __future__ import annotations
 
@@ -70,43 +71,34 @@ class RowCompression:
     Vt: np.ndarray | None = None
 
 
-def rank_cutoff(sv: np.ndarray, shape: tuple,
-                cfg: NumericalConfig) -> float | np.ndarray:
-    """Singular-value cutoff of every rank decision (inf for a zero spectrum).
+def rank_cutoff(sv: np.ndarray, shape: tuple, cfg: NumericalConfig) -> float | np.ndarray:
+    """Cutoff ``rank_rel_tol * max(shape) * sv[0]`` of every rank decision
+    (0, which no singular value exceeds, for a zero or empty spectrum).
 
-    ``sv`` is a descending spectrum of a matrix of the given shape (or a
-    bound on its leading value alone, as ``is_stabilizable`` passes); an
-    (N, k) stack of spectra of N such matrices gives the N cutoffs, each
-    from its own row's leading value. For a stack, either entry of ``shape``
-    may be an (N,) array of each member's own count: a zero-padded member is
-    ranked at its unpadded shape.
+    ``sv`` is a descending spectrum of a matrix of the given shape (or a bound
+    on its leading value alone, as ``pencil_full_rank`` passes for its
+    pencils), or an (N, k) stack of spectra of N such matrices, each cut from
+    its own leading value. For a stack, either entry of ``shape`` may be an
+    (N,) array of each member's own count: a zero-padded member is ranked at
+    its unpadded shape.
     """
-    if sv.ndim == 2:
-        lead = sv[:, 0] if sv.shape[1] else np.zeros(len(sv))
-        cutoff = cfg.rank_rel_tol * np.maximum(*shape) * lead
-        cutoff[lead == 0.0] = np.inf
-        return cutoff
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.inf
-    return cfg.rank_rel_tol * max(shape) * sv[0]
+    # sv.T[0]: a scalar for one spectrum, the leading column of a stack
+    lead = sv.T[0] if sv.shape[-1] else np.zeros(sv.shape[:-1])
+    return np.maximum(*shape) * cfg.rank_rel_tol * lead
 
 
 def numerical_rank(M: np.ndarray, cfg: NumericalConfig = DEFAULT_CONFIG,
                    cols: np.ndarray | None = None) -> int | np.ndarray:
-    """Number of singular values above the relative cutoff (0 for a zero matrix).
+    """Number of singular values above the relative cutoff (0 for a zero or empty matrix).
 
     An (N, k, T) stack gives the N ranks from one values-only SVD; members
     zero-padded to one T pass their own column counts as ``cols``.
     """
     M = np.atleast_2d(M)
-    if M.ndim == 3:
-        sv = np.linalg.svd(M, compute_uv=False)
-        cutoff = rank_cutoff(sv, (M.shape[1], M.shape[2] if cols is None else cols), cfg)
-        return (sv > cutoff[:, None]).sum(axis=1)
-    if M.size == 0:
-        return 0
     sv = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(sv > rank_cutoff(sv, M.shape, cfg)))
+    cutoff = rank_cutoff(sv, (M.shape[-2], M.shape[-1] if cols is None else cols), cfg)
+    r = (sv.T > cutoff).sum(axis=0)
+    return int(r) if M.ndim == 2 else r
 
 
 def rank_revealing_svd(M: np.ndarray, cfg: NumericalConfig = DEFAULT_CONFIG
@@ -191,8 +183,8 @@ def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def is_controllable(A: np.ndarray, B: np.ndarray,
-                    cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    return numerical_rank(controllability_matrix(A, B), cfg) == np.atleast_2d(A).shape[0]
+                    cfg: NumericalConfig = DEFAULT_CONFIG) -> bool | np.ndarray:
+    return numerical_rank(controllability_matrix(A, B), cfg) == np.atleast_2d(A).shape[-1]
 
 
 def pencil_full_rank(L: np.ndarray, P: np.ndarray,
@@ -209,46 +201,43 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
     F = A, it is the stabilizability of (A, B).
 
     L's rank, at the shared cutoff, and its pseudoinverse are read off one
-    thin SVD of L; a caller that holds one passes it as ``svd = (S, sv, Vt)``
-    with S = U^T, stacked as L is, and it is read instead of taking another
-    (the rows of S and Vt may carry matching signs, which cancel in L^+). An L
-    with orthonormal rows, as [I 0], needs none: L^+ = L^T and every singular
-    value is 1, so ``is_stabilizable`` factors only its pencils. Each pencil
-    is ranked at the shared cutoff taken relative to ||P||_F + |lambda|
+    thin SVD of L (a unit spectrum, as [I 0]'s, is full at any tolerance); a
+    caller that holds one passes it as ``svd = (S, sv, Vt)`` with S = U^T,
+    stacked as L is, and it is read instead of taking another (the rows of S
+    and Vt may carry matching signs, which cancel in L^+). Each pencil is
+    ranked at the shared cutoff taken relative to ||P||_F + |lambda|
     sigma_1(L), a bound on the size of its two terms, not to its own largest
     singular value: a one-row pencil would then drop rank only when it is
     exactly zero, so a negligible B would stabilize any scalar system.
 
     Stacks (N, k, T) give the N verdicts as a boolean array, each equal to its
     member's own: one stacked ``eigvals``, then one stacked SVD over the
-    pencils of every (member, eigenvalue) pair on or outside the margin.
-    Members zero-padded to a common T pass their own column counts as
-    ``cols``: zero columns change neither L^+'s action nor any pencil rank,
-    and every cutoff is taken at the member's own shape.
+    pencils of every (member, eigenvalue) pair on or outside the margin; a
+    single pencil is decided as a stack of one. Members zero-padded to a
+    common T pass their own column counts as ``cols``: zero columns change
+    neither L^+'s action nor any pencil rank, and every cutoff is taken at
+    the member's own shape.
     """
     L = np.atleast_2d(np.asarray(L, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
     stacked = L.ndim == 3
     if not stacked:
         L, P = L[None], P[None]
+        svd = None if svd is None else tuple(f[None] for f in svd)
     k, T = L.shape[1:]
     if k == 0 or T < k or not len(L):
         # no eigenvalue to test: rank k = 0 is full, a wide L^T is not
         ok = np.full(len(L), k == 0)
         return ok if stacked else bool(ok[0])
-    Lt = L.transpose(0, 2, 1)
-    if svd is None and (L @ Lt == np.eye(k)).all():
-        full, sv, F = np.arange(len(L)), np.ones((len(L), k)), P @ Lt
-    else:
-        if svd is None:
-            U, sv, Vt = np.linalg.svd(L, full_matrices=False)
-            S = U.transpose(0, 2, 1)
-        else:
-            S, sv, Vt = svd if stacked else (f[None] for f in svd)
-        full = np.flatnonzero(sv[:, k - 1] > rank_cutoff(sv, (k, T if cols is None else cols), cfg))
-        # views, not copies, where every member has full rank
-        keep = full if len(full) < len(L) else slice(None)
-        F = P[keep] @ (Vt[keep].transpose(0, 2, 1) / sv[keep, None, :]) @ S[keep]
+    if svd is None:
+        U, sv, Vt = np.linalg.svd(L, full_matrices=False)
+        svd = U.transpose(0, 2, 1), sv, Vt
+    S, sv, Vt = svd
+    full = np.flatnonzero((sv[:, k - 1] > rank_cutoff(sv, (k, T if cols is None else cols), cfg))
+                          | (sv == 1.0).all(axis=1))
+    # views, not copies, where every member has full rank
+    keep = full if len(full) < len(L) else slice(None)
+    F = P[keep] @ (Vt[keep].transpose(0, 2, 1) / sv[keep, None, :]) @ S[keep]
     ok = np.zeros(len(L), dtype=bool)
     ok[full] = True
     lams = np.linalg.eigvals(F)
@@ -269,17 +258,20 @@ def is_stabilizable(A: np.ndarray, B: np.ndarray,
                     cfg: NumericalConfig = DEFAULT_CONFIG) -> bool | np.ndarray:
     """Eigenvalue test: rank [A - lambda*I, B] = n at every |lambda| >= 1 - margin.
 
-    The pencil test of ``pencil_full_rank`` with (L, P) = ([I 0], [A B]):
-    there F = A and sigma_1(L) = 1, so each pencil [A - lambda*I, B] is ranked
-    relative to ||[A B]||_F + |lambda|. Stacks (N, n, n) and (N, n, m) give
-    the N verdicts as a boolean array, each equal to its member's own.
+    The pencil test of ``pencil_full_rank`` with (L, P) = ([I 0], [A B]),
+    handed the thin SVD of L = [I 0] as its factors: S = I, sv = 1 (full at
+    any tolerance) and Vt = [I 0]. There F = A and sigma_1(L) = 1, so each
+    pencil [A - lambda*I, B] is ranked relative to ||[A B]||_F + |lambda|.
+    Stacks (N, n, n) and (N, n, m) give the N verdicts as a boolean array,
+    each equal to its member's own.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n = A.shape[-1]
     L = np.zeros(B.shape[:-2] + (n, n + B.shape[-1]))
     L[..., :n] = np.eye(n)
-    return pencil_full_rank(L, np.concatenate([A, B], axis=-1), cfg)
+    svd = L[..., :n], np.ones(L.shape[:-1]), L
+    return pencil_full_rank(L, np.concatenate([A, B], axis=-1), cfg, svd)
 
 
 def subspace_contained(M: np.ndarray, N: np.ndarray,

@@ -277,10 +277,12 @@ def genericity_probe(M: np.ndarray, N: np.ndarray, M0: np.ndarray, N0: np.ndarra
 
     Along any line through a controllable pair the uncontrollable set is
     finite (at most n^2 points), so for generic probe values the count is 0.
+    ``alphas``, any iterable of numbers, is decided as one stack of pairs.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     N = np.atleast_2d(np.asarray(N, dtype=float))
     if not is_controllable(M, N, cfg):
         raise PreconditionError("base pair must be controllable")
-    return sum(1 for a in alphas
-               if not is_controllable(M + a * np.asarray(M0), N + a * np.asarray(N0), cfg))
+    a = np.fromiter(alphas, dtype=float)[:, None, None]
+    return int(np.count_nonzero(~is_controllable(M + a * np.asarray(M0),
+                                                 N + a * np.asarray(N0), cfg)))

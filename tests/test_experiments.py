@@ -4,7 +4,7 @@ import pytest
 import ddstab.experiments
 
 from ddstab import (ContinuousSystem, LtiSystem, MonteCarloConfig, ThreeTankParams,
-                    build_data_matrices, check_identification, is_schur,
+                    build_data_matrices, check_identification, is_controllable, is_schur,
                     numerical_rank, run_monte_carlo, simulate, spectral_radius,
                     three_tank_model, zoh_discretize)
 from ddstab.data import TrajectoryData, consistency_residual, consistent_set
@@ -273,6 +273,11 @@ class TestDemos:
     def test_example2_grid_flags_exactly_one_point(self, cfg):
         bundle = demo_example2(cfg=cfg)
         assert bundle["uncontrollable_points"] == [(1.0, 0.0, 0.0)]
+        # the stacked verdicts are each point's own
+        assert len(bundle["grid"]) == 41 * 41
+        for a, b1, b2, ctrb in bundle["grid"]:
+            assert all(type(x) is float for x in (a, b1, b2)) and type(ctrb) is bool
+            assert ctrb == is_controllable(np.array([[a]]), np.array([[b1, b2]]), cfg)
         # every grid member really is consistent with the experiment
         D = build_data_matrices(bundle["trajectory"])
         rng = np.random.default_rng(62)

@@ -431,6 +431,19 @@ class TestStackedWindows:
         assert verdicts.image_inclusion.all()
         assert verdicts.rank_x_minus.tolist() == [1, 1, 1, 1]
 
+    def test_unit_spectrum_ranked_zero_beside_a_full_member(self):
+        # at rank_rel_tol 0.5 the cutoff of X_minus = [1 0] is sigma_1
+        # itself, so it is ranked 0, while the Hautus kernel counts a unit
+        # spectrum full at any tolerance; the full-rank window [2] sends the
+        # stack to the kernel, and [1 0]'s plain verdict still follows rank 0
+        cfg = NumericalConfig(rank_rel_tol=0.5)
+        windows = [build_data_matrices(TrajectoryData(inputs=[[1.0], [1.0]],
+                                                      states=[[1.0], [0.0], [1.0]])),
+                   build_data_matrices(TrajectoryData(inputs=[[1.0]], states=[[2.0], [0.5]]))]
+        verdicts = self._decide(windows, cfg)
+        assert verdicts.rank_x_minus.tolist() == [0, 1]
+        assert verdicts.stabilization.tolist() == [False, True]
+
     def test_one_window_of_full_length(self, cfg, monkeypatch):
         # T = T_max alone: nothing is padded, so the stack holds the window's
         # own bytes and its verdicts are the report's

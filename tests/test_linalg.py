@@ -552,13 +552,16 @@ class TestStackedKernels:
         assert is_stabilizable(np.zeros((2, 0, 0)), np.zeros((2, 0, 1)), cfg).all()
 
     def test_rank_cutoff_of_a_stack(self, cfg):
+        # zero and empty spectra are cut at 0, which no singular value exceeds
         rng = np.random.default_rng(63)
-        sv = np.sort(np.abs(rng.normal(size=(6, 3))), axis=1)[:, ::-1].copy()
-        sv[2] = 0.0
-        cut = rank_cutoff(sv, (3, 5), cfg)
-        assert cut.shape == (6,)
-        for row, c in zip(sv, cut):
-            assert _bits(c) == _bits(rank_cutoff(row, (3, 5), cfg))
+        for k in range(5):
+            sv = np.sort(np.abs(rng.normal(size=(6, k))), axis=1)[:, ::-1].copy()
+            sv[2] = 0.0
+            cut = rank_cutoff(sv, (k, 5), cfg)
+            assert cut.shape == (6,)
+            for row, c in zip(sv, cut):
+                assert _bits(c) == _bits(rank_cutoff(row, (k, 5), cfg))
+                assert (c == 0.0) == (not row.any())
 
     def test_rank_cutoff_with_member_column_counts(self, cfg):
         # zero-padded members are ranked at their own shape, not the padded one
@@ -686,9 +689,7 @@ class TestPencilFullRank:
         assert any(verdicts) and not all(verdicts)
 
     def test_zero_padded_stabilizability_pencils(self, cfg):
-        # ([I 0], [A B]) padded with zero columns: the orthonormal-rows
-        # shortcut no longer applies to the padded L, and the verdict is
-        # still (A, B)'s
+        # ([I 0], [A B]) padded with zero columns: the verdict is still (A, B)'s
         rng = np.random.default_rng(69)
         for n in range(1, 5):
             for m in (1, 2):
@@ -716,3 +717,164 @@ class TestPencilFullRank:
         assert pencil_full_rank(np.zeros((0, 3)), np.zeros((0, 3)), cfg) is True
         ok = pencil_full_rank(np.zeros((0, 2, 3)), np.zeros((0, 2, 3)), cfg)
         assert ok.dtype == bool and ok.shape == (0,)
+
+
+class TestOneBodyPerPredicate:
+    """Each rank and spectral predicate decides a matrix as a stack of one: a
+    stack's answers equal its members' single-matrix answers, zero and empty
+    members included."""
+
+    @staticmethod
+    def zero_members(rng, M):
+        M = M.copy()
+        M[rng.choice(len(M), size=len(M) // 4 + 1, replace=False)] = 0.0
+        return M
+
+    def test_numerical_rank(self, cfg):
+        rng = np.random.default_rng(70)
+        for k in range(1, 5):
+            for T in range(1, 7):
+                ranks = rng.integers(0, min(k, T) + 1, size=12)
+                M = np.stack([rng.normal(size=(k, q)) @ rng.normal(size=(q, T)) for q in ranks])
+                M = self.zero_members(rng, M)
+                got = numerical_rank(M, cfg)
+                assert got.shape == (12,)
+                for i in range(12):
+                    single = numerical_rank(M[i], cfg)
+                    assert type(single) is int
+                    assert got[i] == single
+                assert (got <= ranks).all() and (got < ranks).any()
+
+    def test_numerical_rank_with_member_column_counts(self, cfg):
+        rng = np.random.default_rng(71)
+        for k in range(1, 5):
+            width = 2 * k + 3
+            M = self.zero_members(rng, rng.normal(size=(16, k, width)))
+            M[1::3, -1] = M[1::3, 0]  # rank-deficient members
+            cols = rng.integers(0, width + 1, size=16)
+            padded = np.stack([TestPencilFullRank.padded(M[i, :, :T], width)
+                               for i, T in enumerate(cols)])
+            got = numerical_rank(padded, cfg, cols)
+            assert got.shape == (16,)
+            for i, T in enumerate(cols):
+                assert got[i] == numerical_rank(M[i, :, :T], cfg)
+
+    def test_is_schur(self, cfg):
+        rng = np.random.default_rng(73)
+        edge = 1.0 - cfg.schur_margin
+        for n in range(5):
+            A = self.zero_members(rng, rng.normal(size=(12, n, n)))
+            rho = spectral_radius(A)
+            A *= (rng.uniform(0.5, 1.5, size=12) / np.where(rho > 0.0, rho, 1.0))[:, None, None]
+            if n:
+                A[1] = np.diag([edge] + [0.5] * (n - 1))
+                A[2] = np.diag([np.nextafter(edge, 2.0)] + [0.5] * (n - 1))
+            got = is_schur(A, cfg)
+            assert got.dtype == bool and got.shape == (12,)
+            for i in range(12):
+                single = is_schur(A[i], cfg)
+                assert type(single) is bool
+                assert got[i] == single
+            if n:
+                assert got[1] and not got[2]
+
+    def test_is_controllable(self, cfg):
+        rng = np.random.default_rng(74)
+        verdicts = []
+        for n in range(1, 5):
+            for m in (1, 2):
+                A, B = TestStackedKernels.stacks(rng, 12, n, m)
+                A = self.zero_members(rng, A)
+                A[1::3, -1, :-1] = 0.0  # the last state is then unreachable
+                B[1::3, -1] = 0.0
+                got = is_controllable(A, B, cfg)
+                assert got.dtype == bool and got.shape == (12,)
+                for i in range(12):
+                    single = is_controllable(A[i], B[i], cfg)
+                    assert type(single) is bool
+                    assert got[i] == single
+                verdicts.extend(got)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_is_controllable_compares_ranks_with_the_state_dimension(self, cfg):
+        # five controllable 2-state pairs: each rank is n = 2, not the stack length
+        A = np.broadcast_to([[0.0, 1.0], [0.0, 0.0]], (5, 2, 2))
+        B = np.broadcast_to([[0.0], [1.0]], (5, 2, 1))
+        assert is_controllable(A, B, cfg).tolist() == [True] * 5
+        A = np.array([[[0.0, 1.0], [0.0, 0.0]], np.diag([1.0, 0.5]), np.eye(2),
+                      np.diag([0.5, 2.0])])
+        B = np.array([[[0.0], [1.0]], [[1.0], [0.0]], [[1.0], [1.0]], [[1.0], [1.0]]])
+        single = [is_controllable(a, b, cfg) for a, b in zip(A, B)]
+        assert single == [True, False, False, True]
+        assert is_controllable(A, B, cfg).tolist() == single
+
+    def test_is_stabilizable_agrees_with_the_own_svd_route(self, cfg):
+        # the factors is_stabilizable hands in, those of [I 0], give the
+        # verdicts pencil_full_rank reaches through its own SVD of [I 0];
+        # every third member has B = 0, and others hide a mode within 1e-7
+        # of the margin, on either side of it
+        rng = np.random.default_rng(75)
+        edge = 1.0 - cfg.schur_margin
+        verdicts = []
+        for n in range(1, 5):
+            for m in (1, 2):
+                A, B = TestStackedKernels.stacks(rng, 24, n, m)
+                A = self.zero_members(rng, A)
+                B[::3] = 0.0
+                A[1::3, -1, :-1] = 0.0
+                A[1::3, -1, -1] = rng.choice([-1.0, 1.0], size=8) * (
+                    edge + rng.uniform(-1e-7, 1e-7, size=8))
+                B[1::3, -1] = 0.0
+                L = np.concatenate([np.broadcast_to(np.eye(n), A.shape), np.zeros(B.shape)],
+                                   axis=-1)
+                P = np.concatenate([A, B], axis=-1)
+                got = is_stabilizable(A, B, cfg)
+                assert got.tolist() == pencil_full_rank(L, P, cfg).tolist()
+                for i in range(24):
+                    single = is_stabilizable(A[i], B[i], cfg)
+                    assert type(single) is bool
+                    assert got[i] == single == pencil_full_rank(L[i], P[i], cfg)
+                verdicts.extend(got[1::3])
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("rank_rel_tol", [0.5, 0.2])
+    def test_is_stabilizable_at_coarse_rank_tolerance(self, rank_rel_tol):
+        # [I 0] has full rank at any tolerance, although the shared cutoff
+        # reaches its unit singular values from n + m = 2 on at 0.5 and at
+        # n + m = 5 at 0.2: every verdict is the per-eigenvalue oracle's
+        cfg = NumericalConfig(rank_rel_tol=rank_rel_tol)
+        assert is_stabilizable(np.array([[0.5]]), np.array([[0.0]]), cfg) is True
+        rng = np.random.default_rng(76)
+        verdicts = []
+        for n in range(1, 5):
+            for m in (1, 2):
+                A, B = TestStackedKernels.stacks(rng, 24, n, m)
+                # Schur even members, stabilizable whatever B is
+                A[::2] *= (rng.uniform(0.1, 0.9, size=12) / spectral_radius(A[::2]))[:, None, None]
+                B[::3] = 0.0
+                L = np.concatenate([np.broadcast_to(np.eye(n), A.shape), np.zeros(B.shape)],
+                                   axis=-1)
+                P = np.concatenate([A, B], axis=-1)
+                got = is_stabilizable(A, B, cfg)
+                assert got.tolist() == pencil_full_rank(L, P, cfg).tolist()
+                for i in range(24):
+                    single = is_stabilizable(A[i], B[i], cfg)
+                    assert type(single) is bool
+                    assert got[i] == single == per_eigenvalue_stabilizable(A[i], B[i], cfg)
+                assert got[::2].all()
+                verdicts.extend(got)
+        assert not all(verdicts)
+
+    def test_empty_inputs_have_rank_zero(self, cfg):
+        for shape in ((0, 4), (3, 0), (0, 0)):
+            r = numerical_rank(np.zeros(shape), cfg)
+            assert type(r) is int and r == 0
+        for shape in ((5, 0, 4), (5, 3, 0), (0, 3, 4)):
+            r = numerical_rank(np.zeros(shape), cfg)
+            assert r.shape == shape[:1] and not r.any()
+        r = numerical_rank(np.zeros((3, 0, 4)), cfg, np.array([4, 2, 0]))
+        assert r.shape == (3,) and not r.any()
+        assert rank_cutoff(np.zeros(0), (0, 4), cfg) == 0.0
+        assert rank_cutoff(np.zeros((3, 0)), (3, 0), cfg).tolist() == [0.0] * 3
+        assert is_controllable(np.zeros((0, 0)), np.zeros((0, 2)), cfg) is True
+        assert is_controllable(np.zeros((3, 0, 0)), np.zeros((3, 0, 2)), cfg).all()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddstab import (LtiSystem, PreconditionError, TrajectoryData,
+from ddstab import (LtiSystem, NumericalConfig, PreconditionError, TrajectoryData,
                     build_data_matrices, common_lyapunov, consistent_set,
                     decomposition_check, genericity_probe, is_schur, row_compress,
                     simulate, spectral_radius, structural_nullity, verify_gain)
@@ -26,6 +26,22 @@ class TestVerifyGain:
         assert report.passed
         assert report.samples_tested > 0
         assert report.max_spectral_radius < 1.0
+
+    def test_schur_member_kept_at_coarse_rank_tolerance(self):
+        # the stabilizability filter tests [A - lambda I, B] beside [I 0],
+        # which keeps full rank however coarse the rank tolerance (at 0.5
+        # the shared cutoff of the 1 x 2 [I 0] is its unit singular value):
+        # the one consistent member, Schur with B = 0, is tested in every draw
+        D = build_data_matrices(TrajectoryData(inputs=np.array([[1.0], [-1.0], [2.0]]),
+                                               states=np.array([[1.0], [0.5], [0.25], [0.125]])))
+        cs = consistent_set(D)
+        assert cs.d == 0
+        cfg = NumericalConfig(rank_rel_tol=0.5)
+        gain = stab_gain([[0.0]])
+        report = verify_gain(cs, gain, n_samples=20, seed=0, cfg=cfg)
+        assert report.samples_tested == 20 * len(report.scales)
+        assert report.rejected_unstabilizable == 0 and report.passed
+        assert_bitwise_equal(report, per_draw_verify(cs, gain, 20, report.scales, 0, cfg))
 
     def test_example1_zero_gain_fails(self, cfg, example1):
         # every consistent member keeps its open-loop eigenvalue at 1
@@ -519,6 +535,10 @@ class TestGenericityProbe:
         alphas = [0.0, 0.5, 1.0, 1.5, 2.0]
         assert genericity_probe(M, N, M0, N0, alphas, cfg) == 1
         assert genericity_probe(M, N, M0, N0, [0.5, 2.0], cfg) == 0
+        # alphas may be any iterable
+        assert genericity_probe(M, N, M0, N0, (a for a in alphas), cfg) == 1
+        assert genericity_probe(M, N, M0, N0, range(3), cfg) == 1
+        assert genericity_probe(M, N, M0, N0, iter(()), cfg) == 0
 
     def test_requires_controllable_base(self, cfg):
         with pytest.raises(PreconditionError):
