@@ -29,12 +29,14 @@ X_minus stack gives every rank, X_minus^+ and S, one values-only SVD of the
 regressor stack every rank of [X_minus; U_minus], and the pencil and residual
 SVDs are stacked too. The Monte Carlo windows of a run are such a stack; the
 report (``check_stabilizability_prior``) decides its one dataset as a stack
-of one, from the ``row_compress`` compression it keeps for the gain step, and
-also reports the residual ||S[r:] X_plus||_2 that image inclusion is read
-off. The gain routes that hold no report, ``synthesis.synthesize_stab`` and
-``verification.decomposition_check``, call the guard
-``require_prior_conditions``, which decides image inclusion through
-``linalg.subspace_contained``.
+of one, from the ``row_compress`` compression it keeps for the gain step
+(all-zero state data included: S = I and a zero spectrum), and also reports
+the residual ||S[r:] X_plus||_2 that image inclusion is read off.
+``check_controllability_prior`` returns the report's verdict and takes no
+route of its own. The gain routes that hold no report,
+``synthesis.synthesize_stab`` and ``verification.decomposition_check``, call
+the guard ``require_prior_conditions``, which decides image inclusion
+through ``linalg.subspace_contained``.
 """
 from __future__ import annotations
 
@@ -148,15 +150,13 @@ def check_identification(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
 
 
 def check_controllability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    """Controllability prior knowledge never changes the plain verdict, which
-    the pencil test decides without a solve."""
-    return pencil_full_rank(D.x_minus, D.x_plus, cfg)
+    """Controllability prior knowledge never changes the plain verdict: the
+    report's ``stabilization_controllability_prior``."""
+    return check_stabilizability_prior(D, cfg).stabilization_controllability_prior
 
 
-def _rank_margin_diagnostics(sv: np.ndarray | None, shape, cfg: NumericalConfig) -> dict:
-    """Flag singular values within two decades of the rank cutoff (none: zero data)."""
-    if sv is None:
-        return {"marginal_rank": False, "singular_values": []}
+def _rank_margin_diagnostics(sv: np.ndarray, shape, cfg: NumericalConfig) -> dict:
+    """Flag singular values within two decades of the rank cutoff (none on zero data)."""
     cutoff = rank_cutoff(sv, shape, cfg)
     marginal = bool(np.any((sv > cutoff / 100.0) & (sv < cutoff * 100.0)))
     return {"marginal_rank": marginal, "singular_values": sv.tolist()}
@@ -202,9 +202,7 @@ def decide_verdicts(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
         r = (sv > rank_cutoff(sv, (n, D.T if cols is None else cols), cfg)[:, None]).sum(axis=1)
     else:
         D = DataMatrices(D.u_minus[None], D.x_minus[None], D.x_plus[None])
-        S, r = comp.S[None], np.array([comp.r])
-        # a zero X_minus has no SVD, and at rank 0 never reaches the pencil
-        sv, Vt = (None, None) if comp.sv is None else (comp.sv[None], comp.Vt[None])
+        S, sv, Vt, r = comp.S[None], comp.sv[None], comp.Vt[None], np.array([comp.r])
     rank_stacked = numerical_rank(D.stacked(), cfg, cols)
     full = r == n
     # nothing to test without a full-rank member; r, not the kernel, decides

@@ -59,8 +59,9 @@ class RowCompression:
     ``x_hat_minus`` the full-row-rank top block of S @ X_minus and
     ``x_hat_plus`` the first r rows of S @ X_plus, ``sv`` the singular values
     r was decided from and ``Vt`` the matching right singular vectors, signed
-    as the rows of S, so that X_minus = S[:len(sv)].T @ diag(sv) @ Vt (both
-    None where no SVD was taken).
+    as the rows of S, so that X_minus = S[:len(sv)].T @ diag(sv) @ Vt.
+    ``row_compress`` always fills both; they stay None only in a compression
+    built by hand.
     """
 
     S: np.ndarray
@@ -119,17 +120,15 @@ def row_compress(x_minus: np.ndarray, x_plus: np.ndarray,
 
     The SVD is the economy one whenever that still gives all n left singular
     vectors (n <= T), so no T x T factor is built; its ``Vt`` lets
-    ``pencil_full_rank`` read L^+ off this compression.
+    ``pencil_full_rank`` read L^+ off this compression. Zero and empty
+    x_minus take the same route: numpy factors a zero matrix with U = I, so
+    S = I, r = 0 and sv is zero.
     """
     x_minus = np.atleast_2d(np.asarray(x_minus, dtype=float))
     x_plus = np.atleast_2d(np.asarray(x_plus, dtype=float))
     if x_minus.shape != x_plus.shape:
         raise ValueError(f"shape mismatch: {x_minus.shape} vs {x_plus.shape}")
     n = x_minus.shape[0]
-    if x_minus.size == 0 or not x_minus.any():
-        return RowCompression(S=np.eye(n), r=0,
-                              x_hat_minus=x_minus[:0],
-                              x_hat_plus=x_plus[:0])
     U, sv, Vt = np.linalg.svd(x_minus, full_matrices=n > x_minus.shape[1])
     r = int(np.count_nonzero(sv > rank_cutoff(sv, x_minus.shape, cfg)))
     S = U.T.copy()

@@ -270,9 +270,14 @@ class TestSynthesizeAndVerify:
         path.write_text(json.dumps({"n": 3, "m": 1, "inputs": [[1.0], [2.0]],
                                     "states": [[0.0, 0.0, 0.0]] * 3}))
         out = str(tmp_path / "o")
+        assert main(["informativity", str(path), "--out", out]) == EXIT_OK
+        margin = read_json(os.path.join(out, "informativity.json"))["diagnostics"][
+            "x_minus_rank_margin"]
+        # the general compression route: a zero spectrum, S = I
+        assert margin == {"marginal_rank": False, "singular_values": [0.0, 0.0]}
         assert main(["synthesize", str(path), "--out", out]) == EXIT_OK
         gain = read_json(os.path.join(out, "gain.json"))
-        assert gain["row_compression"]["r"] == 0
+        assert gain["row_compression"] == {"S": np.eye(3).tolist(), "r": 0}
         assert gain["slack"] is None
 
     def test_dump_problem(self, example1_file, tmp_path):

@@ -71,6 +71,22 @@ class TestPlainAndControllabilityPrior:
         sol = solve_plain_lmi(D, cfg)
         assert sol.feasible and sol.theta is not None
 
+    @pytest.mark.parametrize("rank_rel_tol", [0.5, 0.2], ids=["rank_zero", "full_rank"])
+    @pytest.mark.parametrize("x_minus", [[[1.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+                             ids=["one_row", "eye_and_zero_column"])
+    def test_orthonormal_rows_at_coarse_tolerance(self, rank_rel_tol, x_minus):
+        # a unit spectrum, ranked at the cutoff: 0 at 0.5 and n at 0.2, where
+        # F = 0.5 I is Schur; the controllability-prior verdict is the report's
+        cfg = NumericalConfig(rank_rel_tol=rank_rel_tol)
+        X = np.array(x_minus)
+        D = DataMatrices(u_minus=np.arange(1.0, X.shape[1] + 1)[None],
+                         x_minus=X, x_plus=0.5 * X)
+        report = check_stabilizability_prior(D, cfg)
+        full = rank_rel_tol == 0.2
+        assert report.rank_x_minus == (D.n if full else 0)
+        assert report.stabilization is full
+        assert check_controllability_prior(D, cfg) is report.stabilization_controllability_prior
+
 
 class TestConditions:
     def test_example1_image_inclusion(self, cfg, example1):
@@ -527,7 +543,10 @@ class TestVerdictsSolveNothing:
         for _ in range(150):
             D = random_dataset(rng).D
             report = check_stabilizability_prior(D, cfg)
-            assert check_controllability_prior(D, cfg) == report.stabilization
+            # the pencil test that factors X_minus itself is the reference
+            plain = pencil_full_rank(D.x_minus, D.x_plus, cfg)
+            assert report.stabilization == plain
+            assert check_controllability_prior(D, cfg) == plain
             verdicts.add((report.branch, report.stabilization))
         assert (Branch.FULL_RANK, True) in verdicts
         assert (Branch.FULL_RANK, False) in verdicts

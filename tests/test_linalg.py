@@ -76,15 +76,26 @@ class TestRowCompress:
             assert np.abs(comp.S @ comp.S.T - np.eye(n)).max() <= 1e-10
             assert numerical_rank(comp.x_hat_minus, cfg) == comp.r
             assert np.allclose(comp.x_hat_plus, (comp.S @ Xp)[:comp.r])
-            if r_true:
-                # economy SVD unless n > T; Vt signed as S's rows
-                k = min(n, T)
-                assert comp.sv.shape == (k,) and comp.Vt.shape == (k, T)
-                assert np.abs(comp.S[:k].T @ (comp.sv[:, None] * comp.Vt) - X).max() \
-                    <= 1e-12 * max(1, abs(X).max())
-            if comp.sv is not None:  # the report's route: X^+ read off the compression
-                assert pencil_full_rank(X, Xp, cfg, (comp.S, comp.sv, comp.Vt)) \
-                    == pencil_full_rank(X, Xp, cfg)
+            # economy SVD unless n > T; Vt signed as S's rows
+            k = min(n, T)
+            assert comp.sv.shape == (k,) and comp.Vt.shape == (k, T)
+            assert np.abs(comp.S[:k].T @ (comp.sv[:, None] * comp.Vt) - X).max() \
+                <= 1e-12 * max(1, abs(X).max())
+            # the report's route: X^+ read off the compression
+            assert pencil_full_rank(X, Xp, cfg, (comp.S, comp.sv, comp.Vt)) \
+                == pencil_full_rank(X, Xp, cfg)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2), (3, 2)], ids=["wide", "square", "tall"])
+    def test_zero_state_data_take_the_general_route(self, cfg, shape):
+        # numpy factors a zero matrix with U = I, so S keeps np.eye's bytes
+        n, T = shape
+        comp = row_compress(np.zeros(shape), np.ones(shape), cfg)
+        assert comp.S.tobytes() == np.eye(n).tobytes()
+        assert comp.r == 0
+        k = min(n, T)
+        assert comp.sv.tobytes() == np.zeros(k).tobytes()
+        assert comp.Vt.shape == (k, T)
+        assert comp.x_hat_minus.shape == comp.x_hat_plus.shape == (0, T)
 
     @staticmethod
     def _per_row_signs(X, cfg):
@@ -109,15 +120,18 @@ class TestRowCompress:
         # at rank_rel_tol 0.5 rank 0 for every nonzero matrix of max(shape) >= 2
         cfg = NumericalConfig(rank_rel_tol=rank_rel_tol)
         rng = np.random.default_rng(71)
-        ranks = set()
+        ranks, inputs = set(), []
         for _ in range(200):
             n, T = int(rng.integers(1, 7)), int(rng.integers(1, 9))
             r_true = int(rng.integers(1, min(n, T) + 1))
             X = rng.normal(size=(n, r_true)) @ rng.normal(size=(r_true, T))
             if rng.random() < 0.2:
                 X = np.round(X)  # ties in modulus: the first entry decides
-            if not X.any():
-                continue
+            inputs.append(X)
+        # zero matrices, wide, square and tall, take the same route
+        inputs += [np.zeros(shape) for shape in ((2, 3), (2, 2), (3, 2))]
+        for X in inputs:
+            n, T = X.shape
             comp = row_compress(X, rng.normal(size=(n, T)), cfg)
             S, Vt, r = self._per_row_signs(X, cfg)
             assert comp.r == r
@@ -125,7 +139,8 @@ class TestRowCompress:
             assert comp.Vt.tobytes() == Vt.tobytes()
             ranks.add((r == 0, r < n, n > T))
         expected = {(True, True, False), (True, True, True)} if rank_rel_tol == 0.5 \
-            else {(False, True, False), (False, True, True), (False, False, False)}
+            else {(False, True, False), (False, True, True), (False, False, False),
+                  (True, True, False), (True, True, True)}
         assert expected <= ranks
 
 
