@@ -10,8 +10,8 @@ from .experiments import (ContinuousSystem, MonteCarloConfig, MonteCarloResult,
                           ThreeTankParams, run_monte_carlo, simulate,
                           three_tank_model, zoh_discretize)
 from .informativity import (Branch, InformativityReport, check_controllability_prior,
-                            check_identification, check_image_inclusion,
-                            check_stabilizability_prior, input_rank_condition)
+                            check_identification, check_stabilizability_prior,
+                            input_rank_condition)
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      is_controllable, is_schur, is_stabilizable,
                      matrix_exponential, numerical_rank, pencil_full_rank,

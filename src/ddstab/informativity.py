@@ -11,12 +11,13 @@ and pencil tests:
     full-rank state data this again equals the plain verdict, on
     rank-deficient data it reduces to two checkable subspace conditions.
 
-Every condition of the paper is decided in this module, each by one owner:
-``check_identification``; ``Branch.of`` for the branch; the Hautus test of
-the data pencil for plain stabilization; and ``check_image_inclusion`` and
-``input_rank_condition`` for the two subspace conditions. Only the Hautus
-kernel, ``linalg.pencil_full_rank``, lives in ``linalg``, because
-``linalg.is_stabilizable`` shares it.
+Every condition of the paper is decided by one owner: ``check_identification``;
+``Branch.of`` for the branch; the Hautus test of the data pencil for plain
+stabilization; and ``linalg.subspace_contained`` and ``input_rank_condition``
+for the two subspace conditions. Two kernels live in ``linalg``: the Hautus
+test, ``linalg.pencil_full_rank``, because ``linalg.is_stabilizable`` shares
+it, and image inclusion, ``linalg.subspace_contained``, which reads the row
+compression the caller holds.
 The plain verdict needs no LMI solve: the data are informative iff X_minus
 has full row rank and X_plus - lambda*X_minus keeps full row rank at every
 eigenvalue on or outside the margin (van Waarde et al., 2020). Nothing here
@@ -35,8 +36,8 @@ the residual ||S[r:] X_plus||_2 that image inclusion is read off.
 ``check_controllability_prior`` returns the report's verdict and takes no
 route of its own. The gain routes that hold no report,
 ``synthesis.synthesize_stab`` and ``verification.decomposition_check``, call
-the guard ``require_prior_conditions``, which decides image inclusion
-through ``linalg.subspace_contained``.
+the guard ``require_prior_conditions``, which hands ``subspace_contained``
+the S and r of the compression it is given, as a stack of one.
 """
 from __future__ import annotations
 
@@ -62,40 +63,6 @@ class Branch(enum.Enum):
         return cls.FULL_RANK if comp.r == D.n else cls.RANK_DEFICIENT
 
 
-def image_inclusion_residual(D: DataMatrices, S: np.ndarray,
-                             r: np.ndarray) -> np.ndarray:
-    """||S[r:] X_plus||_2 of each member of a stack of N datasets, with
-    (N, n, n) compressions S and (N,) ranks r: the part of X_plus outside
-    col(X_minus), whose complement S[r:] spans at the rank cutoff of S.
-
-    One values-only SVD per rank below n that occurs; a member of rank n has
-    residual 0.
-    """
-    residual = np.zeros(len(r))
-    for rank in set(r[r < D.n].tolist()):
-        idx = np.flatnonzero(r == rank)
-        residual[idx] = np.linalg.svd(S[idx, rank:] @ D.x_plus[idx], compute_uv=False)[:, 0]
-    return residual
-
-
-def check_image_inclusion(D: DataMatrices, residual: np.ndarray,
-                          cfg: NumericalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """col(X_plus) inside col(X_minus), for each member of a stack of datasets
-    whose compressions S give ``residual = image_inclusion_residual(D, S, r)``:
-    ``residual <= subspace_tol * max(1, ||X_plus||_2)``. An all-zero X_plus
-    is contained, and a nonzero one is not contained in an all-zero X_minus.
-    """
-    # tol * max(1, ||X_plus||) is max(tol, tol * ||X_plus||) exactly, so the
-    # norm of X_plus is taken only where the residual exceeds tol itself
-    minus_nonzero = D.x_minus.any(axis=(1, 2))
-    ok = ~D.x_plus.any(axis=(1, 2)) | (minus_nonzero & (residual <= cfg.subspace_tol))
-    wide = np.flatnonzero(~ok & minus_nonzero)
-    if len(wide):
-        norms = np.linalg.svd(D.x_plus[wide], compute_uv=False)[:, 0]
-        ok[wide] = residual[wide] <= cfg.subspace_tol * norms
-    return ok
-
-
 def input_rank_condition(D: DataMatrices, r: int | np.ndarray,
                          rank_stacked: int | np.ndarray) -> bool | np.ndarray:
     """rank [X_minus; U_minus] = r + m, given r = rank X_minus and that rank
@@ -114,7 +81,9 @@ def require_prior_conditions(D: DataMatrices, comp: RowCompression,
     under the stabilizability prior they are informative iff both hold."""
     if Branch.of(D, comp) is Branch.FULL_RANK:
         return
-    if not subspace_contained(D.x_plus, D.x_minus, cfg):
+    contained, _ = subspace_contained(D.x_plus[None], D.x_minus[None], comp.S[None],
+                                      np.array([comp.r]), cfg)
+    if not contained[0]:
         raise PreconditionError("image inclusion condition fails for this data")
     if not input_rank_condition(D, comp.r, numerical_rank(D.stacked(), cfg)):
         raise PreconditionError("input-rank condition fails for this data")
@@ -208,8 +177,7 @@ def decide_verdicts(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
     # nothing to test without a full-rank member; r, not the kernel, decides
     plain = pencil_full_rank(D.x_minus, D.x_plus, cfg, (S, sv, Vt), cols) & full \
         if np.count_nonzero(full) else full
-    residual = image_inclusion_residual(D, S, r)
-    image_ok = check_image_inclusion(D, residual, cfg)
+    image_ok, residual = subspace_contained(D.x_plus, D.x_minus, S, r, cfg)
     input_ok = input_rank_condition(D, r, rank_stacked)
     return Verdicts(
         rank_x_minus=r, rank_stacked=rank_stacked,

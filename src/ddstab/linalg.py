@@ -8,8 +8,9 @@ spectra for ``rank_cutoff``), decides each member as if it were passed
 alone and a matrix as a stack of one; ``rank_cutoff``, ``numerical_rank``
 and ``pencil_full_rank`` also take each member's own column count, so a
 stack zero-padded to one width is decided as its unpadded members would be.
-``row_compress``, ``rank_revealing_svd`` and ``subspace_contained`` each
-take one matrix.
+``row_compress`` and ``rank_revealing_svd`` each take one matrix;
+``subspace_contained`` takes (N, ., .) stacks and reads the row
+compression of the spanning stack instead of factoring it.
 """
 from __future__ import annotations
 
@@ -273,25 +274,34 @@ def is_stabilizable(A: np.ndarray, B: np.ndarray,
     return pencil_full_rank(L, np.concatenate([A, B], axis=-1), cfg, svd)
 
 
-def subspace_contained(M: np.ndarray, N: np.ndarray,
-                       cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    """True iff the column space of M lies in the column space of N.
+def subspace_contained(M: np.ndarray, N: np.ndarray, S: np.ndarray, r: np.ndarray,
+                       cfg: NumericalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the column space of M lies in that of N, for each member of
+    (K, n, T) stacks, given the row compressions of N: (K, n, n) orthogonal
+    S and (K,) ranks r, each S[r:] spanning the left null space of its N at
+    the rank cutoff (``row_compress``'s S and r, stacked).
 
-    Decided by projecting M onto an orthonormal basis of col(N):
-    ||(I - P_N) M|| <= subspace_tol * max(1, ||M||) in the spectral norm.
+    Returns the verdicts and the residuals ||S[r:] M||_2, the part of M
+    outside col(N): residual <= subspace_tol * max(1, ||M||_2). One
+    values-only SVD per rank below n that occurs; a member of rank n, or
+    with an all-zero M, has residual 0. An all-zero M is contained, and a
+    nonzero one is not contained in an all-zero N.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    N = np.atleast_2d(np.asarray(N, dtype=float))
-    if M.shape[0] != N.shape[0]:
-        raise ValueError("M and N must have the same number of rows")
-    if M.size == 0 or not M.any():
-        return True
-    if N.size == 0 or not N.any():
-        return False
-    U, _, _, r = rank_revealing_svd(N, cfg)
-    Q = U[:, :r]
-    resid = M - Q @ (Q.T @ M)
-    return bool(np.linalg.norm(resid, 2) <= cfg.subspace_tol * max(1.0, np.linalg.norm(M, 2)))
+    residual = np.zeros(len(r))
+    m_nonzero = M.any(axis=(1, 2))
+    outside = m_nonzero & (r < N.shape[1])
+    for rank in set(r[outside].tolist()):
+        idx = np.flatnonzero(outside & (r == rank))
+        residual[idx] = np.linalg.svd(S[idx, rank:] @ M[idx], compute_uv=False)[:, 0]
+    # tol * max(1, ||M||) is max(tol, tol * ||M||) exactly, so the norm of M
+    # is taken only where the residual exceeds tol itself
+    n_nonzero = N.any(axis=(1, 2))
+    ok = ~m_nonzero | (n_nonzero & (residual <= cfg.subspace_tol))
+    wide = np.flatnonzero(~ok & n_nonzero)
+    if len(wide):
+        norms = np.linalg.svd(M[wide], compute_uv=False)[:, 0]
+        ok[wide] = residual[wide] <= cfg.subspace_tol * norms
+    return ok, residual
 
 
 def matrix_exponential(M: np.ndarray) -> np.ndarray:

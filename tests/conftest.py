@@ -81,6 +81,23 @@ def reference_coefficients(problem, cfg):
     return coeffs
 
 
+def projection_contained(M: np.ndarray, N: np.ndarray, cfg: NumericalConfig) -> bool:
+    """col(M) inside col(N), decided by projection onto N's own SVD: with Q
+    the left singular vectors of N above the rank cutoff,
+    ||(I - QQ^T) M||_2 <= subspace_tol * max(1, ||M||_2). An all-zero or
+    empty M is contained, and a nonzero one is not contained in an all-zero
+    N. The reference for ``linalg.subspace_contained``, which reads N's row
+    compression instead of factoring N."""
+    if M.size == 0 or not M.any():
+        return True
+    if not N.any():
+        return False
+    U, _, _, r = rank_revealing_svd(N, cfg)
+    Q = U[:, :r]
+    resid = M - Q @ (Q.T @ M)
+    return bool(np.linalg.norm(resid, 2) <= cfg.subspace_tol * max(1.0, np.linalg.norm(M, 2)))
+
+
 def barrier_slack(coeffs) -> float:
     """The barrier backend's slack t on the LMI block with coefficients
     ``coeffs``, solved directly, past every exit ``sdp_solve`` takes first."""

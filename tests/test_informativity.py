@@ -9,20 +9,19 @@ import ddstab.informativity
 from ddstab import (DataMatrices, LtiSystem, NumericalConfig, PreconditionError,
                     SolverFailure, TrajectoryData, build_data_matrices,
                     check_controllability_prior,
-                    check_identification, check_image_inclusion,
-                    check_stabilizability_prior, consistent_set, input_rank_condition,
+                    check_identification, check_stabilizability_prior, consistent_set, input_rank_condition,
                     numerical_rank, row_compress,
                     run_monte_carlo, simulate, solve_plain_lmi, verify_gain,
                     synthesize, synthesize_stab)
 from ddstab.experiments import (MonteCarloConfig, _evaluate_scenarios, three_tank_model,
                                 zoh_discretize)
-from ddstab.informativity import (Branch, decide_verdicts, image_inclusion_residual,
-                                  require_prior_conditions)
+from ddstab.informativity import Branch, decide_verdicts, require_prior_conditions
 from ddstab.linalg import pencil_full_rank, subspace_contained
 from ddstab.sdp import BarrierBackend
 from ddstab.synthesis import FeedbackGain, GainProvenance, lmi_problem, sdp_solve
 
-from conftest import montecarlo_windows, random_dataset, scalar_full_rank, scenario_trajectory
+from conftest import (montecarlo_windows, projection_contained, random_dataset, scalar_full_rank,
+                      scenario_trajectory)
 
 
 def corrupted_example1():
@@ -90,15 +89,15 @@ class TestPlainAndControllabilityPrior:
 
 class TestConditions:
     def test_example1_image_inclusion(self, cfg, example1):
-        assert subspace_contained(example1.x_plus, example1.x_minus, cfg)
+        assert check_stabilizability_prior(example1, cfg).image_inclusion
 
     def test_corrupted_image_inclusion_fails(self, cfg):
         D = corrupted_example1()
-        assert not subspace_contained(D.x_plus, D.x_minus, cfg)
+        assert not check_stabilizability_prior(D, cfg).image_inclusion
 
     def test_zero_x_plus(self, cfg):
         D = build_data_matrices(TrajectoryData(inputs=[[1.0]], states=[[1.0], [0.0]]))
-        assert subspace_contained(D.x_plus, D.x_minus, cfg)
+        assert check_stabilizability_prior(D, cfg).image_inclusion
 
     def test_example1_input_rank(self, cfg, example1):
         comp = row_compress(example1.x_minus, example1.x_plus, cfg)
@@ -196,19 +195,15 @@ class TestImageInclusionResidual:
         assert seen == {True, False}
 
 
-def _stack_of_one(D):
-    return DataMatrices(D.u_minus[None], D.x_minus[None], D.x_plus[None])
-
-
 class TestImageInclusionRoutes:
-    """Two routes to image inclusion agree: the report's, read off its row
-    compression through the stacked residual, and ``subspace_contained``,
-    which factors X_minus itself. The report decides its dataset as a stack
-    of one, and its residual and verdict equal, bit for bit, the formulas on
-    the dataset alone: sigma_1(S[r:] X_plus) off the row compression (0 at
-    full rank) and residual <= subspace_tol * max(1, ||X_plus||_2), with an
-    all-zero X_plus contained and nothing nonzero inside an all-zero
-    X_minus."""
+    """Two routes to image inclusion agree: ``subspace_contained``, read off
+    the row compression, which the report and the guard call, and
+    ``projection_contained``, which factors X_minus itself. The report
+    decides its dataset as a stack of one, and its residual and verdict
+    equal, bit for bit, the kernel's and the formulas on the dataset alone:
+    sigma_1(S[r:] X_plus) off the row compression (0 at full rank) and
+    residual <= subspace_tol * max(1, ||X_plus||_2), with an all-zero
+    X_plus contained and nothing nonzero inside an all-zero X_minus."""
 
     @staticmethod
     def _oracle(D, cfg) -> tuple[float, bool]:
@@ -226,14 +221,14 @@ class TestImageInclusionRoutes:
 
     @classmethod
     def _agree(cls, D, cfg) -> bool:
-        contained = subspace_contained(D.x_plus, D.x_minus, cfg)
+        contained = projection_contained(D.x_plus, D.x_minus, cfg)
         comp = row_compress(D.x_minus, D.x_plus, cfg)
-        one = _stack_of_one(D)
-        residual = image_inclusion_residual(one, comp.S[None], np.array([comp.r]))
-        assert check_image_inclusion(one, residual, cfg).tolist() == [contained]
+        ok, residual = subspace_contained(D.x_plus[None], D.x_minus[None], comp.S[None],
+                                          np.array([comp.r]), cfg)
         report = check_stabilizability_prior(D, cfg)
         oracle_residual, oracle_contained = cls._oracle(D, cfg)
-        assert report.image_inclusion is contained is oracle_contained
+        assert report.image_inclusion is bool(ok[0]) is contained is oracle_contained
+        assert float(residual[0]).hex() == oracle_residual.hex()
         if report.branch is Branch.FULL_RANK:
             assert "image_inclusion_residual" not in report.diagnostics
             assert oracle_residual == 0.0
@@ -269,6 +264,13 @@ class TestImageInclusionRoutes:
     def test_zero_x_plus_is_contained(self, cfg, x_minus):
         assert self._agree(self._data(x_minus, np.zeros((2, 2))), cfg)
 
+    def test_empty_x_plus_is_contained(self, cfg):
+        # no samples: the empty X_plus is contained, as in the reference
+        D = self._data(np.zeros((2, 0)), np.zeros((2, 0)))
+        assert projection_contained(D.x_plus, D.x_minus, cfg)
+        report = check_stabilizability_prior(D, cfg)
+        assert report.image_inclusion and report.diagnostics["image_inclusion_residual"] == 0.0
+
     def test_tiny_x_plus_outside_zero_x_minus(self, cfg):
         # the residual 1e-10 is far below subspace_tol, yet nothing nonzero
         # lies in the span of a zero X_minus
@@ -296,10 +298,11 @@ class TestImageInclusionRoutes:
 
 class TestGuardAgreesWithReport:
     """``require_prior_conditions``, the guard of the gain routes that hold no
-    report, decides image inclusion through ``subspace_contained``, where the
-    report reads it off its compression. The guard raises iff the report
-    rejects rank-deficient data under the stabilizability prior, and names
-    image inclusion iff the report finds it failing."""
+    report, decides image inclusion through ``subspace_contained`` on the
+    compression it is handed, and ranks [X_minus; U_minus] itself. The guard
+    raises iff the report rejects rank-deficient data under the
+    stabilizability prior, and names image inclusion iff the report finds it
+    failing."""
 
     @staticmethod
     def _agree(D, cfg) -> str | None:

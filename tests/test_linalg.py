@@ -8,14 +8,15 @@ from ddstab import (NumericalConfig, is_controllable, is_schur, is_stabilizable,
                     row_compress, spectral_radius, subspace_contained)
 from ddstab import (LtiSystem, MonteCarloConfig, build_data_matrices,
                     check_stabilizability_prior, consistent_set, reachable_part,
-                    sdp_solve, simulate, solve_plain_lmi, three_tank_model,
-                    zoh_discretize)
+                    sdp_solve, simulate, solve_plain_lmi, synthesize,
+                    three_tank_model, zoh_discretize)
 from ddstab.experiments import _evaluate_scenarios
+from ddstab.informativity import require_prior_conditions
 from ddstab.linalg import controllability_matrix, rank_cutoff
 from ddstab.synthesis import LmiFeasibilityProblem
 
 from conftest import (THREE_TANK_A_REF, THREE_TANK_B_REF, THREE_TANK_K_REF,
-                      example1_matrices, scenario_trajectory)
+                      example1_matrices, projection_contained, scenario_trajectory)
 
 
 class TestNumericalRank:
@@ -188,16 +189,23 @@ class TestSystemPredicates:
                 assert is_stabilizable(A, B, cfg)
 
 
+def _contained(M, N, cfg) -> bool:
+    """``subspace_contained`` on one pair, handed N's row compression."""
+    comp = row_compress(N, N, cfg)
+    ok, _ = subspace_contained(M[None], N[None], comp.S[None], np.array([comp.r]), cfg)
+    return bool(ok[0])
+
+
 class TestSubspaceContained:
     def test_example1_images(self, cfg, example1):
-        assert subspace_contained(example1.x_plus, example1.x_minus, cfg)
+        assert _contained(example1.x_plus, example1.x_minus, cfg)
 
     def test_e2_not_in_e1(self, cfg):
-        assert not subspace_contained(np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]]), cfg)
+        assert not _contained(np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]]), cfg)
 
     def test_anything_in_identity(self, cfg):
         rng = np.random.default_rng(5)
-        assert subspace_contained(rng.normal(size=(3, 4)), np.eye(3), cfg)
+        assert _contained(rng.normal(size=(3, 4)), np.eye(3), cfg)
 
     def test_agrees_with_lstsq_oracle(self, cfg):
         rng = np.random.default_rng(6)
@@ -213,7 +221,25 @@ class TestSubspaceContained:
             resid_cols = [np.linalg.norm(M[:, j] - N @ np.linalg.lstsq(N, M[:, j], rcond=None)[0])
                           for j in range(M.shape[1])]
             oracle = max(resid_cols) <= 1e-7 * max(1.0, np.linalg.norm(M, 2))
-            assert subspace_contained(M, N, cfg) == oracle
+            assert _contained(M, N, cfg) == oracle
+
+    def test_stack_decides_each_member_alone(self, cfg):
+        # one call on a stack gives each member's verdict and residual
+        rng = np.random.default_rng(7)
+        Ms, Ns = rng.normal(size=(30, 3, 4)), rng.normal(size=(30, 3, 4))
+        for i in range(30):
+            rank_n = i % 4
+            Ns[i] = rng.normal(size=(3, rank_n)) @ rng.normal(size=(rank_n, 4))
+            if i % 2:
+                Ms[i] = Ns[i] @ rng.normal(size=(4, 4))
+        comps = [row_compress(N, N, cfg) for N in Ns]
+        S, r = np.stack([c.S for c in comps]), np.array([c.r for c in comps])
+        ok, residual = subspace_contained(Ms, Ns, S, r, cfg)
+        for i in range(30):
+            alone, one = subspace_contained(Ms[i:i + 1], Ns[i:i + 1], S[i:i + 1], r[i:i + 1], cfg)
+            assert (ok[i], residual[i]) == (alone[0], one[0])
+            assert ok[i] == projection_contained(Ms[i], Ns[i], cfg)
+        assert set(ok.tolist()) == {True, False}
 
 
 @pytest.fixture
@@ -293,8 +319,9 @@ class TestOneFactorizationPerMatrix:
         # a chunk of three-tank Monte Carlo scenarios factors the zero-padded
         # X_minus windows of all its scenarios once and their [X_minus; U_minus]
         # windows once, whichever branch each window takes, and factors no
-        # window alone; image inclusion is read off the stack's compression, so
-        # subspace_contained is never called. T = 1, 2 are rank deficient in
+        # window alone; image inclusion is decided by one subspace_contained
+        # call on all the X_plus windows, read off the stack's compression.
+        # T = 1, 2 are rank deficient in
         # every scenario; the longer windows are full rank unless the third
         # tank starts empty
         mc = MonteCarloConfig(system=zoh_discretize(three_tank_model()),
@@ -322,8 +349,19 @@ class TestOneFactorizationPerMatrix:
         assert _count(factorizations["svd"], windows(runs[i].x_minus for i in indices)) == 1
         assert _count(factorizations["svd"], windows(runs[i].stacked() for i in indices)) == 1
         assert all(M.ndim == 3 for M in factorizations["svd"])
-        assert not contained
+        assert len(contained) == 1
+        assert _count(contained, windows(runs[i].x_plus for i in indices)) == 1
         assert not factorizations["pinv"]
+
+    def test_guard_and_gain_read_the_report_compression(self, cfg, factorizations):
+        # the guard decides image inclusion off the S and r it is handed, so
+        # neither it nor the gain step factors X_minus again
+        D = example1_matrices()
+        report = check_stabilizability_prior(D, cfg)
+        factorizations["svd"].clear()
+        require_prior_conditions(D, report.compression, cfg)
+        synthesize(D, cfg, report)
+        assert not _count(factorizations["svd"], D.x_minus)
 
 
 class TestMatrixExponential:

@@ -292,17 +292,15 @@ class TestCertificateIdentities:
         assert np.linalg.eigvalsh(0.5 * (decrease + decrease.T)).min() > 0.0
 
     def test_identities_on_random_rank_deficient_data(self, cfg):
-        from ddstab import input_rank_condition, numerical_rank, subspace_contained
         rng = np.random.default_rng(33)
         checked = 0
         while checked < 25:
             ds = random_dataset(rng, stabilizable_only=True)
-            comp = row_compress(ds.D.x_minus, ds.D.x_plus, cfg)
+            report = check_stabilizability_prior(ds.D, cfg)
+            comp = report.compression
             if comp.r >= ds.D.n:
                 continue
-            rank_stacked = numerical_rank(ds.D.stacked(), cfg)
-            if not (subspace_contained(ds.D.x_plus, ds.D.x_minus, cfg)
-                    and input_rank_condition(ds.D, comp.r, rank_stacked)):
+            if not (report.image_inclusion and report.input_rank_condition):
                 continue
             sol = solve_stab_lmi(ds.D, comp, cfg)
             if not sol.feasible:
@@ -358,18 +356,16 @@ class TestUniqueInputMatrixRecovery:
     def test_recovered_b_matches_generator(self, cfg):
         # on rank-deficient informative data every consistent system shares
         # one input matrix, so recovery must reproduce the generator's B
-        from ddstab import (input_rank_condition, numerical_rank, recover_input_matrix,
-                            subspace_contained)
+        from ddstab import recover_input_matrix
         rng = np.random.default_rng(37)
         checked = 0
         while checked < 20:
             ds = random_dataset(rng, stabilizable_only=True)
-            comp = row_compress(ds.D.x_minus, ds.D.x_plus, cfg)
+            report = check_stabilizability_prior(ds.D, cfg)
+            comp = report.compression
             if comp.r >= ds.D.n:
                 continue
-            rank_stacked = numerical_rank(ds.D.stacked(), cfg)
-            if not (subspace_contained(ds.D.x_plus, ds.D.x_minus, cfg)
-                    and input_rank_condition(ds.D, comp.r, rank_stacked)):
+            if not (report.image_inclusion and report.input_rank_condition):
                 continue
             B = recover_input_matrix(ds.D, comp, cfg)
             scale = max(1.0, np.abs(ds.true_system.B).max())
