@@ -9,6 +9,9 @@ Exit codes form a stable contract:
 Each subcommand takes only the options it reads, and option values resolve
 as flag > environment (DDSTAB_*) > config file > built-in default. All
 outputs are plain JSON/CSV and byte-stable for a fixed config and seed.
+
+Only the core layers (errors, linalg, data) load with this module; each
+command imports the layers it runs, so a cold process compiles no other.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import dataclasses
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,14 +28,11 @@ from . import __version__
 from .data import (DataMatrices, build_data_matrices, consistent_set, is_number,
                    load_trajectory, trajectory_to_csv, trajectory_to_json)
 from .errors import DataFormatError, PreconditionError, SolverFailure
-from .experiments import (MonteCarloConfig, demo_example1, demo_example2,
-                          demo_three_tank, run_monte_carlo, three_tank_model,
-                          zoh_discretize)
-from .informativity import Branch, InformativityReport, check_stabilizability_prior
 from .linalg import NumericalConfig, row_compress
-from .synthesis import (FeedbackGain, GainProvenance, lmi_problem, problem_to_json,
-                        synthesize)
-from .verification import decomposition_check, structural_nullity, verify_gain
+
+if TYPE_CHECKING:
+    from .informativity import InformativityReport
+    from .synthesis import FeedbackGain
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -172,6 +173,7 @@ def _gain_payload(gain: FeedbackGain, sol, report: InformativityReport) -> dict:
 
 
 def _gain_from_file(path: str, D: DataMatrices) -> FeedbackGain:
+    from .synthesis import FeedbackGain, GainProvenance
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -196,6 +198,7 @@ def _gain_from_file(path: str, D: DataMatrices) -> FeedbackGain:
 
 
 def cmd_informativity(args, settings: dict) -> int:
+    from .informativity import check_stabilizability_prior
     traj = load_trajectory(args.data)
     D = build_data_matrices(traj)
     report = check_stabilizability_prior(D, settings["numcfg"])
@@ -207,6 +210,8 @@ def cmd_informativity(args, settings: dict) -> int:
 
 
 def cmd_synthesize(args, settings: dict) -> int:
+    from .informativity import Branch, check_stabilizability_prior
+    from .synthesis import lmi_problem, problem_to_json, synthesize
     numcfg = settings["numcfg"]
     traj = load_trajectory(args.data)
     D = build_data_matrices(traj)
@@ -232,6 +237,7 @@ def cmd_synthesize(args, settings: dict) -> int:
 
 
 def cmd_verify(args, settings: dict) -> int:
+    from .verification import decomposition_check, structural_nullity, verify_gain
     numcfg = settings["numcfg"]
     traj = load_trajectory(args.data)
     D = build_data_matrices(traj)
@@ -267,6 +273,8 @@ def cmd_verify(args, settings: dict) -> int:
 
 
 def cmd_montecarlo(args, settings: dict) -> int:
+    from .experiments import (MonteCarloConfig, run_monte_carlo, three_tank_model,
+                              zoh_discretize)
     system = zoh_discretize(three_tank_model())
     try:
         mc = MonteCarloConfig(system=system, scenarios=args.scenarios,
@@ -297,8 +305,8 @@ def cmd_montecarlo(args, settings: dict) -> int:
     return EXIT_OK
 
 
-def _demo_example2_bundle(settings) -> None:
-    bundle = demo_example2(cfg=settings["numcfg"])
+def _demo_example2_bundle(settings, demo) -> None:
+    bundle = demo(cfg=settings["numcfg"])
     lines = ["a,b1,b2,controllable"]
     for a, b1, b2, ctrb in bundle["grid"]:
         lines.append(f"{a!r},{b1!r},{b2!r},{int(ctrb)}")
@@ -341,8 +349,9 @@ def _demo_synthesis_bundle(settings, demo) -> None:
 
 
 def cmd_demo(args, settings: dict) -> int:
+    from .experiments import demo_example1, demo_example2, demo_three_tank
     if args.name == "example2":
-        _demo_example2_bundle(settings)
+        _demo_example2_bundle(settings, demo_example2)
     else:
         _demo_synthesis_bundle(settings, {"example1": demo_example1,
                                           "three-tank": demo_three_tank}[args.name])

@@ -12,8 +12,6 @@ from .data import (DataMatrices, LtiSystem, TrajectoryData, build_data_matrices,
 from .informativity import check_stabilizability_prior, decide_verdicts
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, is_controllable,
                      matrix_exponential, spectral_radius)
-from .synthesis import synthesize
-from .verification import verify_gain
 
 
 @dataclass(frozen=True)
@@ -259,6 +257,9 @@ def example1_trajectory() -> TrajectoryData:
 def _synthesis_demo(traj: TrajectoryData, cfg: NumericalConfig, seed: int,
                     n_samples: int) -> dict:
     """Report, gain and sampled verification for one trajectory."""
+    # imported here: the Monte Carlo study decides its verdicts without them
+    from .synthesis import synthesize
+    from .verification import verify_gain
     D = build_data_matrices(traj)
     report = check_stabilizability_prior(D, cfg)
     gain, sol, _ = synthesize(D, cfg, report)

@@ -212,11 +212,11 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
 
     Stacks (N, k, T) give the N verdicts as a boolean array, each equal to its
     member's own: one stacked ``eigvals``, then one stacked SVD over the
-    pencils of every (member, eigenvalue) pair on or outside the margin; a
-    single pencil is decided as a stack of one. Members zero-padded to a
-    common T pass their own column counts as ``cols``: zero columns change
-    neither L^+'s action nor any pencil rank, and every cutoff is taken at
-    the member's own shape.
+    pencils of every (member, eigenvalue) pair on or outside the margin, or
+    none when no pair lies there; a single pencil is decided as a stack of
+    one. Members zero-padded to a common T pass their own column counts as
+    ``cols``: zero columns change neither L^+'s action nor any pencil rank,
+    and every cutoff is taken at the member's own shape.
     """
     L = np.atleast_2d(np.asarray(L, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -244,6 +244,8 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
     # hypot, not np.abs: it rounds |lambda| as abs() does on one eigenvalue
     modulus = np.hypot(lams.real, lams.imag)
     i, j = np.nonzero(modulus >= 1.0 - cfg.schur_margin)
+    if not len(i):  # every eigenvalue inside the margin: no pencil to rank
+        return ok if stacked else bool(ok[0])
     members = full[i]
     pencils = np.multiply(L[members], lams[i, j][:, None, None], dtype=complex)
     np.subtract(P[members], pencils, out=pencils)
@@ -304,9 +306,65 @@ def subspace_contained(M: np.ndarray, N: np.ndarray, S: np.ndarray, r: np.ndarra
     return ok, residual
 
 
+# (theta_m, Pade coefficients b_0..b_m) of degree m = 3, 5, 7, 9: up to
+# 1-norm theta_m that degree is accurate to unit roundoff without scaling
+# (Higham, "The scaling and squaring method for the matrix exponential
+# revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005); degree 13 beyond
+_PADE = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                            1512.0, 56.0, 1.0)),
+    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                           30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+)
+_THETA_13 = 5.371920351148152e0
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+            16380.0, 182.0, 1.0)
+
+
 def matrix_exponential(M: np.ndarray) -> np.ndarray:
-    """e^M (scaling-and-squaring Pade, via scipy)."""
-    # imported here: only zoh_discretize reaches this, and a process that
-    # never discretizes then never loads scipy
-    import scipy.linalg
-    return scipy.linalg.expm(np.atleast_2d(np.asarray(M, dtype=float)))
+    """e^M by Higham's scaling and squaring Pade method (SIAM J. Matrix Anal.
+    Appl. 2005), in numpy alone.
+
+    The least Pade degree 3, 5, 7 or 9 whose threshold theta_m bounds
+    ||M||_1 is used unscaled; past theta_9, degree 13 on M / 2^s with the
+    least s that brings the norm within theta_13, then s squarings. The
+    approximant r_m = (V - U)^{-1} (V + U), with U odd and V even in M, is
+    one ``np.linalg.solve``. A non-square or non-finite M raises ValueError.
+    """
+    A = np.atleast_2d(np.asarray(M, dtype=float))
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    n = len(A)
+    if n == 0:
+        return A.copy()
+    norm = np.abs(A).sum(axis=0).max()
+    if not np.isfinite(norm):
+        raise ValueError("expected a finite matrix")
+    eye = np.eye(n)
+    A2 = A @ A
+    for theta, b in _PADE:
+        if norm <= theta:
+            powers = [eye, A2]
+            while len(powers) < len(b) // 2:
+                powers.append(powers[-1] @ A2)
+            U = A @ sum(c * P for c, P in zip(b[1::2], powers))
+            V = sum(c * P for c, P in zip(b[::2], powers))
+            return np.linalg.solve(V - U, V + U)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
+    A = A / 2.0**s
+    A2 = A2 / 4.0**s
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    b = _PADE_13
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) \
+        + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E

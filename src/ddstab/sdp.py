@@ -36,8 +36,10 @@ and ends in SolverFailure. Both backends return through ``_certified``, so
 a solve yields the slack achieved at its final point or raises
 SolverFailure.
 
-scipy is imported by the first solve, not by this module: a process that
-never solves never loads it.
+This module is imported by the first solve (``synthesis.sdp_solve`` and
+``verification.common_lyapunov`` import it where they solve), and scipy by
+the first Newton step, not by this module: a process that never solves
+loads neither. scipy is the solver's alone; no other module imports it.
 """
 from __future__ import annotations
 

@@ -35,7 +35,6 @@ from .informativity import (Branch, InformativityReport, check_stabilizability_p
                             require_prior_conditions)
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      rank_revealing_svd, row_compress)
-from .sdp import AffineLmiFeasibility, BarrierBackend
 
 
 class GainProvenance(enum.Enum):
@@ -114,8 +113,10 @@ def sdp_solve(problem: LmiFeasibilityProblem,
     the normalized image ball, a scale-free conditioning measure in
     (0, sqrt(2)] (clamped at 0 when infeasible), not a solver objective. A solver
     breakdown raises SolverFailure. ``backend`` defaults to the barrier; tests
-    hand in a fake or the cvxpy oracle ``sdp.CvxpyBackend()``.
+    hand in a fake or the cvxpy oracle ``sdp.CvxpyBackend()``. ``sdp`` is
+    imported here, so a process that never solves never loads it.
     """
+    from .sdp import AffineLmiFeasibility, BarrierBackend
     backend = backend or BarrierBackend()
     L, P = problem.diag_coeff, problem.offdiag_coeff
     k, T = L.shape

@@ -24,7 +24,6 @@ from .informativity import require_prior_conditions
 from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
                      controllability_matrix, is_controllable, is_schur,
                      is_stabilizable, spectral_radius)
-from .sdp import AffineLmiFeasibility, BarrierBackend
 from .synthesis import FeedbackGain, GainProvenance
 
 
@@ -246,8 +245,10 @@ def common_lyapunov(systems: list[np.ndarray], cfg: NumericalConfig = DEFAULT_CO
     """One P > 0 with P - M P M^T > 0 for every closed-loop matrix M.
 
     Returns None when the joint feasibility problem has no solution at the
-    configured margin. Raises SolverFailure on numerical breakdown.
+    configured margin. Raises SolverFailure on numerical breakdown. ``sdp``
+    is imported here: sampled verification never solves.
     """
+    from .sdp import AffineLmiFeasibility, BarrierBackend
     backend = backend or BarrierBackend()
     mats = [np.atleast_2d(np.asarray(M, dtype=float)) for M in systems]
     if not mats:

@@ -700,30 +700,80 @@ def test_console_script_installed(example1_file, tmp_path):
 
 
 _LAZY_MODULES = ("scipy", "scipy.linalg", "multiprocessing", "concurrent.futures")
+# the package's modules, core first
+_LAYERS = tuple(f"ddstab.{name}" for name in (
+    "cli", "errors", "linalg", "data", "informativity", "synthesis", "sdp",
+    "verification", "experiments"))
+_CORE = _LAYERS[:4]
 
 # runs each argv through main in one fresh interpreter, then reports the exit
-# codes and which of _LAZY_MODULES were loaded, as the last line of stdout
-_IMPORT_PROBE = f"""
+# codes and which of the given modules were loaded, as the last line of
+# stdout; with calls None it imports the package root alone
+_IMPORT_PROBE = """
 import json, sys
-from ddstab.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({{"codes": codes,
-                  "loaded": [m for m in {_LAZY_MODULES!r} if m in sys.modules]}}))
+calls, modules = map(json.loads, sys.argv[1:])
+import ddstab
+codes = None
+if calls is not None:
+    from ddstab.cli import main
+    codes = [main(argv) for argv in calls]
+print(json.dumps({"codes": codes, "loaded": [m for m in modules if m in sys.modules]}))
 """
 
 
 class TestImportPath:
-    """scipy is loaded by the code that uses it and no command loads a process
-    pool, so a call that never solves nor discretizes loads none of them."""
+    """Each layer is loaded by the code that runs it: the package root loads
+    none, the CLI module only its core (errors, linalg, data), and each
+    command the layers its work needs. scipy is loaded by the first solve
+    alone, and no command loads a process pool, so a call that never solves
+    loads none of _LAZY_MODULES; ``montecarlo`` discretizes and decides
+    without the solver or scipy."""
 
     @staticmethod
-    def probe(calls, tmp_path):
+    def probe(calls, tmp_path, modules=_LAZY_MODULES):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
+        result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls),
+                                 json.dumps(modules)],
                                 cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
                                 capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
         return json.loads(result.stdout.strip().splitlines()[-1])
+
+    def test_package_import_loads_no_layer(self, tmp_path):
+        assert self.probe(None, tmp_path, _LAYERS + _LAZY_MODULES) \
+            == {"codes": None, "loaded": []}
+
+    def test_cli_import_loads_the_core(self, tmp_path):
+        assert self.probe([], tmp_path, _LAYERS) == {"codes": [], "loaded": list(_CORE)}
+
+    def test_informativity_loads_its_layer(self, example1_file, tmp_path):
+        calls = [["informativity", example1_file, "--out", str(tmp_path / "i")]]
+        assert self.probe(calls, tmp_path, _LAYERS) \
+            == {"codes": [EXIT_OK], "loaded": [*_CORE, "ddstab.informativity"]}
+
+    def test_verify_loads_no_solver(self, example1_file, tmp_path):
+        gain_path = tmp_path / "gain.json"
+        gain_path.write_text(json.dumps(
+            {"K": [[-1.0, 0.0]], "provenance": "stabilizability_prior"}))
+        calls = [["verify", example1_file, str(gain_path), "--out", str(tmp_path / "v")]]
+        assert self.probe(calls, tmp_path, _LAYERS + _LAZY_MODULES) == {
+            "codes": [EXIT_OK],
+            "loaded": [*_CORE, "ddstab.informativity", "ddstab.synthesis",
+                       "ddstab.verification"]}
+
+    def test_rejected_synthesize_loads_no_solver(self, tmp_path):
+        data = tmp_path / "near_margin.json"
+        data.write_text(trajectory_to_json(scalar_near_margin(5e-7)))
+        calls = [["synthesize", str(data), "--out", str(tmp_path / "s")]]
+        assert self.probe(calls, tmp_path, _LAYERS) == {
+            "codes": [EXIT_NEGATIVE],
+            "loaded": [*_CORE, "ddstab.informativity", "ddstab.synthesis"]}
+
+    def test_montecarlo_loads_no_solver_nor_scipy(self, tmp_path):
+        calls = [["montecarlo", "--scenarios", "2", "--out", str(tmp_path / "m")]]
+        assert self.probe(calls, tmp_path, _LAYERS + _LAZY_MODULES) == {
+            "codes": [EXIT_OK],
+            "loaded": [*_CORE, "ddstab.informativity", "ddstab.experiments"]}
 
     def test_import_loads_none(self, tmp_path):
         assert self.probe([], tmp_path) == {"codes": [], "loaded": []}

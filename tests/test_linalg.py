@@ -353,6 +353,16 @@ class TestOneFactorizationPerMatrix:
         assert _count(contained, windows(runs[i].x_plus for i in indices)) == 1
         assert not factorizations["pinv"]
 
+    def test_pencils_only_outside_the_margin(self, cfg, factorizations):
+        # a Schur A leaves no eigenvalue to test, so no pencil is factored;
+        # in a stack, only the members with one on or outside the margin
+        B = np.array([[0.0], [1.0]])
+        assert is_stabilizable(np.diag([0.5, -0.3]), B, cfg)
+        assert not factorizations["svd"]
+        A = np.stack([np.diag([0.5, -0.3]), np.diag([1.5, 0.2])])
+        assert is_stabilizable(A, np.stack([B, B]), cfg).tolist() == [True, False]
+        assert [M.shape for M in factorizations["svd"]] == [(1, 2, 3)]
+
     def test_guard_and_gain_read_the_report_compression(self, cfg, factorizations):
         # the guard decides image inclusion off the S and r it is handed, so
         # neither it nor the gain step factors X_minus again
@@ -374,6 +384,37 @@ class TestMatrixExponential:
     def test_three_tank(self):
         Ac = np.array([[-0.6, 0.5, 0.0], [0.5, -0.5, 0.5], [0.0, 0.0, -0.5]])
         assert np.abs(matrix_exponential(0.1 * Ac) - THREE_TANK_A_REF).max() <= 1e-4
+
+    # 1-norms in each Pade branch: degree 3, 5, 7 and 9 up to theta_9 = 2.1,
+    # then degree 13 unscaled up to theta_13 = 5.4 and scaled beyond, with
+    # the largest relative Frobenius distance to scipy's expm allowed there
+    @pytest.mark.parametrize("norm, bound", [
+        (1e-3, 1e-14), (1e-2, 1e-14), (0.2, 1e-14), (0.9, 1e-14), (2.0, 1e-14),
+        (5.0, 4e-12), (10.0, 1e-11), (100.0, 1e-10), (1e3, 1e-10)])
+    def test_matches_scipy(self, norm, bound):
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(int(1e3 * norm))
+        # past 1-norm 100, a skew-symmetric matrix less a small nonnegative
+        # diagonal: M + M^T <= 0 keeps e^M within norm 1, and the small
+        # diagonal keeps it off zero
+        for n in range(1 if norm <= 100.0 else 2, 7):
+            for _ in range(10):
+                G = rng.normal(size=(n, n))
+                if norm > 100.0:
+                    G = G - G.T - 0.1 * np.diag(np.abs(rng.normal(size=n)))
+                M = norm * G / np.abs(G).sum(axis=0).max()
+                E = expm(M)
+                assert 0.0 < np.linalg.norm(E) < np.inf
+                assert np.linalg.norm(matrix_exponential(M) - E) <= bound * np.linalg.norm(E)
+
+    @pytest.mark.parametrize("M", [np.ones((2, 3)), np.array([[0.0, np.nan], [1.0, 0.0]]),
+                                   np.array([[np.inf]])])
+    def test_not_square_or_not_finite(self, M):
+        with pytest.raises(ValueError):
+            matrix_exponential(M)
+
+    def test_empty(self):
+        assert matrix_exponential(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_config_invariants():
