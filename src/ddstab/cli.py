@@ -28,7 +28,7 @@ from . import __version__
 from .data import (DataMatrices, build_data_matrices, consistent_set, is_number,
                    load_trajectory, trajectory_to_csv, trajectory_to_json)
 from .errors import DataFormatError, PreconditionError, SolverFailure
-from .linalg import NumericalConfig, row_compress
+from .linalg import NumericalConfig
 
 if TYPE_CHECKING:
     from .informativity import InformativityReport
@@ -237,6 +237,7 @@ def cmd_synthesize(args, settings: dict) -> int:
 
 
 def cmd_verify(args, settings: dict) -> int:
+    from .informativity import check_stabilizability_prior
     from .verification import decomposition_check, structural_nullity, verify_gain
     numcfg = settings["numcfg"]
     traj = load_trajectory(args.data)
@@ -250,9 +251,9 @@ def cmd_verify(args, settings: dict) -> int:
         raise DataFormatError(f"invalid verification settings: {exc}") from exc
     payload = report.to_dict()
     payload["structural_nullity_particular"] = structural_nullity(cs, gain, cs.particular)
-    comp = row_compress(D.x_minus, D.x_plus, numcfg)
     try:
-        decomp = decomposition_check(D, comp, cs.particular, numcfg)
+        decomp = decomposition_check(D, check_stabilizability_prior(D, numcfg),
+                                     cs.particular, numcfg)
         payload["decomposition"] = {
             "a21_norm": decomp.a21_norm,
             "b2_norm": decomp.b2_norm,

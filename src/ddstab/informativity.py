@@ -34,10 +34,9 @@ of one, from the ``row_compress`` compression it keeps for the gain step
 (all-zero state data included: S = I and a zero spectrum), and also reports
 the residual ||S[r:] X_plus||_2 that image inclusion is read off.
 ``check_controllability_prior`` returns the report's verdict and takes no
-route of its own. The gain routes that hold no report,
-``synthesis.synthesize_stab`` and ``verification.decomposition_check``, call
-the guard ``require_prior_conditions``, which hands ``subspace_contained``
-the S and r of the compression it is given, as a stack of one.
+route of its own. The gain routes, ``synthesis.synthesize_stab`` and
+``verification.decomposition_check``, take the report, and their guard
+``require_prior_conditions`` reads its branch and its two subspace verdicts.
 """
 from __future__ import annotations
 
@@ -75,20 +74,6 @@ def input_rank_condition(D: DataMatrices, r: int | np.ndarray,
     return (r == D.n) | (rank_stacked == r + D.m)
 
 
-def require_prior_conditions(D: DataMatrices, comp: RowCompression,
-                             cfg: NumericalConfig = DEFAULT_CONFIG) -> None:
-    """Raise PreconditionError when rank-deficient data fail either condition;
-    under the stabilizability prior they are informative iff both hold."""
-    if Branch.of(D, comp) is Branch.FULL_RANK:
-        return
-    contained, _ = subspace_contained(D.x_plus[None], D.x_minus[None], comp.S[None],
-                                      np.array([comp.r]), cfg)
-    if not contained[0]:
-        raise PreconditionError("image inclusion condition fails for this data")
-    if not input_rank_condition(D, comp.r, numerical_rank(D.stacked(), cfg)):
-        raise PreconditionError("input-rank condition fails for this data")
-
-
 @dataclass(frozen=True)
 class InformativityReport:
     rank_x_minus: int
@@ -106,6 +91,18 @@ class InformativityReport:
         fields = {**vars(self), "branch": self.branch.value}
         del fields["compression"]  # the gain step's input, not part of the report file
         return fields
+
+
+def require_prior_conditions(report: InformativityReport) -> None:
+    """Raise PreconditionError when the report finds rank-deficient data failing
+    either condition; under the stabilizability prior they are informative
+    iff both hold."""
+    if report.branch is Branch.FULL_RANK:
+        return
+    if not report.image_inclusion:
+        raise PreconditionError("image inclusion condition fails for this data")
+    if not report.input_rank_condition:
+        raise PreconditionError("input-rank condition fails for this data")
 
 
 def check_identification(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,

@@ -17,9 +17,9 @@ regardless of T and makes the maximized slack a scale-free margin.
 
 The LMI is solved only where its certificate Theta is returned. Whether a
 gain exists is the informativity report's verdict, decided by rank, subspace
-and pencil tests: ``synthesize`` takes the report, or builds it, and solves
-only for data the report finds informative, once per dataset. Every solve
-runs the built-in barrier, ``sdp.BarrierBackend``.
+and pencil tests: ``synthesize`` and ``synthesize_stab`` take the report, or
+build it, and solve on its compression only for data it finds informative,
+once per dataset. Every solve runs the built-in barrier, ``sdp.BarrierBackend``.
 """
 from __future__ import annotations
 
@@ -33,8 +33,7 @@ from .data import DataMatrices
 from .errors import PreconditionError, SolverFailure
 from .informativity import (Branch, InformativityReport, check_stabilizability_prior,
                             require_prior_conditions)
-from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
-                     rank_revealing_svd, row_compress)
+from .linalg import DEFAULT_CONFIG, NumericalConfig, RowCompression, rank_revealing_svd
 
 
 class GainProvenance(enum.Enum):
@@ -191,16 +190,19 @@ def solve_stab_lmi(D: DataMatrices, comp: RowCompression,
 
 
 def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
-                    comp: RowCompression | None = None) -> tuple[FeedbackGain, LmiSolution, RowCompression]:
-    """Gain for the stabilizability-prior route: K = [K1 K2] @ S.
+                    report: InformativityReport | None = None
+                    ) -> tuple[FeedbackGain, LmiSolution, RowCompression]:
+    """Gain for the stabilizability-prior route: K = [K1 K2] @ S on the
+    compression of ``report`` (default ``check_stabilizability_prior(D, cfg)``).
 
     K1 = U_minus Theta (x_hat_minus Theta)^{-1}; K2 acts only on the
     directions the data leave free, where any value would do, and is zero.
     """
-    comp = comp if comp is not None else row_compress(D.x_minus, D.x_plus, cfg)
+    report = report if report is not None else check_stabilizability_prior(D, cfg)
     # the compressed LMI cannot see the discarded rows; the informativity
     # conditions are what make its gain valid for the whole family
-    require_prior_conditions(D, comp, cfg)
+    require_prior_conditions(report)
+    comp = report.compression
     sol = solve_stab_lmi(D, comp, cfg)
     if not sol.feasible:
         raise PreconditionError("stabilizability-prior LMI is infeasible for this data")
@@ -218,18 +220,17 @@ def synthesize(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
     ``report`` defaults to ``check_stabilizability_prior(D, cfg)``; data it
     rejects raise PreconditionError before any solve. Full-rank state data go
     through ``solve_plain_lmi`` then ``gain_from_plain``, rank-deficient data
-    through ``synthesize_stab`` on the report's compression. No feasible Theta
+    through ``synthesize_stab`` on the report. No feasible Theta
     for informative data, like a solver breakdown, raises SolverFailure.
     """
     report = report if report is not None else check_stabilizability_prior(D, cfg)
     if not report.stabilization_stabilizability_prior:
         raise PreconditionError("the data are not informative for stabilization")
-    comp = report.compression
     try:
         if report.branch is Branch.RANK_DEFICIENT:
-            return synthesize_stab(D, cfg, comp=comp)
+            return synthesize_stab(D, cfg, report)
         sol = solve_plain_lmi(D, cfg)
-        return gain_from_plain(D, sol), sol, comp
+        return gain_from_plain(D, sol), sol, report.compression
     except PreconditionError as exc:
         raise SolverFailure(f"the data are informative, yet no gain: {exc}") from exc
 

@@ -4,9 +4,9 @@ Sampling the affine family can only ever falsify ("Schur for all members"
 is not decidable from finitely many draws), so a passing report is
 evidence while a failing one is proof and carries the offending member.
 The structural checks (nullity of the homogeneous directions on the
-reachable subspace, block decomposition under the compression) are the
-constructive complement: they hold exactly for gains produced by the
-synthesis route.
+reachable subspace, block decomposition under the informativity report's
+compression, for data the report finds informative) are the constructive
+complement: they hold exactly for gains produced by the synthesis route.
 
 Each verification scale draws from one NumPy generator of its own,
 ``default_rng((seed, scale index))``, one member after another.
@@ -20,10 +20,9 @@ import numpy as np
 from .data import (ConsistentSet, DataMatrices, LtiSystem, consistency_residual,
                    reachable_part, sample_consistent)
 from .errors import PreconditionError
-from .informativity import require_prior_conditions
-from .linalg import (DEFAULT_CONFIG, NumericalConfig, RowCompression,
-                     controllability_matrix, is_controllable, is_schur,
-                     is_stabilizable, spectral_radius)
+from .informativity import InformativityReport, require_prior_conditions
+from .linalg import (DEFAULT_CONFIG, NumericalConfig, controllability_matrix,
+                     is_controllable, is_schur, is_stabilizable, spectral_radius)
 from .synthesis import FeedbackGain, GainProvenance
 
 
@@ -186,21 +185,22 @@ class DecompositionDiagnostics:
     ok: bool
 
 
-def decomposition_check(D: DataMatrices, comp: RowCompression, system: LtiSystem,
+def decomposition_check(D: DataMatrices, report: InformativityReport, system: LtiSystem,
                         cfg: NumericalConfig = DEFAULT_CONFIG) -> DecompositionDiagnostics:
     """Block-triangular structure of a stabilizable member under the compression.
 
     In the compressed coordinates a consistent stabilizable member must
     split into (A11, B1) shared with `reachable_part`, zero lower-left
     blocks, and a Schur autonomous block A22. Preconditions: the member is
-    consistent and stabilizable, and (for rank-deficient data) the image
-    inclusion and input-rank conditions hold.
+    consistent and stabilizable, and (for rank-deficient data) the report
+    finds the image inclusion and input-rank conditions holding.
     """
     if consistency_residual(D, system) > cfg.equality_tol * 10.0:
         raise PreconditionError("system is not consistent with the data")
     if not is_stabilizable(system.A, system.B, cfg):
         raise PreconditionError("system is not stabilizable")
-    require_prior_conditions(D, comp, cfg)
+    require_prior_conditions(report)
+    comp = report.compression
     r, n = comp.r, D.n
     A_c = comp.S @ system.A @ np.linalg.inv(comp.S)
     B_c = comp.S @ system.B

@@ -108,7 +108,7 @@ def test_criterion_3_three_tank():
     sol = solve_stab_lmi(D, comp, CFG)
     assert sol.feasible
 
-    gain, _, _ = synthesize_stab(D, CFG, comp=comp)
+    gain, _, _ = synthesize_stab(D, CFG, report)
     assert spectral_radius(system.A + system.B @ gain.K) < 1.0
     vr = verify_gain(consistent_set(D, CFG), gain, n_samples=200,
                      scales=(0.1, 1.0, 10.0), seed=0, cfg=CFG)

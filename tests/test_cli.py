@@ -112,6 +112,31 @@ class TestSynthesizeAndVerify:
         assert report["passed"] is True
         assert report["decomposition"]["ok"] is True
 
+    @pytest.mark.parametrize("inputs, states, message", [
+        # Example 1 with its last state moved out of the span of X_minus
+        ([[1.0], [2.0], [-1.0]], [[1.0, 0.0], [2.0, 0.0], [4.0, 0.0], [3.0, 1.0]],
+         "image inclusion condition fails for this data"),
+        # no input: [X_minus; U_minus] has rank 1, not r + m = 2
+        ([[0.0], [0.0]], [[1.0, 0.0], [0.5, 0.0], [0.25, 0.0]],
+         "input-rank condition fails for this data"),
+    ], ids=["image_inclusion", "input_rank"])
+    def test_prior_condition_failures(self, tmp_path, inputs, states, message):
+        # synthesize refuses the data, and verify skips the decomposition
+        # check with the failing condition's message, and fails the gain
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"n": 2, "m": 1, "inputs": inputs, "states": states}))
+        syn = tmp_path / "syn"
+        assert main(["synthesize", str(path), "--out", str(syn)]) == EXIT_NEGATIVE
+        assert read_json(syn / "gain.json") == {"branch": "rank_deficient",
+                                                "informative": False}
+        gain_path = tmp_path / "gain.json"
+        gain_path.write_text(json.dumps(
+            {"K": [[-1.0, 0.0]], "provenance": "stabilizability_prior"}))
+        ver = tmp_path / "ver"
+        assert main(["verify", str(path), str(gain_path), "--samples", "20",
+                     "--out", str(ver)]) == EXIT_NEGATIVE
+        assert read_json(ver / "verification.json")["decomposition"] == {"skipped": message}
+
     def test_verify_bad_gain_fails(self, example1_file, tmp_path):
         gain_path = tmp_path / "gain.json"
         gain_path.write_text(json.dumps(

@@ -197,7 +197,7 @@ class TestImageInclusionResidual:
 
 class TestImageInclusionRoutes:
     """Two routes to image inclusion agree: ``subspace_contained``, read off
-    the row compression, which the report and the guard call, and
+    the row compression, which the report calls, and
     ``projection_contained``, which factors X_minus itself. The report
     decides its dataset as a stack of one, and its residual and verdict
     equal, bit for bit, the kernel's and the formulas on the dataset alone:
@@ -296,19 +296,24 @@ class TestImageInclusionRoutes:
         assert self._agree(D, cfg) == contained
 
 
-class TestGuardAgreesWithReport:
-    """``require_prior_conditions``, the guard of the gain routes that hold no
-    report, decides image inclusion through ``subspace_contained`` on the
-    compression it is handed, and ranks [X_minus; U_minus] itself. The guard
-    raises iff the report rejects rank-deficient data under the
-    stabilizability prior, and names image inclusion iff the report finds it
-    failing."""
+class TestGainRoutesRefuseWhatTheReportRejects:
+    """``require_prior_conditions``, the guard of the gain routes, reads the
+    report alone: it raises iff the report rejects rank-deficient data under
+    the stabilizability prior, and names image inclusion iff the report finds
+    it failing. The report's input-rank verdict, decided on its stack of one,
+    equals the condition on the regressor [X_minus; U_minus] ranked as one
+    matrix, the route the guard took before it read the report."""
+
+    CONFIGS = {"default": NumericalConfig(),
+               "coarse_rank": NumericalConfig(rank_rel_tol=0.5),
+               "fine_rank_coarse_subspace": NumericalConfig(rank_rel_tol=1e-6,
+                                                            subspace_tol=1e-4)}
 
     @staticmethod
     def _agree(D, cfg) -> str | None:
         report = check_stabilizability_prior(D, cfg)
         try:
-            require_prior_conditions(D, report.compression, cfg)
+            require_prior_conditions(report)
             message = None
         except PreconditionError as exc:
             message = str(exc)
@@ -317,6 +322,8 @@ class TestGuardAgreesWithReport:
         assert (message is not None) == rejected
         assert (message is not None and "image inclusion" in message) \
             == (not report.image_inclusion)
+        assert report.input_rank_condition is bool(input_rank_condition(
+            D, report.compression.r, numerical_rank(D.stacked(), cfg)))
         return message
 
     @staticmethod
@@ -324,9 +331,11 @@ class TestGuardAgreesWithReport:
         return {None if m is None else "image" if "image inclusion" in m else "input"
                 for m in messages}
 
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("seed", [101, 102, 103])
-    def test_random_suites(self, cfg, seed):
+    def test_random_suites(self, seed, config):
         rng = np.random.default_rng(seed)
+        cfg = self.CONFIGS[config]
         messages = [self._agree(random_dataset(rng).D, cfg) for _ in range(500)]
         assert self._outcomes(messages) == {None, "image", "input"}
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,16 @@ from ddstab import (LtiSystem, MonteCarloConfig, build_data_matrices,
                     check_stabilizability_prior, consistent_set, reachable_part,
                     sdp_solve, simulate, solve_plain_lmi, synthesize,
                     three_tank_model, zoh_discretize)
-from ddstab.experiments import _evaluate_scenarios
-from ddstab.informativity import require_prior_conditions
+from ddstab.cli import main
+from ddstab.data import trajectory_to_json
+from ddstab.experiments import _evaluate_scenarios, example1_trajectory
+from ddstab.informativity import Branch
 from ddstab.linalg import controllability_matrix, rank_cutoff
 from ddstab.synthesis import LmiFeasibilityProblem
 
 from conftest import (THREE_TANK_A_REF, THREE_TANK_B_REF, THREE_TANK_K_REF,
-                      example1_matrices, projection_contained, scenario_trajectory)
+                      example1_matrices, projection_contained, scenario_trajectory,
+                      three_tank_compressed)
 
 
 class TestNumericalRank:
@@ -363,15 +368,32 @@ class TestOneFactorizationPerMatrix:
         assert is_stabilizable(A, np.stack([B, B]), cfg).tolist() == [True, False]
         assert [M.shape for M in factorizations["svd"]] == [(1, 2, 3)]
 
-    def test_guard_and_gain_read_the_report_compression(self, cfg, factorizations):
-        # the guard decides image inclusion off the S and r it is handed, so
-        # neither it nor the gain step factors X_minus again
-        D = example1_matrices()
-        report = check_stabilizability_prior(D, cfg)
+    @pytest.mark.parametrize("data", ["example1", "three_tank"])
+    def test_synthesize_reads_the_report(self, cfg, factorizations, data):
+        # the gain step reads the report's compression and verdicts, so it
+        # factors neither X_minus nor [X_minus; U_minus] nor S[r:] X_plus
+        # again: the report's three SVDs and the solve's three are all
+        D = example1_matrices() if data == "example1" else three_tank_compressed()[0]
         factorizations["svd"].clear()
-        require_prior_conditions(D, report.compression, cfg)
+        report = check_stabilizability_prior(D, cfg)
+        assert report.branch is Branch.RANK_DEFICIENT
+        built = len(factorizations["svd"])
+        factorizations["svd"].clear()
         synthesize(D, cfg, report)
-        assert not _count(factorizations["svd"], D.x_minus)
+        S, r = report.compression.S, report.rank_x_minus
+        for M in (D.x_minus, D.stacked(), S[None, r:] @ D.x_plus[None]):
+            assert not _count(factorizations["svd"], M)
+        assert built + len(factorizations["svd"]) == 6
+
+    def test_verify_builds_one_report(self, factorizations, tmp_path):
+        # the decomposition check reads the report that cmd_verify builds
+        D = example1_matrices()
+        data, gain = tmp_path / "data.json", tmp_path / "gain.json"
+        data.write_text(trajectory_to_json(example1_trajectory()))
+        gain.write_text(json.dumps({"K": [[-1.0, 0.0]], "provenance": "stabilizability_prior"}))
+        assert main(["verify", str(data), str(gain), "--samples", "2",
+                     "--out", str(tmp_path / "v")]) == 0
+        assert _count(factorizations["svd"], D.x_minus) == 1
 
 
 class TestMatrixExponential:

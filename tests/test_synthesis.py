@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -159,7 +160,10 @@ class TestStabLmi:
         assert np.allclose(sorted(np.abs(np.linalg.eigvals(cl))), [0.4, 0.75])
 
     def test_synthesized_gain_contract(self, cfg, example1):
-        gain, sol, comp = synthesize_stab(example1, cfg, comp=identity_compression_example1())
+        report = dataclasses.replace(check_stabilizability_prior(example1, cfg),
+                                     compression=identity_compression_example1())
+        gain, sol, comp = synthesize_stab(example1, cfg, report)
+        assert comp is report.compression
         assert sol.feasible
         K1, K2 = gain.K[0, 0], gain.K[0, 1]
         assert abs(1.0 + K1) < 1.0

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ddstab import (LtiSystem, NumericalConfig, PreconditionError, TrajectoryData,
-                    build_data_matrices, common_lyapunov, consistent_set,
-                    decomposition_check, genericity_probe, is_schur, row_compress,
+                    build_data_matrices, check_stabilizability_prior, common_lyapunov,
+                    consistent_set, decomposition_check, genericity_probe, is_schur,
                     simulate, spectral_radius, structural_nullity, verify_gain)
 from ddstab import verification
 from ddstab.data import sample_consistent
@@ -434,11 +436,13 @@ class TestStructuralNullity:
 
 class TestDecompositionCheck:
     def test_example1_member(self, cfg, example1):
-        comp = RowCompression(S=np.eye(2), r=1,
-                              x_hat_minus=np.array([[1.0, 2.0, 4.0]]),
-                              x_hat_plus=np.array([[2.0, 4.0, 3.0]]))
+        report = dataclasses.replace(
+            check_stabilizability_prior(example1, cfg),
+            compression=RowCompression(S=np.eye(2), r=1,
+                                       x_hat_minus=np.array([[1.0, 2.0, 4.0]]),
+                                       x_hat_plus=np.array([[2.0, 4.0, 3.0]])))
         member = LtiSystem(A=[[1.0, 2.0], [0.0, 0.4]], B=[[1.0], [0.0]])
-        diag = decomposition_check(example1, comp, member, cfg)
+        diag = decomposition_check(example1, report, member, cfg)
         assert diag.ok
         assert diag.a21_norm == 0.0
         assert diag.b2_norm == 0.0
@@ -451,9 +455,11 @@ class TestDecompositionCheck:
         system = zoh_discretize(three_tank_model())
         D = build_data_matrices(simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS))
         # identity S is valid here: the third state row is identically zero
-        comp = RowCompression(S=np.eye(3), r=2, x_hat_minus=D.x_minus[:2],
-                              x_hat_plus=D.x_plus[:2])
-        diag = decomposition_check(D, comp, system, cfg)
+        report = dataclasses.replace(
+            check_stabilizability_prior(D, cfg),
+            compression=RowCompression(S=np.eye(3), r=2, x_hat_minus=D.x_minus[:2],
+                                       x_hat_plus=D.x_plus[:2]))
+        diag = decomposition_check(D, report, system, cfg)
         assert diag.ok
         assert diag.a22_spectral_radius == pytest.approx(0.9512, abs=1e-3)
         assert diag.a22_schur
@@ -463,29 +469,29 @@ class TestDecompositionCheck:
         system = LtiSystem(A=np.array([[1.2, 0.1], [0.0, 0.5]]), B=np.array([[1.0], [0.3]]))
         D = build_data_matrices(simulate(system, rng.normal(size=2),
                                          rng.normal(size=(6, 1))))
-        comp = row_compress(D.x_minus, D.x_plus, cfg)
-        assert comp.r == 2
-        diag = decomposition_check(D, comp, system, cfg)
+        report = check_stabilizability_prior(D, cfg)
+        assert report.compression.r == 2
+        diag = decomposition_check(D, report, system, cfg)
         assert diag.ok
         assert diag.a22_spectral_radius == 0.0  # empty block
 
     def test_rejects_non_member(self, cfg, example1):
-        comp = row_compress(example1.x_minus, example1.x_plus, cfg)
+        report = check_stabilizability_prior(example1, cfg)
         impostor = LtiSystem(A=np.eye(2), B=[[0.0], [1.0]])
         with pytest.raises(PreconditionError):
-            decomposition_check(example1, comp, impostor, cfg)
+            decomposition_check(example1, report, impostor, cfg)
 
     def test_rejects_unstabilizable_member(self, cfg, example1):
-        comp = row_compress(example1.x_minus, example1.x_plus, cfg)
+        report = check_stabilizability_prior(example1, cfg)
         member = LtiSystem(A=[[1.0, 0.0], [0.0, 2.0]], B=[[1.0], [0.0]])
         with pytest.raises(PreconditionError):
-            decomposition_check(example1, comp, member, cfg)
+            decomposition_check(example1, report, member, cfg)
 
     def test_matches_reachable_part_across_members(self, cfg, example1):
-        comp = row_compress(example1.x_minus, example1.x_plus, cfg)
+        report = check_stabilizability_prior(example1, cfg)
         for alpha, beta in ((0.0, 0.0), (3.0, 0.9), (-7.0, -0.2)):
             member = LtiSystem(A=[[1.0, alpha], [0.0, beta]], B=[[1.0], [0.0]])
-            diag = decomposition_check(example1, comp, member, cfg)
+            diag = decomposition_check(example1, report, member, cfg)
             assert diag.ok
             assert diag.reachable_match_error <= 1e-8
 
