@@ -25,14 +25,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .data import (DataMatrices, build_data_matrices, consistent_set, is_number,
-                   load_trajectory, trajectory_to_csv, trajectory_to_json)
+from .data import (DataMatrices, LtiSystem, TrajectoryData, build_data_matrices,
+                   consistent_set, is_number, load_trajectory, trajectory_to_csv,
+                   trajectory_to_json)
 from .errors import DataFormatError, PreconditionError, SolverFailure
-from .linalg import NumericalConfig
+from .linalg import NumericalConfig, spectral_radius
 
 if TYPE_CHECKING:
+    from .experiments import ContinuousSystem
     from .informativity import InformativityReport
     from .synthesis import FeedbackGain
+    from .verification import VerificationReport
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -199,8 +202,7 @@ def _gain_from_file(path: str, D: DataMatrices) -> FeedbackGain:
 
 def cmd_informativity(args, settings: dict) -> int:
     from .informativity import check_stabilizability_prior
-    traj = load_trajectory(args.data)
-    D = build_data_matrices(traj)
+    D = build_data_matrices(load_trajectory(args.data))
     report = check_stabilizability_prior(D, settings["numcfg"])
     path = _write(settings["out"], "informativity.json", _dump_json(report.to_dict()))
     print(f"wrote {path}")
@@ -209,51 +211,39 @@ def cmd_informativity(args, settings: dict) -> int:
     return EXIT_OK if report.stabilization_stabilizability_prior else EXIT_NEGATIVE
 
 
-def cmd_synthesize(args, settings: dict) -> int:
-    from .informativity import Branch, check_stabilizability_prior
-    from .synthesis import lmi_problem, problem_to_json, synthesize
-    numcfg = settings["numcfg"]
-    traj = load_trajectory(args.data)
-    D = build_data_matrices(traj)
-    report = check_stabilizability_prior(D, numcfg)
-    branch = report.branch
-    if args.dump_problem:
-        problem = lmi_problem(D, None if branch is Branch.FULL_RANK else report.compression)
-        _write(settings["out"], "problem.json", problem_to_json(problem))
+def _gain_step(D: DataMatrices, report: InformativityReport,
+               settings: dict) -> FeedbackGain | None:
+    """Write gain.json: the gain synthesized on the report's branch, or the
+    refusal naming the branch for data the report rejects (returns None)."""
+    from .synthesis import synthesize
     try:
-        gain, sol, _ = synthesize(D, numcfg, report)
+        gain, sol, _ = synthesize(D, settings["numcfg"], report)
     except PreconditionError:
         _write(settings["out"], "gain.json",
-               _dump_json({"informative": False, "branch": branch.value}))
-        print("not informative for stabilization (full-rank branch)"
-              if branch is Branch.FULL_RANK else
-              "not informative for stabilization under the stabilizability prior")
-        return EXIT_NEGATIVE
-    path = _write(settings["out"], "gain.json",
-                  _dump_json(_gain_payload(gain, sol, report)))
-    print(f"wrote {path}")
-    print(f"K = {gain.K.tolist()}")
-    return EXIT_OK
+               _dump_json({"informative": False, "branch": report.branch.value}))
+        return None
+    _write(settings["out"], "gain.json", _dump_json(_gain_payload(gain, sol, report)))
+    return gain
 
 
-def cmd_verify(args, settings: dict) -> int:
-    from .informativity import check_stabilizability_prior
+def _verification_step(D: DataMatrices, gain: FeedbackGain, report: InformativityReport,
+                       settings: dict) -> VerificationReport:
+    """Write verification.json: sampled verification of ``gain``, its
+    structural nullity at the particular solution and the decomposition check."""
     from .verification import decomposition_check, structural_nullity, verify_gain
     numcfg = settings["numcfg"]
-    traj = load_trajectory(args.data)
-    D = build_data_matrices(traj)
-    gain = _gain_from_file(args.gain, D)
     cs = consistent_set(D, numcfg)
     try:
-        report = verify_gain(cs, gain, n_samples=settings["samples"],
-                             scales=settings["scales"], seed=settings["seed"], cfg=numcfg)
+        # a command that takes no --scales samples at the built-in scales
+        verification = verify_gain(cs, gain, n_samples=settings["samples"],
+                                   scales=settings.get("scales", _OPTIONS["scales"][0]),
+                                   seed=settings["seed"], cfg=numcfg)
     except PreconditionError as exc:
         raise DataFormatError(f"invalid verification settings: {exc}") from exc
-    payload = report.to_dict()
+    payload = verification.to_dict()
     payload["structural_nullity_particular"] = structural_nullity(cs, gain, cs.particular)
     try:
-        decomp = decomposition_check(D, check_stabilizability_prior(D, numcfg),
-                                     cs.particular, numcfg)
+        decomp = decomposition_check(D, report, cs.particular, numcfg)
         payload["decomposition"] = {
             "a21_norm": decomp.a21_norm,
             "b2_norm": decomp.b2_norm,
@@ -262,15 +252,44 @@ def cmd_verify(args, settings: dict) -> int:
         }
     except PreconditionError as exc:
         payload["decomposition"] = {"skipped": str(exc)}
-    path = _write(settings["out"], "verification.json", _dump_json(payload))
-    print(f"wrote {path}")
-    if report.samples_tested == 0:
-        print(f"pass: False (no draw was tested: all {report.rejected_unstabilizable} "
+    _write(settings["out"], "verification.json", _dump_json(payload))
+    return verification
+
+
+def cmd_synthesize(args, settings: dict) -> int:
+    from .informativity import Branch, check_stabilizability_prior
+    from .synthesis import lmi_problem, problem_to_json
+    D = build_data_matrices(load_trajectory(args.data))
+    report = check_stabilizability_prior(D, settings["numcfg"])
+    branch = report.branch
+    if args.dump_problem:
+        problem = lmi_problem(D, None if branch is Branch.FULL_RANK else report.compression)
+        _write(settings["out"], "problem.json", problem_to_json(problem))
+    gain = _gain_step(D, report, settings)
+    if gain is None:
+        print("not informative for stabilization (full-rank branch)"
+              if branch is Branch.FULL_RANK else
+              "not informative for stabilization under the stabilizability prior")
+        return EXIT_NEGATIVE
+    print(f"wrote {os.path.join(settings['out'], 'gain.json')}")
+    print(f"K = {gain.K.tolist()}")
+    return EXIT_OK
+
+
+def cmd_verify(args, settings: dict) -> int:
+    from .informativity import check_stabilizability_prior
+    D = build_data_matrices(load_trajectory(args.data))
+    gain = _gain_from_file(args.gain, D)
+    report = check_stabilizability_prior(D, settings["numcfg"])
+    verification = _verification_step(D, gain, report, settings)
+    print(f"wrote {os.path.join(settings['out'], 'verification.json')}")
+    if verification.samples_tested == 0:
+        print(f"pass: False (no draw was tested: all {verification.rejected_unstabilizable} "
               f"were rejected as not stabilizable)")
     else:
-        print(f"pass: {report.passed} "
-              f"(max spectral radius {report.max_spectral_radius:.6f})")
-    return EXIT_OK if report.passed else EXIT_NEGATIVE
+        print(f"pass: {verification.passed} "
+              f"(max spectral radius {verification.max_spectral_radius:.6f})")
+    return EXIT_OK if verification.passed else EXIT_NEGATIVE
 
 
 def cmd_montecarlo(args, settings: dict) -> int:
@@ -317,47 +336,55 @@ def _demo_example2_bundle(settings, demo) -> None:
          "grid_points": len(bundle["grid"])}))
 
 
-def _demo_synthesis_bundle(settings, demo) -> None:
-    """Trajectory, report, gain and verification of a synthesis demo, plus the
+def _demo_synthesis_bundle(settings, trajectory: TrajectoryData,
+                           continuous: ContinuousSystem | None = None,
+                           system: LtiSystem | None = None) -> int:
+    """The trajectory of a synthesis demo, then what ``informativity``,
+    ``synthesize`` and ``verify`` write for it, with their exit code; plus the
     model and closed-loop spectrum when the demo simulates a known system."""
-    bundle = demo(settings["numcfg"], seed=settings["seed"],
-                  n_samples=settings["samples"])
+    from .informativity import check_stabilizability_prior
     out = settings["out"]
     if settings["format"] == "csv":
-        _write(out, "data.csv", trajectory_to_csv(bundle["trajectory"]))
+        _write(out, "data.csv", trajectory_to_csv(trajectory))
     else:
-        _write(out, "data.json", trajectory_to_json(bundle["trajectory"]))
-    report = bundle["informativity"]
+        _write(out, "data.json", trajectory_to_json(trajectory))
+    if system is not None:
+        _write(out, "model.json", _dump_json({
+            "A_continuous": continuous.A.tolist(),
+            "B_continuous": continuous.B.tolist(),
+            "sample_time": continuous.sample_time,
+            "A": system.A.tolist(),
+            "B": system.B.tolist(),
+        }))
+    D = build_data_matrices(trajectory)
+    report = check_stabilizability_prior(D, settings["numcfg"])
     _write(out, "informativity.json", _dump_json(report.to_dict()))
-    _write(out, "gain.json", _dump_json(_gain_payload(
-        bundle["gain"], bundle["solution"], report)))
-    _write(out, "verification.json", _dump_json(bundle["verification"].to_dict()))
-    if "system" not in bundle:
-        return
-    _write(out, "model.json", _dump_json({
-        "A_continuous": bundle["continuous"].A.tolist(),
-        "B_continuous": bundle["continuous"].B.tolist(),
-        "sample_time": bundle["continuous"].sample_time,
-        "A": bundle["system"].A.tolist(),
-        "B": bundle["system"].B.tolist(),
-    }))
-    eigs = bundle["closed_loop_eigenvalues"]
-    _write(out, "spectrum.json", _dump_json({
-        "closed_loop_eigenvalues_real": np.real(eigs).tolist(),
-        "closed_loop_eigenvalues_imag": np.imag(eigs).tolist(),
-        "closed_loop_spectral_radius": bundle["closed_loop_spectral_radius"],
-    }))
+    gain = _gain_step(D, report, settings)
+    if gain is None:
+        return EXIT_NEGATIVE
+    verification = _verification_step(D, gain, report, settings)
+    if system is not None:
+        closed_loop = system.A + system.B @ gain.K
+        eigs = np.linalg.eigvals(closed_loop)
+        _write(out, "spectrum.json", _dump_json({
+            "closed_loop_eigenvalues_real": np.real(eigs).tolist(),
+            "closed_loop_eigenvalues_imag": np.imag(eigs).tolist(),
+            "closed_loop_spectral_radius": spectral_radius(closed_loop),
+        }))
+    return EXIT_OK if verification.passed else EXIT_NEGATIVE
 
 
 def cmd_demo(args, settings: dict) -> int:
-    from .experiments import demo_example1, demo_example2, demo_three_tank
+    from . import experiments
     if args.name == "example2":
-        _demo_example2_bundle(settings, demo_example2)
+        _demo_example2_bundle(settings, experiments.demo_example2)
+        code = EXIT_OK
+    elif args.name == "example1":
+        code = _demo_synthesis_bundle(settings, experiments.example1_trajectory())
     else:
-        _demo_synthesis_bundle(settings, {"example1": demo_example1,
-                                          "three-tank": demo_three_tank}[args.name])
+        code = _demo_synthesis_bundle(settings, **experiments.demo_three_tank())
     print(f"wrote demo bundle to {settings['out']}")
-    return EXIT_OK
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

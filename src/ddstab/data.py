@@ -237,10 +237,7 @@ def trajectory_from_json(text: str) -> TrajectoryData:
         states = np.array(states, dtype=float).reshape(len(states), n)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"'inputs' and 'states' must hold numbers: {exc}") from exc
-    traj = TrajectoryData(inputs=inputs, states=states)
-    if traj.n != n or traj.m != m:
-        raise DataFormatError("declared (n, m) do not match the vector sizes")
-    return traj
+    return TrajectoryData(inputs=inputs, states=states)
 
 
 def trajectory_to_csv(traj: TrajectoryData) -> str:

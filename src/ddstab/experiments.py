@@ -1,4 +1,9 @@
-"""Simulation, the three-tank benchmark, demo scenarios, and the Monte Carlo study."""
+"""Simulation, the three-tank benchmark, the demos' data, and the Monte Carlo study.
+
+A synthesis demo here is only its data: Example 1's trajectory, or the
+discretized three-tank cascade and its experiment. ``ddstab demo`` runs the
+steps of ``synthesize`` and ``verify`` on it.
+"""
 from __future__ import annotations
 
 import numbers
@@ -7,11 +12,9 @@ from itertools import product
 
 import numpy as np
 
-from .data import (DataMatrices, LtiSystem, TrajectoryData, build_data_matrices,
-                   consistent_set)
-from .informativity import check_stabilizability_prior, decide_verdicts
-from .linalg import (DEFAULT_CONFIG, NumericalConfig, is_controllable,
-                     matrix_exponential, spectral_radius)
+from .data import DataMatrices, LtiSystem, TrajectoryData
+from .informativity import decide_verdicts
+from .linalg import DEFAULT_CONFIG, NumericalConfig, is_controllable, matrix_exponential
 
 
 @dataclass(frozen=True)
@@ -245,40 +248,13 @@ def run_monte_carlo(mc: MonteCarloConfig,
 
 
 # ---------------------------------------------------------------------------
-# demo scenarios
+# demo data
 
 def example1_trajectory() -> TrajectoryData:
     """Two-state experiment whose second state never moves."""
     return TrajectoryData(
         inputs=np.array([[1.0], [2.0], [-1.0]]),
         states=np.array([[1.0, 0.0], [2.0, 0.0], [4.0, 0.0], [3.0, 0.0]]))
-
-
-def _synthesis_demo(traj: TrajectoryData, cfg: NumericalConfig, seed: int,
-                    n_samples: int) -> dict:
-    """Report, gain and sampled verification for one trajectory."""
-    # imported here: the Monte Carlo study decides its verdicts without them
-    from .synthesis import synthesize
-    from .verification import verify_gain
-    D = build_data_matrices(traj)
-    report = check_stabilizability_prior(D, cfg)
-    gain, sol, _ = synthesize(D, cfg, report)
-    verification = verify_gain(consistent_set(D, cfg), gain, n_samples=n_samples,
-                               seed=seed, cfg=cfg)
-    return {
-        "trajectory": traj,
-        "informativity": report,
-        "solution": sol,
-        "gain": gain,
-        "verification": verification,
-    }
-
-
-def demo_example1(cfg: NumericalConfig = DEFAULT_CONFIG, seed: int = 0,
-                  n_samples: int = 200) -> dict:
-    """Dataset where no gain covers every consistent system, yet one covers
-    all stabilizable ones."""
-    return _synthesis_demo(example1_trajectory(), cfg, seed, n_samples)
 
 
 def demo_example2(cfg: NumericalConfig = DEFAULT_CONFIG) -> dict:
@@ -308,18 +284,9 @@ THREE_TANK_X0 = np.array([1.0, 2.0, 0.0])
 THREE_TANK_INPUTS = np.array([[1.0], [0.0], [-1.0], [0.0], [1.0]])
 
 
-def demo_three_tank(cfg: NumericalConfig = DEFAULT_CONFIG, seed: int = 0,
-                    n_samples: int = 200) -> dict:
-    """Discretize the cascade, run the length-5 experiment, synthesize and verify."""
+def demo_three_tank() -> dict:
+    """The discretized cascade and its length-5 experiment."""
     continuous = three_tank_model()
     system = zoh_discretize(continuous)
-    bundle = _synthesis_demo(simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS),
-                             cfg, seed, n_samples)
-    closed_loop = system.A + system.B @ bundle["gain"].K
-    return {
-        "continuous": continuous,
-        "system": system,
-        **bundle,
-        "closed_loop_eigenvalues": np.linalg.eigvals(closed_loop),
-        "closed_loop_spectral_radius": spectral_radius(closed_loop),
-    }
+    return {"continuous": continuous, "system": system,
+            "trajectory": simulate(system, THREE_TANK_X0, THREE_TANK_INPUTS)}

@@ -202,6 +202,8 @@ def synthesize_stab(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
     # the compressed LMI cannot see the discarded rows; the informativity
     # conditions are what make its gain valid for the whole family
     require_prior_conditions(report)
+    if not report.stabilization_stabilizability_prior:  # full-rank data it rejects
+        raise PreconditionError("the data are not informative for stabilization")
     comp = report.compression
     sol = solve_stab_lmi(D, comp, cfg)
     if not sol.feasible:

@@ -93,6 +93,51 @@ class TestInformativityCommand:
                      "--out", str(tmp_path / "o")]) == EXIT_FAILURE
 
 
+class TestRefusals:
+    """A malformed data, config or gain file exits 1 with one exact error line."""
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("data.json", '{"n": 1, "m": 1, "inputs": [], "states": [[1.0]]}',
+         "need at least one input sample"),
+        ("data.json", '{"n": 1, "m": 1, "inputs": [[NaN]], "states": [[1.0], [2.0]]}',
+         "trajectory contains non-finite values"),
+        ("data.json", '{"n": 1', "invalid JSON: Expecting ',' delimiter: line 1 column 8 (char 7)"),
+        ("data.json", '{"n": 1, "m": 1, "inputs": 5, "states": [[1.0], [2.0]]}',
+         "'inputs' must be a list of vectors"),
+        ("data.csv", "", "empty CSV"),
+        ("data.csv", "t,u_1,x_1\n0,1.0\n", "row 1: expected 3 cells, got 2"),
+        ("data.csv", "t,u_1,x_1\n0,,1.0\n1,1.0,2.0\n",
+         "row 1: empty input cells are only valid in the final row")],
+        ids=["no_input", "nan_cell", "invalid_json", "inputs_not_a_list", "empty_csv",
+             "short_row", "early_empty_inputs"])
+    def test_trajectory_file(self, tmp_path, capsys, name, content, message):
+        path = tmp_path / name
+        path.write_text(content)
+        assert main(["informativity", str(path), "--out", str(tmp_path / "o")]) \
+            == EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_file_that_is_not_an_object(self, example1_file, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1]")
+        assert main(["informativity", example1_file, "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_FAILURE
+        assert capsys.readouterr().err \
+            == f"error: config file {path}: expected a JSON object\n"
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"K": [[-1.0, 0.0]], "provenance": "bogus"}',
+         "'bogus' is not a valid GainProvenance"),
+        ('{"K": [[-1.0, 0.0]', "Expecting ',' delimiter: line 1 column 19 (char 18)")],
+        ids=["bogus_provenance", "truncated"])
+    def test_gain_file(self, example1_file, tmp_path, capsys, content, message):
+        path = tmp_path / "gain.json"
+        path.write_text(content)
+        assert main(["verify", example1_file, str(path), "--out", str(tmp_path / "o")]) \
+            == EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: gain file {path}: {message}\n"
+
+
 class TestSynthesizeAndVerify:
     def test_pipeline(self, example1_file, tmp_path):
         out = str(tmp_path / "syn")
@@ -429,6 +474,40 @@ class TestDemoCommand:
         model = read_json(os.path.join(out, "model.json"))
         assert np.array(model["A"]).shape == (3, 3)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("name", ["example1", "three-tank"])
+    def test_bundle_is_what_the_commands_write(self, tmp_path, name, fmt):
+        demo = tmp_path / "demo"
+        assert main(["demo", name, "--seed", "5", "--samples", "40", "--format", fmt,
+                     "--out", str(demo)]) == EXIT_OK
+        data = str(demo / f"data.{fmt}")
+        for argv in (["informativity", data], ["synthesize", data],
+                     ["verify", data, str(demo / "gain.json"), "--seed", "5",
+                      "--samples", "40"]):
+            assert main(argv + ["--out", str(tmp_path / "cmd")]) == EXIT_OK
+        for file in ("informativity.json", "gain.json", "verification.json"):
+            assert (demo / file).read_bytes() == (tmp_path / "cmd" / file).read_bytes()
+
+    def test_rejected_data_exit_as_synthesize(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["demo", "example1", "--rank-rel-tol", "0.5", "--out", str(out)]) \
+            == EXIT_NEGATIVE
+        assert capsys.readouterr().err == ""
+        assert read_json(out / "gain.json") == {"branch": "rank_deficient",
+                                                "informative": False}
+        assert sorted(os.listdir(out)) == ["data.json", "gain.json", "informativity.json"]
+
+    def test_failed_verification_exits_as_verify(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(["demo", "three-tank", "--schur-margin", "0.5", "--samples", "20",
+                     "--out", str(out)]) == EXIT_NEGATIVE
+        assert read_json(out / "verification.json")["passed"] is False
+        assert main(["verify", str(out / "data.json"), str(out / "gain.json"),
+                     "--schur-margin", "0.5", "--samples", "20",
+                     "--out", str(tmp_path / "v")]) == EXIT_NEGATIVE
+        assert (out / "verification.json").read_bytes() \
+            == (tmp_path / "v" / "verification.json").read_bytes()
+
     def test_solver_breakdown_is_an_operational_failure(self, tmp_path, monkeypatch,
                                                         capsys):
         monkeypatch.setattr(sdp.BarrierBackend, "solve", raising_solve)
@@ -619,6 +698,16 @@ class TestOptionResolution:
         assert main(["verify", example1_file, str(gain_path), "--config", str(cfg_path),
                      "--samples", "10", "--out", str(out)]) == EXIT_OK
         assert os.listdir(out) == ["verification.json"]
+
+    def test_demo_scales_setting_is_not_read(self, tmp_path, monkeypatch):
+        # the demos take no --scales: they verify at the built-in scales
+        monkeypatch.setenv("DDSTAB_SCALES", "5")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scales": [7]}))
+        out = tmp_path / "d"
+        assert main(["demo", "example1", "--config", str(cfg_path), "--samples", "10",
+                     "--out", str(out)]) == EXIT_OK
+        assert read_json(out / "verification.json")["scales"] == [0.1, 1.0, 10.0]
 
 
 class TestBadOptionValues:

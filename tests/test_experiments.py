@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from ddstab import (ContinuousSystem, LtiSystem, MonteCarloConfig, ThreeTankPara
                     numerical_rank, run_monte_carlo, simulate, spectral_radius,
                     three_tank_model, zoh_discretize)
 from ddstab.data import TrajectoryData, consistency_residual, consistent_set
+from ddstab.cli import EXIT_OK, main
 from ddstab.experiments import (SCENARIO_CHUNK, THREE_TANK_INPUTS, THREE_TANK_X0,
-                                _evaluate_scenarios, demo_example1, demo_example2,
-                                demo_three_tank, example1_trajectory)
+                                _evaluate_scenarios, demo_example2, demo_three_tank,
+                                example1_trajectory)
 from ddstab.informativity import check_stabilizability_prior
 
 from conftest import (THREE_TANK_A_REF, THREE_TANK_B_REF, THREE_TANK_TRAJ_REF,
@@ -262,13 +265,20 @@ class TestMonteCarlo:
             self._config(poisson_lambda=poisson_lambda)
 
 
+def demo_files(tmp_path, name: str) -> dict:
+    """The JSON files of ``ddstab demo <name>``, read by stem."""
+    out = tmp_path / name
+    assert main(["demo", name, "--samples", "60", "--out", str(out)]) == EXIT_OK
+    return {path.stem: json.loads(path.read_text()) for path in out.glob("*.json")}
+
+
 class TestDemos:
-    def test_example1_bundle(self, cfg):
-        bundle = demo_example1(cfg, n_samples=60)
-        assert not bundle["informativity"].stabilization
-        assert bundle["informativity"].stabilization_stabilizability_prior
-        assert bundle["verification"].passed
-        assert bundle["verification"].max_spectral_radius < 1.0
+    def test_example1_bundle(self, tmp_path):
+        bundle = demo_files(tmp_path, "example1")
+        assert not bundle["informativity"]["stabilization"]
+        assert bundle["informativity"]["stabilization_stabilizability_prior"]
+        assert bundle["verification"]["passed"]
+        assert bundle["verification"]["max_spectral_radius"] < 1.0
 
     def test_example2_grid_flags_exactly_one_point(self, cfg):
         bundle = demo_example2(cfg=cfg)
@@ -285,10 +295,17 @@ class TestDemos:
             member = LtiSystem(A=[[a]], B=[[b1, b2]])
             assert consistency_residual(D, member) <= 1e-12
 
-    def test_three_tank_bundle(self, cfg):
-        bundle = demo_three_tank(cfg, n_samples=60)
-        assert bundle["informativity"].rank_x_minus == 2
-        assert bundle["informativity"].stabilization_stabilizability_prior
-        assert bundle["solution"].feasible
-        assert bundle["closed_loop_spectral_radius"] < 1.0
-        assert bundle["verification"].passed
+    def test_three_tank_bundle(self, tmp_path):
+        bundle = demo_files(tmp_path, "three-tank")
+        assert bundle["informativity"]["rank_x_minus"] == 2
+        assert bundle["informativity"]["stabilization_stabilizability_prior"]
+        assert bundle["gain"]["theta"] is not None  # the solution is feasible
+        assert bundle["spectrum"]["closed_loop_spectral_radius"] < 1.0
+        assert bundle["verification"]["passed"]
+
+    def test_three_tank_is_the_simulated_cascade(self):
+        demo = demo_three_tank()
+        assert sorted(demo) == ["continuous", "system", "trajectory"]
+        assert np.array_equal(demo["system"].A, zoh_discretize(demo["continuous"]).A)
+        expected = simulate(demo["system"], THREE_TANK_X0, THREE_TANK_INPUTS)
+        assert np.array_equal(demo["trajectory"].states, expected.states)

@@ -578,6 +578,24 @@ class TestVerdictsSolveNothing:
             refused.add(report.branch)
         assert refused == {Branch.FULL_RANK, Branch.RANK_DEFICIENT}
 
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_synthesize_stab_refuses_before_a_solve(self, cfg, no_solve, seed):
+        # synthesize_stab builds its own report and refuses what it rejects,
+        # full-rank data with synthesize's message
+        rng = np.random.default_rng(seed)
+        refused = set()
+        for _ in range(500):
+            D = random_dataset(rng).D
+            report = check_stabilizability_prior(D, cfg)
+            if report.stabilization_stabilizability_prior:
+                continue
+            with pytest.raises(PreconditionError) as exc:
+                synthesize_stab(D, cfg)
+            if report.branch is Branch.FULL_RANK:
+                assert str(exc.value) == "the data are not informative for stabilization"
+            refused.add(report.branch)
+        assert refused == {Branch.FULL_RANK, Branch.RANK_DEFICIENT}
+
     def test_monte_carlo(self, cfg, no_solve):
         from ddstab.experiments import MonteCarloConfig, three_tank_model, zoh_discretize
         result = run_monte_carlo(MonteCarloConfig(
