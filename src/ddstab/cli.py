@@ -213,14 +213,19 @@ def cmd_informativity(args, settings: dict) -> int:
 
 def _gain_step(D: DataMatrices, report: InformativityReport,
                settings: dict) -> FeedbackGain | None:
-    """Write gain.json: the gain synthesized on the report's branch, or the
-    refusal naming the branch for data the report rejects (returns None)."""
+    """Write gain.json: the gain synthesized on the report's branch, or, for
+    data the report rejects, the refusal naming the branch (printed too;
+    returns None)."""
+    from .informativity import Branch
     from .synthesis import synthesize
     try:
         gain, sol, _ = synthesize(D, settings["numcfg"], report)
     except PreconditionError:
         _write(settings["out"], "gain.json",
                _dump_json({"informative": False, "branch": report.branch.value}))
+        print("not informative for stabilization (full-rank branch)"
+              if report.branch is Branch.FULL_RANK else
+              "not informative for stabilization under the stabilizability prior")
         return None
     _write(settings["out"], "gain.json", _dump_json(_gain_payload(gain, sol, report)))
     return gain
@@ -256,6 +261,14 @@ def _verification_step(D: DataMatrices, gain: FeedbackGain, report: Informativit
     return verification
 
 
+def _pass_line(verification: VerificationReport) -> str:
+    if verification.samples_tested == 0:
+        return (f"pass: False (no draw was tested: all "
+                f"{verification.rejected_unstabilizable} were rejected as not stabilizable)")
+    return (f"pass: {verification.passed} "
+            f"(max spectral radius {verification.max_spectral_radius:.6f})")
+
+
 def cmd_synthesize(args, settings: dict) -> int:
     from .informativity import Branch, check_stabilizability_prior
     from .synthesis import lmi_problem, problem_to_json
@@ -267,9 +280,6 @@ def cmd_synthesize(args, settings: dict) -> int:
         _write(settings["out"], "problem.json", problem_to_json(problem))
     gain = _gain_step(D, report, settings)
     if gain is None:
-        print("not informative for stabilization (full-rank branch)"
-              if branch is Branch.FULL_RANK else
-              "not informative for stabilization under the stabilizability prior")
         return EXIT_NEGATIVE
     print(f"wrote {os.path.join(settings['out'], 'gain.json')}")
     print(f"K = {gain.K.tolist()}")
@@ -283,18 +293,13 @@ def cmd_verify(args, settings: dict) -> int:
     report = check_stabilizability_prior(D, settings["numcfg"])
     verification = _verification_step(D, gain, report, settings)
     print(f"wrote {os.path.join(settings['out'], 'verification.json')}")
-    if verification.samples_tested == 0:
-        print(f"pass: False (no draw was tested: all {verification.rejected_unstabilizable} "
-              f"were rejected as not stabilizable)")
-    else:
-        print(f"pass: {verification.passed} "
-              f"(max spectral radius {verification.max_spectral_radius:.6f})")
+    print(_pass_line(verification))
     return EXIT_OK if verification.passed else EXIT_NEGATIVE
 
 
 def cmd_montecarlo(args, settings: dict) -> int:
-    from .experiments import (MonteCarloConfig, run_monte_carlo, three_tank_model,
-                              zoh_discretize)
+    from .experiments import (POISSON_LAMBDA, MonteCarloConfig, run_monte_carlo,
+                              three_tank_model, zoh_discretize)
     system = zoh_discretize(three_tank_model())
     try:
         mc = MonteCarloConfig(system=system, scenarios=args.scenarios,
@@ -306,7 +311,7 @@ def cmd_montecarlo(args, settings: dict) -> int:
     summary = {
         "scenarios": mc.scenarios,
         "seed": mc.seed,
-        "poisson_lambda": mc.poisson_lambda,
+        "poisson_lambda": POISSON_LAMBDA,
         "solver_failures": result.solver_failures,
         "per_T": {str(T): pct[T] for T in mc.t_list},
     }
@@ -325,8 +330,9 @@ def cmd_montecarlo(args, settings: dict) -> int:
     return EXIT_OK
 
 
-def _demo_example2_bundle(settings, demo) -> None:
-    bundle = demo(cfg=settings["numcfg"])
+def _demo_example2_bundle(settings) -> None:
+    from .experiments import demo_example2
+    bundle = demo_example2(cfg=settings["numcfg"])
     lines = ["a,b1,b2,controllable"]
     for a, b1, b2, ctrb in bundle["grid"]:
         lines.append(f"{a!r},{b1!r},{b2!r},{int(ctrb)}")
@@ -340,7 +346,8 @@ def _demo_synthesis_bundle(settings, trajectory: TrajectoryData,
                            continuous: ContinuousSystem | None = None,
                            system: LtiSystem | None = None) -> int:
     """The trajectory of a synthesis demo, then what ``informativity``,
-    ``synthesize`` and ``verify`` write for it, with their exit code; plus the
+    ``synthesize`` and ``verify`` write for it, with their exit code and the
+    line that names their verdict (the refusal, or ``pass: …``); plus the
     model and closed-loop spectrum when the demo simulates a known system."""
     from .informativity import check_stabilizability_prior
     out = settings["out"]
@@ -363,6 +370,7 @@ def _demo_synthesis_bundle(settings, trajectory: TrajectoryData,
     if gain is None:
         return EXIT_NEGATIVE
     verification = _verification_step(D, gain, report, settings)
+    print(_pass_line(verification))
     if system is not None:
         closed_loop = system.A + system.B @ gain.K
         eigs = np.linalg.eigvals(closed_loop)
@@ -377,7 +385,7 @@ def _demo_synthesis_bundle(settings, trajectory: TrajectoryData,
 def cmd_demo(args, settings: dict) -> int:
     from . import experiments
     if args.name == "example2":
-        _demo_example2_bundle(settings, experiments.demo_example2)
+        _demo_example2_bundle(settings)
         code = EXIT_OK
     elif args.name == "example1":
         code = _demo_synthesis_bundle(settings, experiments.example1_trajectory())

@@ -1,12 +1,15 @@
 """Simulation, the three-tank benchmark, the demos' data, and the Monte Carlo study.
 
+The paper's experiment is fixed: the three-tank cascade sampled every 0.1,
+runs of ``HORIZON`` steps from a Poisson(``POISSON_LAMBDA``) initial state
+under Poisson(``POISSON_LAMBDA``) inputs. These are constants, not options.
+
 A synthesis demo here is only its data: Example 1's trajectory, or the
 discretized three-tank cascade and its experiment. ``ddstab demo`` runs the
 steps of ``synthesize`` and ``verify`` on it.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -28,22 +31,6 @@ class ContinuousSystem:
     def __post_init__(self):
         if not self.sample_time > 0:
             raise ValueError("sample_time must be positive")
-
-
-@dataclass(frozen=True)
-class ThreeTankParams:
-    """Cascade of three tanks draining to a basin, inflow actuated at tank 2."""
-
-    a1: float = 1.0
-    a2: float = 1.0
-    a3: float = 1.0
-    k01: float = 0.1
-    k12: float = 0.5
-    k23: float = 0.5
-
-    def __post_init__(self):
-        if min(self.a1, self.a2, self.a3, self.k01, self.k12, self.k23) <= 0:
-            raise ValueError("areas and flow coefficients must be positive")
 
 
 def _simulate_runs(system: LtiSystem, x0: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -93,21 +80,25 @@ def zoh_discretize(cs: ContinuousSystem) -> LtiSystem:
     return LtiSystem(A=E[:n, :n], B=E[:n, n:])
 
 
-def three_tank_model(p: ThreeTankParams = ThreeTankParams(),
-                     sample_time: float = 0.1) -> ContinuousSystem:
-    """Mass balance of the cascade; tank 3 only feeds forward, so it is
-    unreachable from the input."""
-    A = np.array([
-        [-(p.k01 + p.k12) / p.a1, p.k12 / p.a1, 0.0],
-        [p.k12 / p.a2, -p.k12 / p.a2, p.k23 / p.a2],
-        [0.0, 0.0, -p.k23 / p.a3],
-    ])
-    B = np.array([[0.0], [1.0 / p.a2], [0.0]])
-    return ContinuousSystem(A=A, B=B, sample_time=sample_time)
+def three_tank_model() -> ContinuousSystem:
+    """Mass balance of three unit-area tanks, sampled every 0.1: tank 1 drains
+    to the basin through flow coefficient 0.1, tanks 1-2 and 2-3 couple through
+    0.5, and the inflow is actuated at tank 2. Tank 3 only feeds forward, so it
+    is unreachable from the input."""
+    A = np.array([[-0.6, 0.5, 0.0],
+                  [0.5, -0.5, 0.5],
+                  [0.0, 0.0, -0.5]])
+    B = np.array([[0.0], [1.0], [0.0]])
+    return ContinuousSystem(A=A, B=B, sample_time=0.1)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo study
+
+HORIZON = 100  # steps of every run; the longest T a window may take
+POISSON_LAMBDA = 1.0  # rate of the initial state's and the inputs' draws
+SCENARIO_CHUNK = 64  # scenarios whose windows are decided in one stacked pass
+
 
 def _is_integer(value) -> bool:
     """True for a Python or numpy integer; a bool, a float or a string is not one."""
@@ -118,14 +109,12 @@ def _is_integer(value) -> bool:
 class MonteCarloConfig:
     system: LtiSystem
     scenarios: int = 1000
-    horizon: int = 100
     t_list: tuple[int, ...] = (3, 4, 5, 10, 100)
-    poisson_lambda: float = 1.0
     seed: int = 3
     workers: int = 1  # one process decides every scenario; kept for callers passing 1
 
     def __post_init__(self):
-        for name in ("scenarios", "horizon", "seed", "workers"):
+        for name in ("scenarios", "seed", "workers"):
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not all(map(_is_integer, self.t_list)):
@@ -136,16 +125,11 @@ class MonteCarloConfig:
             raise ValueError("workers must be 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        lam = self.poisson_lambda
-        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
-            raise ValueError(f"poisson_lambda must be a real number, got {lam!r}")
-        if not 0.0 <= lam < np.inf:
-            raise ValueError("poisson_lambda must be finite and >= 0")
         if not self.t_list:
             raise ValueError("t_list must hold at least one T")
         if any(T < 1 for T in self.t_list):
             raise ValueError("every T must be >= 1")
-        if any(T > self.horizon for T in self.t_list):
+        if any(T > HORIZON for T in self.t_list):
             raise ValueError("every T must be <= horizon")
         if len(set(self.t_list)) != len(self.t_list):
             raise ValueError("every T must appear once")
@@ -188,17 +172,14 @@ class MonteCarloResult:
 
 
 def _scenario_draws(mc: MonteCarloConfig, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """The initial state (n,) and the whole input sequence (horizon, m) of
+    """The initial state (n,) and the whole input sequence (HORIZON, m) of
     scenario ``index``."""
     # per-scenario counter-based stream: bitwise reproducible regardless of
     # scheduling; x0 entries are drawn first, then the whole input sequence
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((mc.seed, index))))
     n, m = mc.system.n, mc.system.m
-    return (rng.poisson(mc.poisson_lambda, size=n).astype(float),
-            rng.poisson(mc.poisson_lambda, size=(mc.horizon, m)).astype(float))
-
-
-SCENARIO_CHUNK = 64  # scenarios whose windows are decided in one stacked pass
+    return (rng.poisson(POISSON_LAMBDA, size=n).astype(float),
+            rng.poisson(POISSON_LAMBDA, size=(HORIZON, m)).astype(float))
 
 
 def _evaluate_scenarios(mc: MonteCarloConfig, indices: range | list[int],

@@ -134,8 +134,7 @@ def test_criterion_4_monte_carlo_table():
     # the reference table's generator seed is unknown; ours is pinned, and
     # the +-4-point tolerance absorbs the binomial noise of 1000 scenarios
     mc = MonteCarloConfig(system=zoh_discretize(three_tank_model()),
-                          scenarios=1000, horizon=100,
-                          t_list=(3, 4, 5, 10, 100), poisson_lambda=1.0, seed=3)
+                          scenarios=1000, t_list=(3, 4, 5, 10, 100), seed=3)
     result = run_monte_carlo(mc, CFG)
     elapsed = time.time() - start
     assert result.solver_failures == 0

@@ -508,6 +508,31 @@ class TestDemoCommand:
         assert (out / "verification.json").read_bytes() \
             == (tmp_path / "v" / "verification.json").read_bytes()
 
+    def test_rejection_is_printed_as_synthesize_prints_it(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["demo", "example1", "--rank-rel-tol", "0.5", "--out", str(out)]) \
+            == EXIT_NEGATIVE
+        demo_stdout = capsys.readouterr().out
+        assert main(["synthesize", str(out / "data.json"), "--rank-rel-tol", "0.5",
+                     "--out", str(tmp_path / "s")]) == EXIT_NEGATIVE
+        refusal = capsys.readouterr().out
+        assert refusal == "not informative for stabilization under the stabilizability prior\n"
+        assert demo_stdout == refusal + f"wrote demo bundle to {out}\n"
+
+    @pytest.mark.parametrize("schur_margin, code", [("0.5", EXIT_NEGATIVE), ("1e-6", EXIT_OK)])
+    def test_pass_line_is_printed_as_verify_prints_it(self, tmp_path, capsys,
+                                                     schur_margin, code):
+        out = tmp_path / "d"
+        assert main(["demo", "three-tank", "--schur-margin", schur_margin,
+                     "--samples", "20", "--out", str(out)]) == code
+        demo_stdout = capsys.readouterr().out
+        assert main(["verify", str(out / "data.json"), str(out / "gain.json"),
+                     "--schur-margin", schur_margin, "--samples", "20",
+                     "--out", str(tmp_path / "v")]) == code
+        pass_line = capsys.readouterr().out.splitlines()[-1]
+        assert pass_line.startswith(f"pass: {code == EXIT_OK} (max spectral radius ")
+        assert demo_stdout == f"{pass_line}\nwrote demo bundle to {out}\n"
+
     def test_solver_breakdown_is_an_operational_failure(self, tmp_path, monkeypatch,
                                                         capsys):
         monkeypatch.setattr(sdp.BarrierBackend, "solve", raising_solve)

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -5,15 +7,15 @@ import pytest
 
 import ddstab.experiments
 
-from ddstab import (ContinuousSystem, LtiSystem, MonteCarloConfig, ThreeTankParams,
-                    build_data_matrices, check_identification, is_controllable, is_schur,
-                    numerical_rank, run_monte_carlo, simulate, spectral_radius,
-                    three_tank_model, zoh_discretize)
+from ddstab import (ContinuousSystem, LtiSystem, MonteCarloConfig, build_data_matrices,
+                    check_identification, is_controllable, is_schur, numerical_rank,
+                    run_monte_carlo, simulate, spectral_radius, three_tank_model,
+                    zoh_discretize)
 from ddstab.data import TrajectoryData, consistency_residual, consistent_set
 from ddstab.cli import EXIT_OK, main
-from ddstab.experiments import (SCENARIO_CHUNK, THREE_TANK_INPUTS, THREE_TANK_X0,
-                                _evaluate_scenarios, demo_example2, demo_three_tank,
-                                example1_trajectory)
+from ddstab.experiments import (HORIZON, POISSON_LAMBDA, SCENARIO_CHUNK, THREE_TANK_INPUTS,
+                                THREE_TANK_X0, _evaluate_scenarios, _scenario_draws,
+                                demo_example2, demo_three_tank, example1_trajectory)
 from ddstab.informativity import check_stabilizability_prior
 
 from conftest import (THREE_TANK_A_REF, THREE_TANK_B_REF, THREE_TANK_TRAJ_REF,
@@ -97,6 +99,11 @@ class TestZohDiscretize:
         assert system.A[0, 0] == pytest.approx(np.exp(-0.1), rel=1e-12)
         assert system.B[0, 0] == pytest.approx(2.0 * (1.0 - np.exp(-0.1)), rel=1e-12)
 
+    @pytest.mark.parametrize("sample_time", [0.0, -0.1, np.nan])
+    def test_non_positive_sample_time_rejected(self, sample_time):
+        with pytest.raises(ValueError, match="sample_time must be positive"):
+            ContinuousSystem(A=np.zeros((1, 1)), B=np.ones((1, 1)), sample_time=sample_time)
+
     def test_three_tank_reference_matrices(self):
         system = zoh_discretize(three_tank_model())
         assert np.abs(system.A - THREE_TANK_A_REF).max() <= 1e-4
@@ -117,26 +124,21 @@ class TestZohDiscretize:
 class TestThreeTankModel:
     def test_default_parameters(self):
         cs = three_tank_model()
-        assert cs.A[0, 0] == pytest.approx(-0.6)
-        assert cs.A[2, 2] == pytest.approx(-0.5)
-        assert np.allclose(cs.B.ravel(), [0.0, 1.0, 0.0])
+        assert cs.A.tolist() == [[-0.6, 0.5, 0.0], [0.5, -0.5, 0.5], [0.0, 0.0, -0.5]]
+        assert cs.B.tolist() == [[0.0], [1.0], [0.0]]
+        assert cs.sample_time == 0.1
 
-    def test_zero_flow_would_be_invalid(self):
-        with pytest.raises(ValueError):
-            ThreeTankParams(k01=0.0)
-
-    def test_doubled_areas_halve_rows(self):
-        base = three_tank_model()
-        doubled = three_tank_model(ThreeTankParams(a1=2.0, a2=2.0, a3=2.0))
-        assert np.allclose(doubled.A, base.A / 2.0)
-        assert np.allclose(doubled.B, base.B / 2.0)
+    def test_the_model_is_fixed(self):
+        assert not inspect.signature(three_tank_model).parameters
+        assert not hasattr(ddstab.experiments, "ThreeTankParams")
+        with pytest.raises(ImportError):
+            from ddstab import ThreeTankParams  # noqa: F401
 
 
 class TestMonteCarlo:
     def _config(self, **kw):
         system = zoh_discretize(three_tank_model())
-        defaults = dict(system=system, scenarios=40, horizon=20,
-                        t_list=(3, 4, 5, 10), seed=123)
+        defaults = dict(system=system, scenarios=40, t_list=(3, 4, 5, 10), seed=123)
         defaults.update(kw)
         return MonteCarloConfig(**defaults)
 
@@ -201,9 +203,26 @@ class TestMonteCarlo:
         result = run_monte_carlo(self._config(), cfg)
         assert result.solver_failures == 0
 
+    def test_fields_are_the_runs_settings(self):
+        # the horizon and the Poisson rate are the experiment's constants
+        assert [f.name for f in dataclasses.fields(MonteCarloConfig)] == [
+            "system", "scenarios", "t_list", "seed", "workers"]
+
+    def test_draws_span_the_horizon(self):
+        mc = self._config()
+        x0, inputs = _scenario_draws(mc, 0)
+        assert x0.shape == (3,) and inputs.shape == (HORIZON, 1) == (100, 1)
+        assert POISSON_LAMBDA == 1.0
+
     def test_t_beyond_horizon_rejected(self):
         with pytest.raises(ValueError):
             self._config(t_list=(3, 200))
+
+    def test_t_cap_is_the_horizon(self, cfg):
+        result = run_monte_carlo(self._config(scenarios=1, t_list=(3, 100)), cfg)
+        assert [v.T for v in result.verdicts] == [3, 100]
+        with pytest.raises(ValueError, match="every T must be <= horizon"):
+            self._config(t_list=(3, 101))
 
     @pytest.mark.parametrize("t_list", [(0, 3), (-1, 3), (-50, 3)])
     def test_t_below_one_rejected(self, t_list):
@@ -231,8 +250,8 @@ class TestMonteCarlo:
             self._config(seed=seed)
 
     @pytest.mark.parametrize("field,value", [
-        ("scenarios", 2.5), ("scenarios", True), ("horizon", 20.5), ("horizon", "20"),
-        ("workers", 1.5), ("workers", True), ("seed", 3.0), ("seed", False)])
+        ("scenarios", 2.5), ("scenarios", True), ("workers", 1.5), ("workers", True),
+        ("seed", 3.0), ("seed", False)])
     def test_non_integer_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             self._config(**{field: value})
@@ -243,7 +262,7 @@ class TestMonteCarlo:
             self._config(t_list=t_list)
 
     def test_numpy_integers_accepted(self, cfg):
-        result = run_monte_carlo(self._config(scenarios=np.int64(2), horizon=np.int32(20),
+        result = run_monte_carlo(self._config(scenarios=np.int64(2), seed=np.int32(20),
                                               t_list=(np.int64(3), 5)), cfg)
         assert [v.T for v in result.verdicts] == [3, 5, 3, 5]
 
@@ -254,15 +273,6 @@ class TestMonteCarlo:
     def test_empty_t_list_rejected(self):
         with pytest.raises(ValueError, match="t_list must hold at least one T"):
             self._config(t_list=())
-
-    @pytest.mark.parametrize("poisson_lambda, message", [
-        (-1.0, "finite and >= 0"), (np.nan, "finite and >= 0"), (np.inf, "finite and >= 0"),
-        # a bool would draw as if lambda were 1 and stay a bool in the config
-        (True, "a real number"), ("1.0", "a real number"), (1j, "a real number")],
-        ids=["-1.0", "nan", "inf", "True", "str", "complex"])
-    def test_bad_poisson_lambda_rejected(self, poisson_lambda, message):
-        with pytest.raises(ValueError, match=f"poisson_lambda must be {message}"):
-            self._config(poisson_lambda=poisson_lambda)
 
 
 def demo_files(tmp_path, name: str) -> dict:

@@ -425,8 +425,7 @@ class TestStackedWindows:
         # and a T-list whose longest T is 2 takes the full SVD of the stack
         system = zoh_discretize(three_tank_model())
         for t_list in ((1, 2, 3, 4, 6, 10, 100), (2, 1)):
-            mc = MonteCarloConfig(system=system, scenarios=60, seed=11, horizon=100,
-                                  t_list=t_list)
+            mc = MonteCarloConfig(system=system, scenarios=60, seed=11, t_list=t_list)
             seen = self._scenarios(mc, cfg, monkeypatch)
             assert {r for r, _, _ in seen} >= {1, 2}
 

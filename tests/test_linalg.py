@@ -50,6 +50,10 @@ class TestNumericalRank:
 
 
 class TestRowCompress:
+    def test_unequal_shapes_rejected(self, cfg):
+        with pytest.raises(ValueError, match=r"shape mismatch: \(2, 3\) vs \(2, 2\)"):
+            row_compress(np.ones((2, 3)), np.ones((2, 2)), cfg)
+
     def test_example1_values(self, cfg, example1):
         comp = row_compress(example1.x_minus, example1.x_plus, cfg)
         assert comp.r == 1

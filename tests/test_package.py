@@ -12,8 +12,7 @@ EXPORTS = {
              "reachable_part", "recover_input_matrix", "sample_consistent"],
     "errors": ["DataFormatError", "PreconditionError", "SolverFailure"],
     "experiments": ["ContinuousSystem", "MonteCarloConfig", "MonteCarloResult",
-                    "ThreeTankParams", "run_monte_carlo", "simulate",
-                    "three_tank_model", "zoh_discretize"],
+                    "run_monte_carlo", "simulate", "three_tank_model", "zoh_discretize"],
     "informativity": ["Branch", "InformativityReport", "check_controllability_prior",
                       "check_identification", "check_stabilizability_prior",
                       "input_rank_condition"],

@@ -37,6 +37,11 @@ def _random_problem(rng, d=None, size=None, n_blocks=1):
 
 
 class TestBarrierBackend:
+    @pytest.mark.parametrize("G_shape", [(3, 2, 2), (2, 3, 3)], ids=["dim", "block"])
+    def test_inconsistent_block_shapes_rejected(self, G_shape):
+        with pytest.raises(ValueError, match="inconsistent block shapes"):
+            AffineLmiFeasibility(dim=2, blocks=((np.zeros((2, 2)), np.zeros(G_shape)),))
+
     def test_single_coefficient_identity(self):
         # F(x) = x * I on the unit ball: optimum slack 1 at x = 1
         problem = AffineLmiFeasibility(dim=1, blocks=((np.zeros((2, 2)),

@@ -12,7 +12,7 @@ from ddstab import (GainProvenance, LtiSystem, NumericalConfig, PreconditionErro
 from ddstab.informativity import Branch
 from ddstab.linalg import RowCompression
 from ddstab.sdp import BarrierBackend
-from ddstab.synthesis import LmiFeasibilityProblem, lmi_problem, problem_to_json
+from ddstab.synthesis import LmiFeasibilityProblem, LmiSolution, lmi_problem, problem_to_json
 
 from conftest import (barrier_slack, random_dataset, reference_coefficients, scalar_full_rank,
                       scalar_near_margin, scenario_trajectory, three_tank_compressed,
@@ -96,6 +96,15 @@ class TestSdpSolve:
 
 
 class TestPlainLmi:
+    def test_unequal_coefficient_shapes_rejected(self):
+        with pytest.raises(ValueError, match="coefficient matrices must have equal shapes"):
+            LmiFeasibilityProblem(diag_coeff=np.ones((2, 3)), offdiag_coeff=np.ones((1, 3)))
+
+    def test_gain_needs_x_minus_theta_positive_definite(self):
+        sol = LmiSolution(theta=-np.eye(1), slack=1.0)
+        with pytest.raises(PreconditionError, match="X_minus @ Theta is not positive definite"):
+            gain_from_plain(scalar_full_rank(), sol)
+
     def test_example1_infeasible(self, cfg, example1):
         sol = solve_plain_lmi(example1, cfg)
         assert not sol.feasible

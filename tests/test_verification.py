@@ -497,6 +497,14 @@ class TestDecompositionCheck:
 
 
 class TestCommonLyapunov:
+    @pytest.mark.parametrize("systems, message", [
+        ([], "need at least one closed-loop matrix"),
+        ([np.eye(2), np.eye(3)], "all closed-loop matrices must share one square shape")],
+        ids=["empty", "mixed_shapes"])
+    def test_malformed_family_rejected(self, cfg, systems, message):
+        with pytest.raises(PreconditionError, match=message):
+            common_lyapunov(systems, cfg)
+
     def test_single_schur_matrix(self, cfg):
         M = np.array([[0.5, 0.2], [0.0, 0.3]])
         cert = common_lyapunov([M], cfg)
