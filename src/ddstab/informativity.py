@@ -156,8 +156,8 @@ def decide_verdicts(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
     X_minus^+ and every pencil rank as they are; every cutoff is taken at the
     member's own shape, so only rounding moves. A stack is decided with one
     economy SVD of X_minus, one values-only SVD of [X_minus; U_minus], one
-    stacked pencil test over the full-rank members, reading X_minus^+ off
-    that SVD, and one values-only SVD of S[r:] X_plus per rank of the
+    stacked pencil test over the full-rank members, handed that SVD and the
+    ranks read off it, and one values-only SVD of S[r:] X_plus per rank of the
     rank-deficient members. A stack of one reads its S, rank and SVD off
     ``comp`` instead of taking another.
     """
@@ -171,8 +171,8 @@ def decide_verdicts(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
         S, sv, Vt, r = comp.S[None], comp.sv[None], comp.Vt[None], np.array([comp.r])
     rank_stacked = numerical_rank(D.stacked(), cfg, cols)
     full = r == n
-    # nothing to test without a full-rank member; r, not the kernel, decides
-    plain = pencil_full_rank(D.x_minus, D.x_plus, cfg, (S, sv, Vt), cols) & full \
+    # nothing to test without a full-rank member
+    plain = pencil_full_rank(D.x_minus, D.x_plus, cfg, (S, sv, Vt, r), cols) \
         if np.count_nonzero(full) else full
     image_ok, residual = subspace_contained(D.x_plus, D.x_minus, S, r, cfg)
     input_ok = input_rank_condition(D, r, rank_stacked)

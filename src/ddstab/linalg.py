@@ -189,7 +189,7 @@ def is_controllable(A: np.ndarray, B: np.ndarray,
 
 def pencil_full_rank(L: np.ndarray, P: np.ndarray,
                      cfg: NumericalConfig = DEFAULT_CONFIG,
-                     svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                     svd: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
                      cols: np.ndarray | None = None) -> bool | np.ndarray:
     """Hautus test of the k x T pencil P - lambda*L: L has full row rank k and
     rank(P - lambda*L) = k at every eigenvalue lambda of F = P L^+ with
@@ -201,14 +201,14 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
     F = A, it is the stabilizability of (A, B).
 
     L's rank, at the shared cutoff, and its pseudoinverse are read off one
-    thin SVD of L (a unit spectrum, as [I 0]'s, is full at any tolerance); a
-    caller that holds one passes it as ``svd = (S, sv, Vt)`` with S = U^T,
-    stacked as L is, and it is read instead of taking another (the rows of S
-    and Vt may carry matching signs, which cancel in L^+). Each pencil is
-    ranked at the shared cutoff taken relative to ||P||_F + |lambda|
-    sigma_1(L), a bound on the size of its two terms, not to its own largest
-    singular value: a one-row pencil would then drop rank only when it is
-    exactly zero, so a negligible B would stabilize any scalar system.
+    thin SVD of L. A caller that holds one passes it with the rank it has
+    decided, ``svd = (S, sv, Vt, r)`` with S = U^T, stacked as L is, and it
+    is read instead of taking another (the rows of S and Vt may carry
+    matching signs, which cancel in L^+). Each pencil is ranked at the
+    shared cutoff taken relative to ||P||_F + |lambda| sigma_1(L), a bound
+    on the size of its two terms, not to its own largest singular value: a
+    one-row pencil would then drop rank only when it is exactly zero, so a
+    negligible B would stabilize any scalar system.
 
     Stacks (N, k, T) give the N verdicts as a boolean array, each equal to its
     member's own: one stacked ``eigvals``, then one stacked SVD over the
@@ -223,7 +223,7 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
     stacked = L.ndim == 3
     if not stacked:
         L, P = L[None], P[None]
-        svd = None if svd is None else tuple(f[None] for f in svd)
+        svd = None if svd is None else tuple(np.asarray(f)[None] for f in svd)
     k, T = L.shape[1:]
     if k == 0 or T < k or not len(L):
         # no eigenvalue to test: rank k = 0 is full, a wide L^T is not
@@ -231,10 +231,10 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
         return ok if stacked else bool(ok[0])
     if svd is None:
         U, sv, Vt = np.linalg.svd(L, full_matrices=False)
-        svd = U.transpose(0, 2, 1), sv, Vt
-    S, sv, Vt = svd
-    full = np.flatnonzero((sv[:, k - 1] > rank_cutoff(sv, (k, T if cols is None else cols), cfg))
-                          | (sv == 1.0).all(axis=1))
+        r = (sv.T > rank_cutoff(sv, (k, T if cols is None else cols), cfg)).sum(axis=0)
+        svd = U.transpose(0, 2, 1), sv, Vt, r
+    S, sv, Vt, r = svd
+    full = np.flatnonzero(r == k)
     # views, not copies, where every member has full rank
     keep = full if len(full) < len(L) else slice(None)
     F = P[keep] @ (Vt[keep].transpose(0, 2, 1) / sv[keep, None, :]) @ S[keep]
@@ -261,8 +261,8 @@ def is_stabilizable(A: np.ndarray, B: np.ndarray,
     """Eigenvalue test: rank [A - lambda*I, B] = n at every |lambda| >= 1 - margin.
 
     The pencil test of ``pencil_full_rank`` with (L, P) = ([I 0], [A B]),
-    handed the thin SVD of L = [I 0] as its factors: S = I, sv = 1 (full at
-    any tolerance) and Vt = [I 0]. There F = A and sigma_1(L) = 1, so each
+    handed the thin SVD of L = [I 0] and its exact rank as the factors (S =
+    I, sv = 1, Vt = [I 0], r = n). There F = A and sigma_1(L) = 1, so each
     pencil [A - lambda*I, B] is ranked relative to ||[A B]||_F + |lambda|.
     Stacks (N, n, n) and (N, n, m) give the N verdicts as a boolean array,
     each equal to its member's own.
@@ -272,7 +272,7 @@ def is_stabilizable(A: np.ndarray, B: np.ndarray,
     n = A.shape[-1]
     L = np.zeros(B.shape[:-2] + (n, n + B.shape[-1]))
     L[..., :n] = np.eye(n)
-    svd = L[..., :n], np.ones(L.shape[:-1]), L
+    svd = L[..., :n], np.ones(L.shape[:-1]), L, np.full(L.shape[:-2], n)
     return pencil_full_rank(L, np.concatenate([A, B], axis=-1), cfg, svd)
 
 

@@ -460,9 +460,9 @@ class TestStackedWindows:
 
     def test_unit_spectrum_ranked_zero_beside_a_full_member(self):
         # at rank_rel_tol 0.5 the cutoff of X_minus = [1 0] is sigma_1
-        # itself, so it is ranked 0, while the Hautus kernel counts a unit
-        # spectrum full at any tolerance; the full-rank window [2] sends the
-        # stack to the kernel, and [1 0]'s plain verdict still follows rank 0
+        # itself, so it is ranked 0; the full-rank window [2] sends the
+        # stack to the Hautus kernel, which reads the ranks handed to it, so
+        # [1 0]'s plain verdict follows rank 0
         cfg = NumericalConfig(rank_rel_tol=0.5)
         windows = [build_data_matrices(TrajectoryData(inputs=[[1.0], [1.0]],
                                                       states=[[1.0], [0.0], [1.0]])),

@@ -8,7 +8,7 @@ import ddstab.linalg
 from ddstab import (NumericalConfig, is_controllable, is_schur, is_stabilizable,
                     matrix_exponential, numerical_rank, pencil_full_rank,
                     row_compress, spectral_radius, subspace_contained)
-from ddstab import (LtiSystem, MonteCarloConfig, build_data_matrices,
+from ddstab import (DataMatrices, LtiSystem, MonteCarloConfig, build_data_matrices,
                     check_stabilizability_prior, consistent_set, reachable_part,
                     sdp_solve, simulate, solve_plain_lmi, synthesize,
                     three_tank_model, zoh_discretize)
@@ -92,7 +92,7 @@ class TestRowCompress:
             assert np.abs(comp.S[:k].T @ (comp.sv[:, None] * comp.Vt) - X).max() \
                 <= 1e-12 * max(1, abs(X).max())
             # the report's route: X^+ read off the compression
-            assert pencil_full_rank(X, Xp, cfg, (comp.S, comp.sv, comp.Vt)) \
+            assert pencil_full_rank(X, Xp, cfg, (comp.S, comp.sv, comp.Vt, comp.r)) \
                 == pencil_full_rank(X, Xp, cfg)
 
     @pytest.mark.parametrize("shape", [(2, 3), (2, 2), (3, 2)], ids=["wide", "square", "tall"])
@@ -791,9 +791,11 @@ class TestPencilFullRank:
         assert ok.dtype == bool and ok.shape == (len(L),)
         for i, T in enumerate(cols):
             assert ok[i] == pencil_full_rank(L[i, :, :T], P[i, :, :T], cfg)
-        # with the padded stack's own thin SVD handed in, as decide_verdicts does
+        # with the padded stack's own thin SVD and ranks handed in, as
+        # decide_verdicts does
         U, sv, Vt = np.linalg.svd(Lp, full_matrices=False)
-        factors = (U.transpose(0, 2, 1), sv, Vt)
+        r = (sv > rank_cutoff(sv, (L.shape[1], cols), cfg)[:, None]).sum(axis=1)
+        factors = (U.transpose(0, 2, 1), sv, Vt, r)
         assert ok.tolist() == pencil_full_rank(Lp, Pp, cfg, factors, cols).tolist()
         return ok
 
@@ -832,6 +834,25 @@ class TestPencilFullRank:
         assert not pencil_full_rank(np.ones((2, 1)), np.ones((2, 1)), cfg)
         assert pencil_full_rank(np.ones((3, 2, 1)), np.ones((3, 2, 1)), cfg).tolist() \
             == [False] * 3
+
+    @pytest.mark.parametrize("rank_rel_tol", [0.5, 0.2], ids=["rank_zero", "full_rank"])
+    def test_unit_spectrum_ranked_at_the_cutoff(self, rank_rel_tol):
+        # X_minus with orthonormal rows is ranked at the shared cutoff, as the
+        # report ranks it: 0 at 0.5, full at 0.2 (where F = 0.5 I is Schur)
+        cfg = NumericalConfig(rank_rel_tol=rank_rel_tol)
+        cases = [DataMatrices(u_minus=np.array([[0.0, 1.0]]),
+                              x_minus=np.array([[1.0, 0.0]]), x_plus=np.array([[0.5, 0.0]])),
+                 DataMatrices(u_minus=np.array([[1.0, 2.0]]),
+                              x_minus=np.eye(2), x_plus=0.5 * np.eye(2))]
+        expected = rank_rel_tol == 0.2
+        for D in cases:
+            report = check_stabilizability_prior(D, cfg)
+            assert report.rank_x_minus == (D.n if expected else 0)
+            assert report.stabilization is expected
+            assert pencil_full_rank(D.x_minus, D.x_plus, cfg) is expected
+            # one stack, beside a zero member that no tolerance ranks full
+            L = np.stack([D.x_minus, np.zeros_like(D.x_minus), D.x_minus])
+            assert pencil_full_rank(L, 0.5 * L, cfg).tolist() == [expected, False, expected]
 
     def test_empty(self, cfg):
         assert pencil_full_rank(np.zeros((0, 3)), np.zeros((0, 3)), cfg) is True
@@ -959,9 +980,11 @@ class TestOneBodyPerPredicate:
 
     @pytest.mark.parametrize("rank_rel_tol", [0.5, 0.2])
     def test_is_stabilizable_at_coarse_rank_tolerance(self, rank_rel_tol):
-        # [I 0] has full rank at any tolerance, although the shared cutoff
-        # reaches its unit singular values from n + m = 2 on at 0.5 and at
-        # n + m = 5 at 0.2: every verdict is the per-eigenvalue oracle's
+        # is_stabilizable hands the kernel [I 0] with its exact rank n, so
+        # every verdict is the per-eigenvalue oracle's however coarse the
+        # tolerance. The kernel's own SVD ranks [I 0] at the shared cutoff,
+        # which reaches its unit singular values from n + m = 2 on at 0.5
+        # and at n + m = 5 at 0.2: there that route finds L rank-deficient
         cfg = NumericalConfig(rank_rel_tol=rank_rel_tol)
         assert is_stabilizable(np.array([[0.5]]), np.array([[0.0]]), cfg) is True
         rng = np.random.default_rng(76)
@@ -976,13 +999,15 @@ class TestOneBodyPerPredicate:
                                    axis=-1)
                 P = np.concatenate([A, B], axis=-1)
                 got = is_stabilizable(A, B, cfg)
-                assert got.tolist() == pencil_full_rank(L, P, cfg).tolist()
                 for i in range(24):
                     single = is_stabilizable(A[i], B[i], cfg)
                     assert type(single) is bool
                     assert got[i] == single == per_eigenvalue_stabilizable(A[i], B[i], cfg)
                 assert got[::2].all()
                 verdicts.extend(got)
+                full = rank_rel_tol * (n + m) < 1.0
+                assert numerical_rank(L[0], cfg) == (n if full else 0)
+                assert pencil_full_rank(L, P, cfg).tolist() == (got & full).tolist()
         assert not all(verdicts)
 
     def test_empty_inputs_have_rank_zero(self, cfg):

@@ -31,9 +31,10 @@ class TestVerifyGain:
 
     def test_schur_member_kept_at_coarse_rank_tolerance(self):
         # the stabilizability filter tests [A - lambda I, B] beside [I 0],
-        # which keeps full rank however coarse the rank tolerance (at 0.5
-        # the shared cutoff of the 1 x 2 [I 0] is its unit singular value):
-        # the one consistent member, Schur with B = 0, is tested in every draw
+        # handed to the kernel with its exact rank n, not ranked at the
+        # cutoff (at 0.5 the shared cutoff of the 1 x 2 [I 0] is its unit
+        # singular value): the one consistent member, Schur with B = 0, is
+        # tested in every draw
         D = build_data_matrices(TrajectoryData(inputs=np.array([[1.0], [-1.0], [2.0]]),
                                                states=np.array([[1.0], [0.5], [0.25], [0.125]])))
         cs = consistent_set(D)
