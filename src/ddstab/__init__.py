@@ -16,9 +16,8 @@ _EXPORTS = {
     "errors": ("DataFormatError", "PreconditionError", "SolverFailure"),
     "experiments": ("ContinuousSystem", "MonteCarloConfig", "MonteCarloResult",
                     "run_monte_carlo", "simulate", "three_tank_model", "zoh_discretize"),
-    "informativity": ("Branch", "InformativityReport", "check_controllability_prior",
-                      "check_identification", "check_stabilizability_prior",
-                      "input_rank_condition"),
+    "informativity": ("Branch", "InformativityReport", "check_identification",
+                      "check_stabilizability_prior", "input_rank_condition"),
     "linalg": ("DEFAULT_CONFIG", "NumericalConfig", "RowCompression",
                "is_controllable", "is_schur", "is_stabilizable",
                "matrix_exponential", "numerical_rank", "pencil_full_rank",
@@ -27,8 +26,7 @@ _EXPORTS = {
                   "LmiSolution", "gain_from_plain", "lmi_problem", "sdp_solve",
                   "solve_plain_lmi", "solve_stab_lmi", "synthesize",
                   "synthesize_stab"),
-    "verification": ("LyapunovCertificate", "VerificationReport",
-                     "common_lyapunov", "decomposition_check",
+    "verification": ("VerificationReport", "decomposition_check",
                      "genericity_probe", "structural_nullity", "verify_gain"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -33,10 +33,11 @@ report (``check_stabilizability_prior``) decides its one dataset as a stack
 of one, from the ``row_compress`` compression it keeps for the gain step
 (all-zero state data included: S = I and a zero spectrum), and also reports
 the residual ||S[r:] X_plus||_2 that image inclusion is read off.
-``check_controllability_prior`` returns the report's verdict and takes no
-route of its own. The gain routes, ``synthesis.synthesize_stab`` and
-``verification.decomposition_check``, take the report, and their guard
-``require_prior_conditions`` reads its branch and its two subspace verdicts.
+The report's ``stabilization_controllability_prior`` is its plain verdict,
+decided by no route of its own. The gain routes,
+``synthesis.synthesize_stab`` and ``verification.decomposition_check``,
+take the report, and their guard ``require_prior_conditions`` reads its
+branch and its two subspace verdicts.
 """
 from __future__ import annotations
 
@@ -113,12 +114,6 @@ def check_identification(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG,
     if rank_stacked is None:
         rank_stacked = numerical_rank(D.stacked(), cfg)
     return rank_stacked == D.n + D.m
-
-
-def check_controllability_prior(D: DataMatrices, cfg: NumericalConfig = DEFAULT_CONFIG) -> bool:
-    """Controllability prior knowledge never changes the plain verdict: the
-    report's ``stabilization_controllability_prior``."""
-    return check_stabilizability_prior(D, cfg).stabilization_controllability_prior
 
 
 def _rank_margin_diagnostics(sv: np.ndarray, shape, cfg: NumericalConfig) -> dict:

@@ -208,7 +208,9 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
     shared cutoff taken relative to ||P||_F + |lambda| sigma_1(L), a bound
     on the size of its two terms, not to its own largest singular value: a
     one-row pencil would then drop rank only when it is exactly zero, so a
-    negligible B would stabilize any scalar system.
+    negligible B would stabilize any scalar system. Where the sum of squares
+    of P overflows, ||P||_F is taken again over P divided by its largest
+    entry, so the verdict does not depend on the data's scale.
 
     Stacks (N, k, T) give the N verdicts as a boolean array, each equal to its
     member's own: one stacked ``eigvals``, then one stacked SVD over the
@@ -249,7 +251,13 @@ def pencil_full_rank(L: np.ndarray, P: np.ndarray,
     members = full[i]
     pencils = np.multiply(L[members], lams[i, j][:, None, None], dtype=complex)
     np.subtract(P[members], pencils, out=pencils)
-    scale = np.sqrt(np.square(P).sum(axis=(1, 2)))[members] + modulus[i, j] * sv[members, 0]
+    with np.errstate(over="ignore"):  # an overflowing sum is taken again below
+        norm = np.sqrt(np.square(P).sum(axis=(1, 2)))
+    big = np.isinf(norm)
+    if big.any():
+        peak = np.abs(P[big]).max(axis=(1, 2))
+        norm[big] = peak * np.sqrt(np.square(P[big] / peak[:, None, None]).sum(axis=(1, 2)))
+    scale = norm[members] + modulus[i, j] * sv[members, 0]
     pencil_sv = np.linalg.svd(pencils, compute_uv=False)
     cutoff = rank_cutoff(scale[:, None], (k, T if cols is None else cols[members]), cfg)
     ok[members[np.count_nonzero(pencil_sv > cutoff[:, None], axis=-1) < k]] = False

@@ -17,8 +17,8 @@ The solver is a log-det barrier path-following method. Problems here are
 tiny (a few dozen unknowns, blocks of order <= 2n), so a dense Newton
 iteration is both faster and lighter than an external conic solver.
 ``CvxpyBackend`` solves the same problem through cvxpy. It serves only as
-the barrier's test oracle: tests hand it to ``sdp_solve`` or
-``common_lyapunov`` when cvxpy is installed. ``GAP_TOL``, ``MU0``,
+the barrier's test oracle: tests hand it to ``sdp_solve`` or to the
+test-side ``common_lyapunov`` when cvxpy is installed. ``GAP_TOL``, ``MU0``,
 ``MU_FACTOR`` and ``MAX_NEWTON`` fix the barrier's schedule. Every barrier
 stage follows one rule: it ends when its half Newton decrement is within
 0.25 or when the line search finds no point other than the current one,
@@ -36,10 +36,10 @@ and ends in SolverFailure. Both backends return through ``_certified``, so
 a solve yields the slack achieved at its final point or raises
 SolverFailure.
 
-This module is imported by the first solve (``synthesis.sdp_solve`` and
-``verification.common_lyapunov`` import it where they solve), and scipy by
-the first Newton step, not by this module: a process that never solves
-loads neither. scipy is the solver's alone; no other module imports it.
+This module has one importer in the package, ``synthesis.sdp_solve``,
+which imports it at its first solve, and scipy is imported by the first
+Newton step, not by this module: a process that never solves loads
+neither. scipy is the solver's alone; no other module imports it.
 """
 from __future__ import annotations
 

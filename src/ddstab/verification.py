@@ -7,6 +7,8 @@ The structural checks (nullity of the homogeneous directions on the
 reachable subspace, block decomposition under the informativity report's
 compression, for data the report finds informative) are the constructive
 complement: they hold exactly for gains produced by the synthesis route.
+Nothing here solves an LMI: the common quadratic Lyapunov function that
+acceptance criterion 7 asks for is a test-side oracle (``tests/oracles.py``).
 
 Each verification scale draws from one NumPy generator of its own,
 ``default_rng((seed, scale index))``, one member after another.
@@ -52,12 +54,6 @@ class VerificationReport:
             "seed": self.seed,
             "scales": list(self.scales),
         }
-
-
-@dataclass(frozen=True)
-class LyapunovCertificate:
-    P: np.ndarray
-    decrease_margins: list[float]
 
 
 # Draws whose members are evaluated together in one stacked pass; bounds
@@ -223,53 +219,6 @@ def decomposition_check(D: DataMatrices, report: InformativityReport, system: Lt
                                     a22_schur=a22_schur,
                                     a11_b1_stabilizable=stab,
                                     reachable_match_error=match, ok=ok)
-
-
-def _symmetric_basis(n: int) -> np.ndarray:
-    """Frobenius-orthonormal basis of symmetric n x n matrices, shape (d, n, n)."""
-    basis = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        basis.append(E)
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(E)
-    return np.array(basis)
-
-
-def common_lyapunov(systems: list[np.ndarray], cfg: NumericalConfig = DEFAULT_CONFIG,
-                    backend=None) -> LyapunovCertificate | None:
-    """One P > 0 with P - M P M^T > 0 for every closed-loop matrix M.
-
-    Returns None when the joint feasibility problem has no solution at the
-    configured margin. Raises SolverFailure on numerical breakdown. ``sdp``
-    is imported here: sampled verification never solves.
-    """
-    from .sdp import AffineLmiFeasibility, BarrierBackend
-    backend = backend or BarrierBackend()
-    mats = [np.atleast_2d(np.asarray(M, dtype=float)) for M in systems]
-    if not mats:
-        raise PreconditionError("need at least one closed-loop matrix")
-    n = mats[0].shape[0]
-    if any(M.shape != (n, n) for M in mats):
-        raise PreconditionError("all closed-loop matrices must share one square shape")
-    basis = _symmetric_basis(n)
-    d = len(basis)
-    blocks = [(np.zeros((n, n)), basis)]
-    for M in mats:
-        coeffs = np.array([E - M @ E @ M.T for E in basis])
-        coeffs = 0.5 * (coeffs + np.transpose(coeffs, (0, 2, 1)))
-        blocks.append((np.zeros((n, n)), coeffs))
-    result = backend.solve(AffineLmiFeasibility(dim=d, blocks=tuple(blocks)))
-    if result.t < cfg.psd_margin:
-        return None
-    P = np.tensordot(result.x, basis, axes=1)
-    P = 0.5 * (P + P.T)
-    margins = [float(np.linalg.eigvalsh(P - M @ P @ M.T).min()) for M in mats]
-    return LyapunovCertificate(P=P, decrease_margins=margins)
 
 
 def genericity_probe(M: np.ndarray, N: np.ndarray, M0: np.ndarray, N0: np.ndarray,

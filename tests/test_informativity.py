@@ -8,7 +8,6 @@ import ddstab.experiments
 import ddstab.informativity
 from ddstab import (DataMatrices, LtiSystem, NumericalConfig, PreconditionError,
                     SolverFailure, TrajectoryData, build_data_matrices,
-                    check_controllability_prior,
                     check_identification, check_stabilizability_prior, consistent_set, input_rank_condition,
                     numerical_rank, row_compress,
                     run_monte_carlo, simulate, solve_plain_lmi, verify_gain,
@@ -16,7 +15,7 @@ from ddstab import (DataMatrices, LtiSystem, NumericalConfig, PreconditionError,
 from ddstab.experiments import (MonteCarloConfig, _evaluate_scenarios, three_tank_model,
                                 zoh_discretize)
 from ddstab.informativity import Branch, decide_verdicts, require_prior_conditions
-from ddstab.linalg import pencil_full_rank, subspace_contained
+from ddstab.linalg import is_stabilizable, pencil_full_rank, subspace_contained
 from ddstab.sdp import BarrierBackend
 from ddstab.synthesis import FeedbackGain, GainProvenance, lmi_problem, sdp_solve
 
@@ -53,7 +52,7 @@ class TestPlainAndControllabilityPrior:
     def test_example1_false(self, cfg, example1):
         sol = solve_plain_lmi(example1, cfg)
         assert not sol.feasible and sol.theta is None
-        assert not check_controllability_prior(example1, cfg)
+        assert not check_stabilizability_prior(example1, cfg).stabilization_controllability_prior
 
     def test_wide_input_single_sample(self, cfg):
         # one sample, two inputs: full-rank state data but an unbounded
@@ -61,7 +60,7 @@ class TestPlainAndControllabilityPrior:
         D = build_data_matrices(TrajectoryData(inputs=np.array([[1.0, -1.0]]),
                                                states=np.array([[-1.0], [-1.0]])))
         plain = solve_plain_lmi(D, cfg).feasible
-        assert check_controllability_prior(D, cfg) == plain
+        assert check_stabilizability_prior(D, cfg).stabilization_controllability_prior == plain
 
     def test_schur_singleton_with_zero_b(self, cfg):
         system = LtiSystem(A=[[0.5]], B=[[0.0]])
@@ -84,7 +83,7 @@ class TestPlainAndControllabilityPrior:
         full = rank_rel_tol == 0.2
         assert report.rank_x_minus == (D.n if full else 0)
         assert report.stabilization is full
-        assert check_controllability_prior(D, cfg) is report.stabilization_controllability_prior
+        assert report.stabilization_controllability_prior is full
 
 
 class TestConditions:
@@ -491,7 +490,8 @@ class TestVerdictEquivalences:
     def test_controllability_prior_equals_plain(self, cfg):
         for ds in self._suite(42, 150):
             plain = solve_plain_lmi(ds.D, cfg).feasible
-            assert check_controllability_prior(ds.D, cfg) == plain
+            assert check_stabilizability_prior(ds.D, cfg).stabilization_controllability_prior \
+                == plain
 
     def test_full_rank_prior_equals_plain(self, cfg):
         checked = 0
@@ -557,7 +557,7 @@ class TestVerdictsSolveNothing:
             # the pencil test that factors X_minus itself is the reference
             plain = pencil_full_rank(D.x_minus, D.x_plus, cfg)
             assert report.stabilization == plain
-            assert check_controllability_prior(D, cfg) == plain
+            assert report.stabilization_controllability_prior == plain
             verdicts.add((report.branch, report.stabilization))
         assert (Branch.FULL_RANK, True) in verdicts
         assert (Branch.FULL_RANK, False) in verdicts
@@ -601,6 +601,49 @@ class TestVerdictsSolveNothing:
             system=zoh_discretize(three_tank_model()), scenarios=20, seed=3), cfg)
         assert result.solver_failures == 0
         assert any(v.stabilization for v in result.verdicts)
+
+
+class TestScaleInvariance:
+    """Each pencil is ranked against ||P||_F, whose plain sum of squares
+    overflows once the entries pass about 1.3e154; the verdicts do not
+    depend on the data's scale."""
+
+    VERDICTS = ("rank_x_minus", "identification", "stabilization",
+                "stabilization_stabilizability_prior", "branch")
+
+    @staticmethod
+    def _scaled(D, scale):
+        return DataMatrices(scale * D.u_minus, scale * D.x_minus, scale * D.x_plus)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e155, 1e250])
+    def test_scalar_data(self, cfg, scale):
+        # x = (1, 1.5, 3.25), u = (0, 1): a = 1.5 and b = 1, informative
+        D = build_data_matrices(TrajectoryData(inputs=[[0.0], [1.0]],
+                                               states=[[1.0], [1.5], [3.25]]))
+        report = check_stabilizability_prior(self._scaled(D, scale), cfg)
+        assert (report.rank_x_minus, report.stabilization) == (1, True)
+        assert is_stabilizable(scale * np.array([[1.5]]), scale * np.array([[1.0]]), cfg)
+        # the mode 2 * scale is unreachable, so the pair is not stabilizable
+        assert not is_stabilizable(scale * np.diag([1.5, 2.0]), scale * np.array([[1.0], [0.0]]),
+                                   cfg)
+
+    def test_stack_mixing_scales(self, cfg):
+        A = np.array([[[1.5]], [[1.5e155]], [[1.5e250]]])
+        B = np.array([[[1.0]], [[0.0]], [[1e250]]])
+        assert is_stabilizable(A, B, cfg).tolist() == [True, False, True]
+
+    def test_random_suite(self, cfg):
+        rng = np.random.default_rng(101)
+        seen = set()
+        for _ in range(300):
+            D = random_dataset(rng).D
+            report = check_stabilizability_prior(D, cfg)
+            expected = [getattr(report, name) for name in self.VERDICTS]
+            for scale in (1e160, 1e250):
+                scaled = check_stabilizability_prior(self._scaled(D, scale), cfg)
+                assert [getattr(scaled, name) for name in self.VERDICTS] == expected
+            seen.add(report.stabilization)
+        assert seen == {True, False}
 
 
 class TestRankDeficientSoundness:
@@ -693,7 +736,7 @@ def test_solver_failure_propagates_through_report(cfg, broken_backend):
     report = check_stabilizability_prior(D, cfg)
     assert report.branch is Branch.FULL_RANK
     assert report.stabilization and report.stabilization_stabilizability_prior
-    assert check_controllability_prior(D, cfg)
+    assert report.stabilization_controllability_prior
 
 
 def test_informativity_does_not_import_synthesis():

@@ -13,9 +13,8 @@ EXPORTS = {
     "errors": ["DataFormatError", "PreconditionError", "SolverFailure"],
     "experiments": ["ContinuousSystem", "MonteCarloConfig", "MonteCarloResult",
                     "run_monte_carlo", "simulate", "three_tank_model", "zoh_discretize"],
-    "informativity": ["Branch", "InformativityReport", "check_controllability_prior",
-                      "check_identification", "check_stabilizability_prior",
-                      "input_rank_condition"],
+    "informativity": ["Branch", "InformativityReport", "check_identification",
+                      "check_stabilizability_prior", "input_rank_condition"],
     "linalg": ["DEFAULT_CONFIG", "NumericalConfig", "RowCompression",
                "is_controllable", "is_schur", "is_stabilizable",
                "matrix_exponential", "numerical_rank", "pencil_full_rank",
@@ -24,8 +23,7 @@ EXPORTS = {
                   "LmiSolution", "gain_from_plain", "lmi_problem", "sdp_solve",
                   "solve_plain_lmi", "solve_stab_lmi", "synthesize",
                   "synthesize_stab"],
-    "verification": ["LyapunovCertificate", "VerificationReport",
-                     "common_lyapunov", "decomposition_check",
+    "verification": ["VerificationReport", "decomposition_check",
                      "genericity_probe", "structural_nullity", "verify_gain"],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]

@@ -1,15 +1,17 @@
+import ast
 import functools
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import ddstab
-from ddstab import (NumericalConfig, SolverFailure, common_lyapunov,
-                    row_compress, sdp, solve_plain_lmi, solve_stab_lmi)
+from ddstab import (NumericalConfig, SolverFailure, row_compress, sdp, solve_plain_lmi,
+                    solve_stab_lmi)
 from ddstab.linalg import rank_revealing_svd
 from ddstab.sdp import AffineLmiFeasibility, BarrierBackend, BackendResult, CvxpyBackend
 from ddstab.synthesis import (LmiFeasibilityProblem, _symmetry_nullspace, lmi_problem,
@@ -17,6 +19,7 @@ from ddstab.synthesis import (LmiFeasibilityProblem, _symmetry_nullspace, lmi_pr
 
 from conftest import (barrier_slack, example1_matrices, montecarlo_windows, random_dataset,
                       reference_coefficients, three_tank_compressed)
+from oracles import common_lyapunov
 
 try:
     import cvxpy  # noqa: F401
@@ -104,8 +107,8 @@ class TestCrossBackend:
 
 
 def test_only_the_lmi_builders_take_a_backend():
-    """Every solve runs the barrier, except where a test hands one of the two
-    functions that build an ``AffineLmiFeasibility`` a fake or the oracle."""
+    """Every solve runs the barrier, except where a test hands the one package
+    function that builds an ``AffineLmiFeasibility`` a fake or the oracle."""
     takers = set()
     for info in pkgutil.iter_modules(ddstab.__path__):
         module = importlib.import_module(f"ddstab.{info.name}")
@@ -113,7 +116,26 @@ def test_only_the_lmi_builders_take_a_backend():
             if inspect.isfunction(value) and value.__module__ == module.__name__ \
                     and "backend" in inspect.signature(value).parameters:
                 takers.add(f"{info.name}.{name}")
-    assert takers == {"synthesis.sdp_solve", "verification.common_lyapunov"}
+    assert takers == {"synthesis.sdp_solve"}
+
+
+def test_only_synthesis_imports_the_solver():
+    """``synthesis.sdp_solve`` is the package's one route into ``sdp``: no other
+    module imports it, at module level or inside a function."""
+    importers = set()
+    for path in Path(ddstab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # the package's relative imports are read as absolute ones
+                base = f"ddstab.{node.module or ''}".rstrip(".") if node.level else node.module
+                names = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            if any(name == "ddstab.sdp" or name.startswith("ddstab.sdp.") for name in names):
+                importers.add(path.stem)
+    assert importers == {"synthesis"}
 
 
 def test_no_blocks_leave_the_slack_unbounded():

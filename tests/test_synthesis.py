@@ -476,6 +476,6 @@ class TestSolverFailurePropagates:
             synthesize(D, cfg)
 
     def test_common_lyapunov(self, cfg, broken_backend):
-        from ddstab import common_lyapunov
+        from oracles import common_lyapunov
         with pytest.raises(SolverFailure):
             common_lyapunov([np.array([[0.5]])], cfg)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ddstab import (LtiSystem, NumericalConfig, PreconditionError, TrajectoryData,
-                    build_data_matrices, check_stabilizability_prior, common_lyapunov,
+                    build_data_matrices, check_stabilizability_prior,
                     consistent_set, decomposition_check, genericity_probe, is_schur,
                     simulate, spectral_radius, structural_nullity, verify_gain)
 from ddstab import verification
@@ -14,6 +14,7 @@ from ddstab.synthesis import FeedbackGain, GainProvenance
 from ddstab.verification import VerificationReport
 
 from conftest import (THREE_TANK_A_REF, THREE_TANK_B_REF, random_dataset)
+from oracles import common_lyapunov
 
 
 def stab_gain(K) -> FeedbackGain:
